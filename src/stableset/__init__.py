@@ -17,8 +17,9 @@ from .order_topology import (CutLattice, FiniteTopology, Poset, delta_closure,
                              nachbin_closed, upper_bounds, way_below_e,
                              weak_t1_separation)
 from .relations import (DecisionProblem, Relation, asymmetric_part,
-                        is_acyclic, maximal_set, restrict,
-                        strict_poset_order, transitive_closure, trap_relation)
+                        is_acyclic, iterated_maximal, maximal_set, restrict,
+                        strict_poset_order, strong_components,
+                        transitive_closure, trap_relation)
 from .solutions import (Concept, FamilyForm, SchwartzMethod, SociallyInterp,
                         SolutionFamily, StabilityReport, core, duggan_set,
                         extended_stable_sets, generalized_stable_sets,

@@ -15,31 +15,19 @@ def from_members(members: Iterable[int]) -> Mask:
 
 
 def members(mask: Mask) -> tuple[int, ...]:
-    out = []
-    x = 0
-    while mask:
-        if mask & 1:
-            out.append(x)
-        mask >>= 1
-        x += 1
-    return tuple(out)
+    return tuple(iter_bits(mask))
 
 
 def iter_bits(mask: Mask) -> Iterator[int]:
-    x = 0
+    """Set bits in ascending order, one step per set bit (``m & -m``)."""
     while mask:
-        if mask & 1:
-            yield x
-        mask >>= 1
-        x += 1
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def full_mask(n: int) -> Mask:
     return (1 << n) - 1
-
-
-def popcount(mask: Mask) -> int:
-    return mask.bit_count()
 
 
 def subsets(universe: Mask) -> Iterator[Mask]:

@@ -174,7 +174,7 @@ def _strict_for_generator(p: DecisionProblem, generator: str):
     if generator == "duggan":
         trap = trap_relation(p)
         return transitive_closure(trap)
-    return asymmetric_part(transitive_closure(asymmetric_part(p.rel)))
+    return asymmetric_part(transitive_closure(p.strict))
 
 
 def _generator_set(p: DecisionProblem, generator: str) -> int:

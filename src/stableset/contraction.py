@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bitset import Mask, iter_bits
-from .relations import (DecisionProblem, Relation, asymmetric_part,
+from .relations import (DecisionProblem, Relation, iterated_maximal,
                         transitive_closure)
 
 
@@ -31,34 +31,32 @@ def equipotence_classes(p: DecisionProblem) -> Contraction:
     """Group alternatives that reach each other through the strict closure.
 
     Symmetric R-edges vanish in the strict part, so they never merge classes.
+    The classes are the problem's strong components, ordered by least member
+    before the topological sort.
     """
-    strict = asymmetric_part(p.rel)
-    closure = transitive_closure(strict)
+    strict = p.strict
+    raw_classes = p.components
     n = p.n
-    seen = 0
-    raw_classes: list[Mask] = []
-    for x in range(n):
-        if seen >> x & 1:
-            continue
-        cls = 1 << x
-        fwd = closure.rows[x]
-        for y in iter_bits(fwd & ~seen):
-            if closure.rows[y] >> x & 1:
-                cls |= 1 << y
-        raw_classes.append(cls)
-        seen |= cls
 
-    # Condensation edges from one-step strict dominance across classes.
+    # Condensation edges from one-step strict dominance across classes: one
+    # step per class edge, since a hit drops the whole target class.
     idx_of = [0] * n
     for i, cls in enumerate(raw_classes):
         for x in iter_bits(cls):
             idx_of[x] = i
     k = len(raw_classes)
     raw_cond = [0] * k
-    for x in range(n):
-        i = idx_of[x]
-        for y in iter_bits(strict.rows[x] & ~raw_classes[i]):
-            raw_cond[i] |= 1 << idx_of[y]
+    for i, cls in enumerate(raw_classes):
+        out = 0
+        for x in iter_bits(cls):
+            out |= strict.rows[x]
+        out &= ~cls
+        row = 0
+        while out:
+            j = idx_of[(out & -out).bit_length() - 1]
+            row |= 1 << j
+            out &= ~raw_classes[j]
+        raw_cond[i] = row
 
     order = _topological_order(k, raw_cond)
     rank = [0] * k
@@ -131,16 +129,15 @@ def extended_dominance(p: DecisionProblem, literal: bool = False) -> Relation:
 
 
 def _has_internal_edge(p: DecisionProblem, c: Contraction, i: int) -> bool:
-    strict = asymmetric_part(p.rel)
     cls = c.classes[i]
-    return any(strict.rows[x] & cls for x in iter_bits(cls))
+    return any(p.strict.rows[x] & cls for x in iter_bits(cls))
 
 
 def class_level_equivalence_check(p: DecisionProblem) -> bool:
     """Self-test: condensation edges coincide with uniform extended dominance
     between the member alternatives, computed from the raw definition."""
     c = equipotence_classes(p)
-    strict = asymmetric_part(p.rel)
+    strict = p.strict
     closure = transitive_closure(strict)
     n = p.n
 
@@ -166,22 +163,5 @@ def class_level_equivalence_check(p: DecisionProblem) -> bool:
 
 
 def condensation_stable_set(c: Contraction) -> Mask:
-    """The unique stable set of the acyclic condensation.
-
-    Iterated-maximal construction: keep undominated classes, drop everything
-    they dominate in one step, recurse on the remainder.
-    """
-    cols = c.cond.columns()
-    remaining = (1 << c.k) - 1
-    chosen = 0
-    while remaining:
-        layer = 0
-        for i in iter_bits(remaining):
-            if cols[i] & remaining == 0:
-                layer |= 1 << i
-        chosen |= layer
-        dominated = 0
-        for i in iter_bits(layer):
-            dominated |= c.cond.rows[i]
-        remaining &= ~(layer | dominated)
-    return chosen
+    """The unique stable set of the acyclic condensation, as class indices."""
+    return iterated_maximal(c.cond)

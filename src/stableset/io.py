@@ -7,13 +7,15 @@ alternative count.  Loops are rejected; duplicate edges collapse.
 
 from __future__ import annotations
 
+import gc
 import json
+from itertools import chain
 from typing import Optional
 
 from .bitset import Mask, members
 from .contraction import Contraction
 from .errors import LoopEdge, ParseError
-from .relations import DecisionProblem
+from .relations import DecisionProblem, Relation
 from .solutions import SolutionFamily, FamilyForm
 
 
@@ -25,10 +27,17 @@ def parse_instance(text: str) -> DecisionProblem:
 
 
 def _parse_json(text: str) -> DecisionProblem:
+    # Decoding allocates one list per edge, which triggers cycle collections
+    # that rescan the growing document; a decoded document has no cycles.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno) from exc
+    finally:
+        if collecting:
+            gc.enable()
     if not isinstance(doc, dict) or "n" not in doc:
         raise ParseError("instance object needs an 'n' field")
     n = doc["n"]
@@ -40,16 +49,39 @@ def _parse_json(text: str) -> DecisionProblem:
     edges = doc.get("edges", [])
     if not isinstance(edges, list):
         raise ParseError("'edges' must be a list of [u, v] pairs")
-    checked = []
-    for e in edges:
-        if (not isinstance(e, (list, tuple)) or len(e) != 2
-                or not all(isinstance(v, int) for v in e)):
-            raise ParseError(f"malformed edge {e!r}")
-        u, v = e
-        _check_edge(u, v, n)
-        checked.append((u, v))
-    return DecisionProblem.from_edges(n, checked,
-                                      labels=[str(x) for x in labels] if labels else None)
+    rows = _edge_rows(edges, n)
+    if rows is None:
+        # Only reached on a bad document: find and name the first bad edge.
+        for e in edges:
+            if (not isinstance(e, (list, tuple)) or len(e) != 2
+                    or not all(type(v) is int for v in e)):
+                raise ParseError(f"malformed edge {e!r}")
+            _check_edge(e[0], e[1], n)
+    return DecisionProblem(Relation(n, tuple(rows)),
+                           tuple(str(x) for x in labels) if labels else ())
+
+
+def _edge_rows(edges: list, n: int) -> list[Mask] | None:
+    """Adjacency rows of the edges, or None unless every edge is a pair of
+    distinct ints in range(n).
+
+    The checks are C-level passes over the edges and their flattened
+    endpoints; ``type(v) is int`` keeps JSON booleans out.  Loops show up
+    afterwards as diagonal bits.
+    """
+    if edges and not (set(map(type, edges)) == {list}
+                      and set(map(len, edges)) == {2}):
+        return None
+    ends = list(chain.from_iterable(edges))
+    if ends and not (set(map(type, ends)) == {int}
+                     and min(ends) >= 0 and max(ends) < n):
+        return None
+    rows = [0] * n
+    for u, v in edges:
+        rows[u] |= 1 << v
+    if any(row >> x & 1 for x, row in enumerate(rows)):
+        return None
+    return rows
 
 
 def _parse_edge_list(text: str) -> DecisionProblem:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 from .bitset import Mask, full_mask, iter_bits, subsets
 from .errors import LimitExceeded
-from .relations import Relation, _check_poset
+from .relations import Relation, _check_poset, transitive_closure
 
 DM_LIMIT = 10
 IDEAL_LIMIT = 8
@@ -28,15 +28,9 @@ class Poset:
     def from_pairs(cls, n: int, pairs) -> "Poset":
         """Reflexive-transitive closure of the given covers; must come out
         antisymmetric."""
-        base = Relation.from_pairs(n, pairs)
-        rows = list(base.rows)
-        for k in range(n):
-            bit = 1 << k
-            for x in range(n):
-                if rows[x] & bit:
-                    rows[x] |= rows[k]
-        closed = Relation(n, tuple(rows[x] | (1 << x) for x in range(n)))
-        return cls(closed)
+        closure = transitive_closure(Relation.from_pairs(n, pairs))
+        return cls(Relation(n, tuple(row | 1 << x
+                                     for x, row in enumerate(closure.rows))))
 
     @property
     def n(self) -> int:

@@ -3,11 +3,18 @@
 Relations are stored densely as one int bitmask per source index
 (``rows[x]`` has bit ``y`` set iff ``x`` relates to ``y``), so closure and
 restriction reduce to row-parallel integer arithmetic.
+
+Derived data is computed once: a relation memoises its columns, and a
+decision problem memoises its strict part and the strict part's strong
+components.  The components come from a linear Kosaraju pass over the bit
+rows, not from the transitive closure, which stays for the callers that
+need full reachability.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .bitset import Mask, full_mask, iter_bits
@@ -24,8 +31,8 @@ class Relation:
     def __post_init__(self):
         if len(self.rows) != self.n:
             raise ValueError("row count must equal n")
-        hi = full_mask(self.n)
-        if any(row & ~hi for row in self.rows):
+        if self.rows and (min(self.rows) < 0
+                          or max(self.rows).bit_length() > self.n):
             raise ValueError("row refers to an index >= n")
 
     @classmethod
@@ -48,23 +55,15 @@ class Relation:
                 yield x, y
 
     def columns(self) -> tuple[Mask, ...]:
-        """cols[y] has bit x set iff x relates to y."""
-        cols = [0] * self.n
-        for x in range(self.n):
-            row = self.rows[x]
-            bit = 1 << x
-            for y in iter_bits(row):
-                cols[y] |= bit
-        return tuple(cols)
-
-    def transpose(self) -> "Relation":
-        return Relation(self.n, self.columns())
+        """cols[y] has bit x set iff x relates to y; computed once."""
+        cols = self.__dict__.get("_columns")
+        if cols is None:
+            cols = _transpose(self.n, self.rows)
+            object.__setattr__(self, "_columns", cols)
+        return cols
 
     def is_irreflexive(self) -> bool:
         return all(not self.rows[x] >> x & 1 for x in range(self.n))
-
-    def union(self, other: "Relation") -> "Relation":
-        return Relation(self.n, tuple(a | b for a, b in zip(self.rows, other.rows)))
 
     def is_subrelation_of(self, other: "Relation") -> bool:
         return all(a & ~b == 0 for a, b in zip(self.rows, other.rows))
@@ -100,11 +99,47 @@ class DecisionProblem:
     def all_mask(self) -> Mask:
         return full_mask(self.rel.n)
 
+    @cached_property
+    def strict(self) -> Relation:
+        """The strict part of the dominance relation, derived once."""
+        return asymmetric_part(self.rel)
+
+    @cached_property
+    def components(self) -> tuple[Mask, ...]:
+        """Strong components of the strict part, ordered by least member."""
+        return strong_components(self.strict)
+
+
+def _transpose(n: int, rows: tuple[Mask, ...]) -> tuple[Mask, ...]:
+    """Bit-matrix transpose through binary strings.
+
+    Rows are written most significant bit first in reverse row order, so
+    string position j of every row holds bit n-1-j; zipping the strings
+    yields column n-1-j with row x at bit x.
+    """
+    fmt = f"0{n}b"
+    strings = [format(row, fmt) for row in reversed(rows)]
+    return tuple(int("".join(col), 2) for col in zip(*strings))[::-1]
+
+
+def _with_columns(n: int, rows: tuple[Mask, ...],
+                  cols: tuple[Mask, ...]) -> Relation:
+    """A relation whose columns the caller already knows."""
+    r = Relation(n, rows)
+    object.__setattr__(r, "_columns", cols)
+    return r
+
 
 def asymmetric_part(r: Relation) -> Relation:
-    """Strict part: keep (x,y) only when (y,x) is absent."""
+    """Strict part: keep (x,y) only when (y,x) is absent.
+
+    Column y of the strict part is cols[y] & ~rows[y], so it needs no second
+    transpose.
+    """
     cols = r.columns()
-    return Relation(r.n, tuple(r.rows[x] & ~cols[x] for x in range(r.n)))
+    return _with_columns(r.n,
+                         tuple(row & ~col for row, col in zip(r.rows, cols)),
+                         tuple(col & ~row for row, col in zip(r.rows, cols)))
 
 
 def transitive_closure(r: Relation) -> Relation:
@@ -121,21 +156,82 @@ def transitive_closure(r: Relation) -> Relation:
     return Relation(r.n, tuple(rows))
 
 
+def strong_components(r: Relation) -> tuple[Mask, ...]:
+    """Strong components of r (mutual reachability), ordered by least member.
+
+    Kosaraju's two passes over bit rows: a depth-first pass along the rows
+    records finishing order, then a breadth-first pass along the columns, in
+    reverse finishing order, collects each component.  Each pass takes O(n)
+    steps of a few big-int operations each.
+    """
+    rows = r.rows
+    unvisited = full_mask(r.n)
+    finished: list[int] = []
+    while unvisited:
+        root = unvisited & -unvisited
+        unvisited ^= root
+        stack = [root.bit_length() - 1]
+        while stack:
+            nxt = rows[stack[-1]] & unvisited
+            if nxt:
+                low = nxt & -nxt
+                unvisited ^= low
+                stack.append(low.bit_length() - 1)
+            else:
+                finished.append(stack.pop())
+    cols = r.columns()
+    unassigned = full_mask(r.n)
+    comps: list[Mask] = []
+    for x in reversed(finished):
+        if not unassigned >> x & 1:
+            continue
+        comp = frontier = 1 << x
+        unassigned ^= frontier
+        while frontier:
+            reach = 0
+            for y in iter_bits(frontier):
+                reach |= cols[y]
+            frontier = reach & unassigned
+            unassigned ^= frontier
+            comp |= frontier
+        comps.append(comp)
+    comps.sort(key=lambda comp: comp & -comp)
+    return tuple(comps)
+
+
 def maximal_set(xs: Mask, r: Relation) -> Mask:
     """Weakly maximal members of xs: every dominator inside xs is dominated back."""
     if xs == 0:
         raise EmptyGround("maximal_set needs a non-empty carrier")
     cols = r.columns()
+    rows = r.rows
     out = 0
     for x in iter_bits(xs):
-        ok = True
-        for y in iter_bits(cols[x] & xs):
-            if not r.has(x, y):
-                ok = False
-                break
-        if ok:
+        if not cols[x] & xs & ~rows[x]:
             out |= 1 << x
     return out
+
+
+def iterated_maximal(r: Relation) -> Mask:
+    """The unique stable set of an acyclic relation.
+
+    Keep the undominated members, drop everything they dominate in one step,
+    repeat on the remainder.
+    """
+    cols = r.columns()
+    remaining = full_mask(r.n)
+    chosen = 0
+    while remaining:
+        layer = 0
+        for x in iter_bits(remaining):
+            if cols[x] & remaining == 0:
+                layer |= 1 << x
+        dominated = 0
+        for x in iter_bits(layer):
+            dominated |= r.rows[x]
+        chosen |= layer
+        remaining &= ~(layer | dominated)
+    return chosen
 
 
 def restrict(r: Relation, xs: Mask) -> Relation:
@@ -150,16 +246,24 @@ def is_acyclic(r: Relation) -> bool:
 
 
 def trap_relation(p: DecisionProblem) -> Relation:
-    """x traps y: strict domination that y cannot answer through the closure."""
-    strict = asymmetric_part(p.rel)
-    reaches_back = transitive_closure(strict).columns()
-    return Relation(p.n, tuple(strict.rows[x] & ~reaches_back[x]
-                               for x in range(p.n)))
+    """x traps y: strict domination that y cannot answer through the closure.
+
+    For a strict edge x -> y, y reaches x back exactly when both lie in one
+    strong component, so the trap relation drops within-component edges.
+    """
+    strict = p.strict
+    rows = list(strict.rows)
+    cols = list(strict.columns())
+    for comp in p.components:
+        for x in iter_bits(comp):
+            rows[x] &= ~comp
+            cols[x] &= ~comp
+    return _with_columns(p.n, tuple(rows), tuple(cols))
 
 
 def strict_poset_order(p: DecisionProblem) -> Relation:
     """Partial order induced by the strict closure: its strict part plus the diagonal."""
-    closure = transitive_closure(asymmetric_part(p.rel))
+    closure = transitive_closure(p.strict)
     strict = asymmetric_part(closure)
     leq = Relation(p.n, tuple(strict.rows[x] | (1 << x) for x in range(p.n)))
     _check_poset(leq)

@@ -19,9 +19,9 @@ from .bitset import Mask, iter_bits, members, subsets
 from .contraction import (condensation_stable_set, equipotence_classes,
                           extended_dominance, maximal_components)
 from .errors import EmptySolution, OracleLimitExceeded
-from .relations import (DecisionProblem, Relation, asymmetric_part,
-                        maximal_set, restrict, trap_relation,
-                        transitive_closure)
+from .relations import (DecisionProblem, Relation, is_acyclic,
+                        iterated_maximal, maximal_set, restrict,
+                        trap_relation, transitive_closure)
 
 DEFAULT_MAX_N = 12
 
@@ -176,8 +176,7 @@ def _external_ok(v: Mask, q: Relation) -> bool:
 
 def core(p: DecisionProblem) -> Mask:
     """Weakly maximal alternatives under strict dominance; may be empty."""
-    strict = asymmetric_part(p.rel)
-    return maximal_set(p.all_mask, strict)
+    return maximal_set(p.all_mask, p.strict)
 
 
 def schwartz_set(p: DecisionProblem,
@@ -190,7 +189,7 @@ def schwartz_set(p: DecisionProblem,
             out |= c.classes[i]
         return out
     if method is SchwartzMethod.DEB:
-        closure = transitive_closure(asymmetric_part(p.rel))
+        closure = transitive_closure(p.strict)
         return maximal_set(p.all_mask, closure)
     from .oracle import gocha_bruteforce
     return gocha_bruteforce(p, max_n=max_n)
@@ -207,10 +206,9 @@ def vnm_stable_sets(p: DecisionProblem,
     Acyclic strict parts take the constructive route (iterated maximal set,
     unique and core-inclusive); anything else is a subset search.
     """
-    strict = asymmetric_part(p.rel)
-    from .relations import is_acyclic
+    strict = p.strict
     if is_acyclic(strict):
-        s = _iterated_maximal(strict)
+        s = iterated_maximal(strict)
         assert is_stable_set(s, strict).ok
         assert core(p) & ~s == 0, "acyclic stable set must contain the core"
         return SolutionFamily(FamilyForm.EXPLICIT, p.n, explicit=(s,))
@@ -220,23 +218,6 @@ def vnm_stable_sets(p: DecisionProblem,
     found = [v for v in subsets(p.all_mask)
              if v and is_stable_set(v, strict).ok]
     return SolutionFamily(FamilyForm.EXPLICIT, p.n, explicit=tuple(found))
-
-
-def _iterated_maximal(strict: Relation) -> Mask:
-    cols = strict.columns()
-    remaining = (1 << strict.n) - 1
-    chosen = 0
-    while remaining:
-        layer = 0
-        for x in iter_bits(remaining):
-            if cols[x] & remaining == 0:
-                layer |= 1 << x
-        dominated = 0
-        for x in iter_bits(layer):
-            dominated |= strict.rows[x]
-        chosen |= layer
-        remaining &= ~(layer | dominated)
-    return chosen
 
 
 def generalized_stable_sets(p: DecisionProblem) -> SolutionFamily:
@@ -252,7 +233,7 @@ def socially_stable_sets(p: DecisionProblem,
     limit = max_n if max_n is not None else subset_search_ceiling()
     if p.n > limit:
         raise OracleLimitExceeded(f"n={p.n} exceeds subset-search ceiling {limit}")
-    strict = asymmetric_part(p.rel)
+    strict = p.strict
     closure = transitive_closure(strict)
     strict_cols = strict.columns()
     found = []
@@ -323,7 +304,7 @@ def undominated_pairs(p: DecisionProblem,
     limit = max_n if max_n is not None else min(subset_search_ceiling(), 8)
     if p.n > limit:
         raise OracleLimitExceeded(f"n={p.n} exceeds pair-enumeration ceiling {limit}")
-    strict = asymmetric_part(p.rel)
+    strict = p.strict
     closure = transitive_closure(strict)
     strict_cols = strict.columns()
     closure_cols = closure.columns()
@@ -358,7 +339,7 @@ def undominated_pairs(p: DecisionProblem,
 def top_pairgenerators(p: DecisionProblem,
                        max_n: int | None = None) -> Mask:
     """Union of generators of minimal pairs whose two sets are strict cycles."""
-    closure = transitive_closure(asymmetric_part(p.rel))
+    closure = transitive_closure(p.strict)
 
     def is_cycle(mask: Mask) -> bool:
         return all(closure.has(x, y)
@@ -390,7 +371,7 @@ def solve(p: DecisionProblem, concept: Concept,
 
 def dominance_for(p: DecisionProblem, concept: Concept) -> Relation:
     """The relation each concept's stability is judged against."""
-    strict = asymmetric_part(p.rel)
+    strict = p.strict
     if concept is Concept.VNM or concept is Concept.SOCIALLY:
         return strict
     if concept is Concept.EXTENDED:

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -6,6 +7,7 @@ from stableset.cli import run_cli
 from stableset.errors import LoopEdge, ParseError
 from stableset.fixtures import CYCLE_WITH_TAIL
 from stableset.io import export_dot, parse_instance, serialize_instance
+from stableset.relations import Relation
 from stableset.oracle import random_problem
 from stableset.contraction import equipotence_classes
 
@@ -62,11 +64,100 @@ class TestParsing:
             again = parse_instance(serialize_instance(p))
             assert again.rel == p.rel and again.labels == p.labels
 
+    def test_boolean_endpoints_rejected(self):
+        for edge in ("[true, false]", "[0, true]", "[false, 1]"):
+            with pytest.raises(ParseError, match="malformed edge"):
+                parse_instance('{"n": 2, "edges": [%s]}' % edge)
+
     def test_dot_export(self):
         dot = export_dot(CYCLE_WITH_TAIL, equipotence_classes(CYCLE_WITH_TAIL))
         assert dot.startswith("digraph")
         assert "subgraph cluster_0" in dot
         assert "style=bold" in dot
+
+
+def per_edge_parse(text):
+    """JSON instance edges checked one at a time, in order: the first edge
+    that is not a list of two ints (booleans excluded), is out of range or
+    is a loop names the error."""
+    doc = json.loads(text)
+    n = doc["n"]
+    rows = [0] * n
+    for e in doc["edges"]:
+        if (not isinstance(e, list) or len(e) != 2
+                or not all(type(v) is int for v in e)):
+            raise ParseError(f"malformed edge {e!r}")
+        u, v = e
+        if not (0 <= u < n and 0 <= v < n):
+            raise ParseError(f"edge ({u},{v}) out of range for n={n}")
+        if u == v:
+            raise LoopEdge(u)
+        rows[u] |= 1 << v
+    return Relation(n, tuple(rows))
+
+
+BAD_EDGES = (5, "01", None, {"u": 0}, [], [0], [0, 1, 2], [0, 1.0], [0.5, 1],
+             [0, "1"], [True, False], [0, True], [-1, 0], [0, -2], "n", "n+",
+             "loop")
+
+
+class TestJsonParserEquivalence:
+    """The C-level fast path raises what the per-edge check raises."""
+
+    def documents(self, seed):
+        """Seeded valid edge lists with one to three bad edges planted."""
+        rng = random.Random(seed)
+        n = rng.randint(2, 40)
+        edges = [[u, v] for u in range(n) for v in range(n)
+                 if u != v and rng.random() < 0.3]
+        rng.shuffle(edges)
+        for _ in range(rng.randint(1, 3)):
+            bad = rng.choice(BAD_EDGES)
+            if bad == "n":
+                bad = [rng.randrange(n), n]
+            elif bad == "n+":
+                bad = [n + rng.randrange(5), 0]
+            elif bad == "loop":
+                x = rng.randrange(n)
+                bad = [x, x]
+            edges.insert(rng.randint(0, len(edges)), bad)
+        return json.dumps({"n": n, "edges": edges})
+
+    def test_bad_documents_raise_like_per_edge_check(self):
+        for seed in range(400):
+            text = self.documents(seed)
+            with pytest.raises(ParseError) as expected:
+                per_edge_parse(text)
+            with pytest.raises(ParseError) as actual:
+                parse_instance(text)
+            assert type(actual.value) is type(expected.value)
+            assert str(actual.value) == str(expected.value)
+
+    def test_bad_edge_after_many_good_ones(self):
+        good = [[u, v] for u in range(60) for v in range(60) if u != v]
+        concrete = {"n": [3, 60], "n+": [61, 0], "loop": [7, 7]}
+        for bad in BAD_EDGES:
+            if isinstance(bad, str):
+                bad = concrete.get(bad, bad)
+            text = json.dumps({"n": 60, "edges": good + [bad]})
+            with pytest.raises(ParseError) as expected:
+                per_edge_parse(text)
+            with pytest.raises(ParseError) as actual:
+                parse_instance(text)
+            assert type(actual.value) is type(expected.value)
+            assert str(actual.value) == str(expected.value)
+
+    def test_valid_documents_round_trip(self):
+        for seed in range(200):
+            rng = random.Random(seed)
+            n = rng.randint(1, 40)
+            edges = [[u, v] for u in range(n) for v in range(n)
+                     if u != v and rng.random() < rng.random()]
+            edges += rng.sample(edges, len(edges) // 4)  # duplicates collapse
+            rng.shuffle(edges)
+            p = parse_instance(json.dumps({"n": n, "edges": edges}))
+            assert p.rel == per_edge_parse(json.dumps({"n": n, "edges": edges}))
+            assert parse_instance(serialize_instance(p)).rel == p.rel
 
 
 class TestSolveCommand:

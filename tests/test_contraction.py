@@ -1,12 +1,14 @@
-from stableset.bitset import members
-from stableset.contraction import (class_level_equivalence_check,
+from conftest import kernel_corpus
+from stableset.bitset import iter_bits, members
+from stableset.contraction import (_topological_order,
+                                   class_level_equivalence_check,
                                    condensation_stable_set,
                                    equipotence_classes, extended_dominance,
                                    maximal_components)
 from stableset.fixtures import (CHAIN, CYCLE_WITH_TAIL, FOUR_CYCLE,
                                 SYMMETRIC_PAIR, THREE_CYCLE)
 from stableset.oracle import random_problem
-from stableset.relations import (asymmetric_part, is_acyclic,
+from stableset.relations import (Relation, asymmetric_part, is_acyclic,
                                  transitive_closure)
 from stableset.solutions import is_stable_set
 
@@ -127,3 +129,42 @@ class TestCondensationStableSet:
             stable = [v for v in subsets((1 << c.k) - 1)
                       if v and is_stable_set(v, c.cond).ok]
             assert stable == [chosen]
+
+
+def closure_equipotence_classes(p):
+    """Classes, class_of and cond built from the Warshall closure: classes
+    by mutual reachability in order of least member, condensation edges one
+    strict edge at a time, then the shared topological renumbering."""
+    strict = asymmetric_part(p.rel)
+    closure = transitive_closure(strict)
+    raw_classes, seen = [], 0
+    for x in range(p.n):
+        if seen >> x & 1:
+            continue
+        cls = 1 << x
+        for y in iter_bits(closure.rows[x] & ~seen):
+            if closure.has(y, x):
+                cls |= 1 << y
+        raw_classes.append(cls)
+        seen |= cls
+    idx_of = {x: i for i, cls in enumerate(raw_classes) for x in members(cls)}
+    k = len(raw_classes)
+    raw_cond = [0] * k
+    for x, y in strict.pairs():
+        if idx_of[x] != idx_of[y]:
+            raw_cond[idx_of[x]] |= 1 << idx_of[y]
+    order = _topological_order(k, raw_cond)
+    rank = {old: new for new, old in enumerate(order)}
+    classes = tuple(raw_classes[old] for old in order)
+    cond = Relation.from_pairs(k, [(rank[i], rank[j]) for i in range(k)
+                                   for j in iter_bits(raw_cond[i])])
+    class_of = tuple(rank[idx_of[x]] for x in range(p.n))
+    return classes, class_of, cond
+
+
+class TestComponentKernel:
+    def test_matches_closure_construction(self):
+        for p in kernel_corpus():
+            c = equipotence_classes(p)
+            assert (c.classes, c.class_of, c.cond) == \
+                closure_equipotence_classes(p)

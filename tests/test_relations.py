@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import kernel_corpus
 from stableset.bitset import from_members, full_mask, members
 from stableset.errors import EmptyGround
 from stableset.fixtures import (CHAIN, CYCLE_WITH_TAIL, FOUR_CYCLE,
@@ -7,7 +8,8 @@ from stableset.fixtures import (CHAIN, CYCLE_WITH_TAIL, FOUR_CYCLE,
 from stableset.oracle import random_problem
 from stableset.relations import (Relation, asymmetric_part, is_acyclic,
                                  maximal_set, restrict, strict_poset_order,
-                                 transitive_closure, trap_relation)
+                                 strong_components, transitive_closure,
+                                 trap_relation)
 
 
 def rel(n, pairs):
@@ -148,3 +150,55 @@ class TestStrictPosetOrder:
             assert all(leq.has(x, x) for x in range(p.n))
             count += 1
         assert count == 1000
+
+
+def pair_columns(r):
+    """Columns by the definition, one pair at a time."""
+    return tuple(from_members(x for x in range(r.n) if r.has(x, y))
+                 for y in range(r.n))
+
+
+class TestDeriveOnceKernels:
+    """Memoised and closure-free kernels against definitions computed here,
+    on the shared corpus plus seeded n = 50 and n = 200 instances."""
+
+    def test_columns_match_per_pair_transpose(self):
+        for p in kernel_corpus():
+            for r in (p.rel, p.strict):
+                assert r.columns() == pair_columns(r)
+                assert r.columns() is r.columns()
+
+    def test_strict_part_memoised_and_matches_definition(self):
+        for p in kernel_corpus():
+            expected = Relation.from_pairs(
+                p.n, [(x, y) for x, y in p.rel.pairs() if not p.rel.has(y, x)])
+            assert p.strict == expected
+            assert p.strict is p.strict
+            assert asymmetric_part(p.rel) == expected
+
+    def test_components_are_mutual_reachability(self):
+        for p in kernel_corpus():
+            closure = transitive_closure(p.strict)
+            comps = p.components
+            assert comps is p.components
+            assert comps == strong_components(p.strict)
+            assert sum(comps) == p.all_mask
+            least = [members(c)[0] for c in comps]
+            assert least == sorted(least)
+            for comp in comps:
+                for x in members(comp):
+                    mutual = from_members(
+                        y for y in range(p.n)
+                        if y == x or (closure.has(x, y) and closure.has(y, x)))
+                    assert comp == mutual
+
+    def test_trap_relation_drops_what_reaches_back(self):
+        for p in kernel_corpus():
+            strict = asymmetric_part(p.rel)
+            closure = transitive_closure(strict)
+            expected = Relation.from_pairs(
+                p.n, [(x, y) for x, y in strict.pairs()
+                      if not closure.has(y, x)])
+            trap = trap_relation(p)
+            assert trap == expected
+            assert trap.columns() == pair_columns(expected)
