@@ -2,15 +2,15 @@
 brute-force oracle and a finite order-topology lab."""
 
 from .bitset import from_members, full_mask, members
-from .contraction import (Contraction, class_level_equivalence_check,
-                          condensation_stable_set, equipotence_classes,
-                          extended_dominance, maximal_components)
+from .contraction import (Contraction, condensation_stable_set,
+                          equipotence_classes, extended_dominance,
+                          maximal_components)
 from .errors import (EmptyGround, EmptySolution, LimitExceeded, LoopEdge,
                      OracleLimitExceeded, ParseError, PosetViolation,
                      StablesetError)
 from .io import export_dot, parse_instance, serialize_instance
-from .oracle import (OracleConfig, VerificationReport, cross_verify,
-                     enumerate_solutions, gocha_bruteforce, random_problem)
+from .oracle import (VerificationReport, cross_verify, enumerate_solutions,
+                     gocha_bruteforce, random_problem)
 from .order_topology import (CutLattice, FiniteTopology, Poset, delta_closure,
                              dm_completion, excluded_set_topology,
                              frink_ideals, is_precontinuous, lower_bounds,

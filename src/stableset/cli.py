@@ -18,7 +18,7 @@ from . import io as sio
 from .bitset import from_members, members
 from .contraction import equipotence_classes
 from .errors import StablesetError
-from .oracle import cross_verify, random_problem
+from .oracle import cross_verify, gocha_bruteforce, random_problem
 from .order_topology import (Poset, dm_completion, excluded_set_topology,
                              frink_ideals, is_precontinuous, nachbin_closed,
                              weak_t1_separation)
@@ -42,6 +42,41 @@ _FAMILY_CONCEPTS = {
     "ess": Concept.EXTENDED,
 }
 _SET_CONCEPTS = ("core", "schwartz", "duggan")
+# The brute-force Schwartz route is the oracle's; the others are the library's.
+_BRUTE = "brute"
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
+    return value
+
+
+def _count(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a count >= 0, got {text}")
+    return value
+
+
+def _unit_float(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"expected a number in [0, 1], got {text}")
+    return value
+
+
+def _indices(text: str) -> int:
+    """Comma-separated alternative indices as a mask."""
+    try:
+        idx = [int(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated indices, got {text!r}") from None
+    if min(idx) < 0:
+        raise argparse.ArgumentTypeError(f"negative index in {text!r}")
+    return from_members(idx)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -54,7 +89,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--input", required=True)
     p_solve.add_argument("--interp", choices=[i.value for i in SociallyInterp],
                          default=SociallyInterp.RESTRICT_CLOSURE.value)
-    p_solve.add_argument("--method", choices=[m.value for m in SchwartzMethod],
+    p_solve.add_argument("--method",
+                         choices=[m.value for m in SchwartzMethod] + [_BRUTE],
                          default=SchwartzMethod.CONDENSATION.value)
     p_solve.add_argument("--max-n", type=int, default=None)
     p_solve.add_argument("--timings", action="store_true")
@@ -62,8 +98,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", exit_on_error=False)
     p_verify.add_argument("--concept", required=True,
                           choices=list(_FAMILY_CONCEPTS))
-    p_verify.add_argument("--trials", type=int, default=100)
-    p_verify.add_argument("--max-n", type=int, default=8)
+    p_verify.add_argument("--trials", type=_count, default=100)
+    p_verify.add_argument("--max-n", type=_positive_int, default=8)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--interp", choices=[i.value for i in SociallyInterp],
                           default=SociallyInterp.RESTRICT_CLOSURE.value)
@@ -78,15 +114,15 @@ def _build_parser() -> argparse.ArgumentParser:
                         choices=["dm", "frink", "precont", "excluded", "t1",
                                  "nachbin"])
     p_topo.add_argument("--input", required=True)
-    p_topo.add_argument("--excluded", default=None,
+    p_topo.add_argument("--excluded", type=_indices, default=None,
                         help="comma-separated indices generating the topology")
     p_topo.add_argument("--generator",
                         choices=["schwartz", "duggan", "wss", "mss"],
                         default="schwartz")
 
     p_random = sub.add_parser("random", exit_on_error=False)
-    p_random.add_argument("--n", type=int, required=True)
-    p_random.add_argument("--density", type=float, default=0.5)
+    p_random.add_argument("--n", type=_positive_int, required=True)
+    p_random.add_argument("--density", type=_unit_float, default=0.5)
     p_random.add_argument("--seed", type=int, default=0)
     p_random.add_argument("--tournament", action="store_true")
 
@@ -109,8 +145,11 @@ def _cmd_solve(args) -> int:
     if args.concept == "core":
         doc["set"] = sio.set_document(core(p))
     elif args.concept == "schwartz":
-        doc["set"] = sio.set_document(
-            schwartz_set(p, SchwartzMethod(args.method), max_n=args.max_n))
+        if args.method == _BRUTE:
+            found = gocha_bruteforce(p, max_n=args.max_n)
+        else:
+            found = schwartz_set(p, SchwartzMethod(args.method))
+        doc["set"] = sio.set_document(found)
         doc["method"] = args.method
     elif args.concept == "duggan":
         doc["set"] = sio.set_document(duggan_set(p))
@@ -174,7 +213,7 @@ def _strict_for_generator(p: DecisionProblem, generator: str):
     if generator == "duggan":
         trap = trap_relation(p)
         return transitive_closure(trap)
-    return asymmetric_part(transitive_closure(p.strict))
+    return asymmetric_part(p.closure)
 
 
 def _generator_set(p: DecisionProblem, generator: str) -> int:
@@ -189,6 +228,10 @@ def _generator_set(p: DecisionProblem, generator: str) -> int:
 
 def _cmd_topology(args) -> int:
     p = _load(args.input)
+    if args.excluded is not None and args.excluded >> p.n:
+        sys.stderr.write(f"usage error: --excluded: index out of range "
+                         f"for n={p.n}\n")
+        return EXIT_USAGE
     doc: dict = {"check": args.check}
     if args.check in ("dm", "frink", "precont"):
         poset = Poset(strict_poset_order(p))
@@ -200,8 +243,8 @@ def _cmd_topology(args) -> int:
         else:
             doc["precontinuous"] = is_precontinuous(poset)
     elif args.check == "excluded":
-        excluded = (from_members(int(v) for v in args.excluded.split(","))
-                    if args.excluded else _generator_set(p, args.generator))
+        excluded = (args.excluded if args.excluded is not None
+                    else _generator_set(p, args.generator))
         top = excluded_set_topology(p.n, excluded)
         doc["excluded"] = list(members(excluded))
         doc["open_count"] = len(top.opens)
@@ -213,8 +256,8 @@ def _cmd_topology(args) -> int:
         doc["generator"] = args.generator
         doc["separated"] = weak_t1_separation(top, strict)
     else:  # nachbin
-        excluded = (from_members(int(v) for v in args.excluded.split(","))
-                    if args.excluded else _generator_set(p, args.generator))
+        excluded = (args.excluded if args.excluded is not None
+                    else _generator_set(p, args.generator))
         top = excluded_set_topology(p.n, excluded)
         doc["nachbin_closed"] = nachbin_closed(top, strict_poset_order(p))
     _emit(doc)

@@ -6,8 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bitset import Mask, iter_bits
-from .relations import (DecisionProblem, Relation, iterated_maximal,
-                        transitive_closure)
+from .relations import DecisionProblem, Relation, iterated_maximal
 
 
 @dataclass(frozen=True)
@@ -104,7 +103,6 @@ def maximal_components(c: Contraction) -> Mask:
     for i in range(c.k):
         if cols[i] == 0:
             out |= 1 << i
-    assert out != 0
     return out
 
 
@@ -131,35 +129,6 @@ def extended_dominance(p: DecisionProblem, literal: bool = False) -> Relation:
 def _has_internal_edge(p: DecisionProblem, c: Contraction, i: int) -> bool:
     cls = c.classes[i]
     return any(p.strict.rows[x] & cls for x in iter_bits(cls))
-
-
-def class_level_equivalence_check(p: DecisionProblem) -> bool:
-    """Self-test: condensation edges coincide with uniform extended dominance
-    between the member alternatives, computed from the raw definition."""
-    c = equipotence_classes(p)
-    strict = p.strict
-    closure = transitive_closure(strict)
-    n = p.n
-
-    def equipotent(x: int, y: int) -> bool:
-        return x == y or (closure.has(x, y) and closure.has(y, x))
-
-    def omega_dominates(x: int, y: int) -> bool:
-        if equipotent(x, y):
-            return False
-        return any(equipotent(x, z) and strict.has(z, w) and equipotent(w, y)
-                   for z in range(n) for w in range(n))
-
-    for i in range(c.k):
-        for j in range(c.k):
-            if i == j:
-                continue
-            uniform = all(omega_dominates(x, y)
-                          for x in iter_bits(c.classes[i])
-                          for y in iter_bits(c.classes[j]))
-            if bool(c.cond.rows[i] >> j & 1) != uniform:
-                return False
-    return True
 
 
 def condensation_stable_set(c: Contraction) -> Mask:

@@ -41,7 +41,7 @@ def _parse_json(text: str) -> DecisionProblem:
     if not isinstance(doc, dict) or "n" not in doc:
         raise ParseError("instance object needs an 'n' field")
     n = doc["n"]
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise ParseError("'n' must be a positive integer")
     labels = doc.get("labels")
     if labels is not None and (not isinstance(labels, list) or len(labels) != n):
@@ -128,11 +128,9 @@ def serialize_instance(p: DecisionProblem) -> str:
 
 def family_document(family: SolutionFamily) -> dict:
     doc: dict = {"form": family.form.value, "count": family.count()}
-    if family.form is FamilyForm.EXPLICIT:
-        doc["sets"] = [list(members(v)) for v in family]
-    else:
+    if family.form is not FamilyForm.EXPLICIT:
         doc["components"] = [list(members(c)) for c in family.components]
-        doc["sets"] = [list(members(v)) for v in family]
+    doc["sets"] = [list(members(v)) for v in family]
     return doc
 
 

@@ -1,27 +1,22 @@
 """Brute-force ground truth.
 
 Every check here transcribes a definition directly against the raw relation
-data and never calls the constructive code paths in `solutions`, so that
-agreement between the two is evidence rather than tautology.
+data, with its own strict part and closure, and never calls the constructive
+code paths in `solutions`, so that agreement between the two is evidence
+rather than tautology.  Only `cross_verify` calls `solutions.solve`, because
+comparing the two is its job.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .bitset import Mask, iter_bits, subsets
 from .errors import OracleLimitExceeded
 from .relations import DecisionProblem, Relation
-from .solutions import Concept, SociallyInterp, subset_search_ceiling
-
-
-@dataclass(frozen=True)
-class OracleConfig:
-    max_n: int = field(default_factory=subset_search_ceiling)
-    seed: int = 0
-    instance_count: int = 100
+from .solutions import Concept, SociallyInterp, solve, subset_search_ceiling
 
 
 @dataclass(frozen=True)
@@ -186,7 +181,6 @@ def cross_verify(p: DecisionProblem, concept: Concept,
                  interp: SociallyInterp = SociallyInterp.RESTRICT_CLOSURE,
                  max_n: Optional[int] = None) -> VerificationReport:
     """Compare the constructive family with definitional enumeration."""
-    from .solutions import solve
     expected = set(enumerate_solutions(p, concept, interp=interp, max_n=max_n))
     actual = set(solve(p, concept, interp=interp, max_n=max_n))
     if expected == actual:

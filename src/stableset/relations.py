@@ -5,10 +5,10 @@ Relations are stored densely as one int bitmask per source index
 restriction reduce to row-parallel integer arithmetic.
 
 Derived data is computed once: a relation memoises its columns, and a
-decision problem memoises its strict part and the strict part's strong
-components.  The components come from a linear Kosaraju pass over the bit
-rows, not from the transitive closure, which stays for the callers that
-need full reachability.
+decision problem memoises its strict part, the strict part's strong
+components and its transitive closure.  The components come from a linear
+Kosaraju pass over the bit rows, not from the closure, which is derived only
+for the callers that need full reachability.
 """
 
 from __future__ import annotations
@@ -108,6 +108,11 @@ class DecisionProblem:
     def components(self) -> tuple[Mask, ...]:
         """Strong components of the strict part, ordered by least member."""
         return strong_components(self.strict)
+
+    @cached_property
+    def closure(self) -> Relation:
+        """Transitive closure of the strict part, derived once."""
+        return transitive_closure(self.strict)
 
 
 def _transpose(n: int, rows: tuple[Mask, ...]) -> tuple[Mask, ...]:
@@ -241,8 +246,8 @@ def restrict(r: Relation, xs: Mask) -> Relation:
 
 
 def is_acyclic(r: Relation) -> bool:
-    closure = transitive_closure(r)
-    return all(not closure.rows[x] >> x & 1 for x in range(r.n))
+    """No loops and no cycles: every strong component is a single node."""
+    return r.is_irreflexive() and len(strong_components(r)) == r.n
 
 
 def trap_relation(p: DecisionProblem) -> Relation:
@@ -263,8 +268,7 @@ def trap_relation(p: DecisionProblem) -> Relation:
 
 def strict_poset_order(p: DecisionProblem) -> Relation:
     """Partial order induced by the strict closure: its strict part plus the diagonal."""
-    closure = transitive_closure(p.strict)
-    strict = asymmetric_part(closure)
+    strict = asymmetric_part(p.closure)
     leq = Relation(p.n, tuple(strict.rows[x] | (1 << x) for x in range(p.n)))
     _check_poset(leq)
     return leq

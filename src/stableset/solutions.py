@@ -3,31 +3,41 @@
 Every concept with a product-form characterization (generalized, m-, w-,
 extended stable sets) is built from the condensation; concepts without one
 (VNM on cyclic inputs, socially stable) fall back to subset search under the
-oracle ceiling.  Definitional checkers live here as well so each family can
-be validated member by member.
+subset-search ceiling.  The stability checker lives here as well so each
+family can be validated member by member.  The brute-force routes live in
+`stableset.oracle`, which imports this module; this module never imports the
+oracle.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
+import math
 import os
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .bitset import Mask, iter_bits, members, subsets
+from .bitset import Mask, iter_bits, subsets
 from .contraction import (condensation_stable_set, equipotence_classes,
-                          extended_dominance, maximal_components)
-from .errors import EmptySolution, OracleLimitExceeded
-from .relations import (DecisionProblem, Relation, is_acyclic,
-                        iterated_maximal, maximal_set, restrict,
-                        trap_relation, transitive_closure)
+                          maximal_components)
+from .errors import EmptySolution, OracleLimitExceeded, StablesetError
+from .relations import (DecisionProblem, Relation, iterated_maximal,
+                        maximal_set, restrict, trap_relation,
+                        transitive_closure)
 
 DEFAULT_MAX_N = 12
 
 
 def subset_search_ceiling() -> int:
-    return int(os.environ.get("STABLESET_MAX_N", DEFAULT_MAX_N))
+    raw = os.environ.get("STABLESET_MAX_N")
+    if raw is None:
+        return DEFAULT_MAX_N
+    try:
+        return int(raw)
+    except ValueError:
+        raise StablesetError(
+            f"STABLESET_MAX_N must be an integer, got {raw!r}") from None
 
 
 class Concept(enum.Enum):
@@ -42,7 +52,6 @@ class Concept(enum.Enum):
 class SchwartzMethod(enum.Enum):
     CONDENSATION = "condensation"
     DEB = "deb"
-    BRUTE = "brute"
 
 
 class SociallyInterp(enum.Enum):
@@ -59,82 +68,57 @@ class FamilyForm(enum.Enum):
 
 @dataclass(frozen=True)
 class SolutionFamily:
-    """A possibly-exponential family of subsets, explicit or product-form."""
+    """A possibly-exponential family of subsets, explicit or product-form.
+
+    A product-form member picks one part from each component's pool (see
+    `_pools`); the components are disjoint, so the member is the sum of its
+    parts, and the empty pick is not a member.
+    """
 
     form: FamilyForm
     n: int
     components: tuple[Mask, ...] = ()
     explicit: tuple[Mask, ...] = ()
 
+    def _pools(self) -> list[tuple[Mask, ...]]:
+        """The parts each component may contribute to a member."""
+        if self.form is FamilyForm.UNIONS_OF_COMPONENTS:
+            return [(0, comp) for comp in self.components]
+        head = () if self.form is FamilyForm.ONE_PER_COMPONENT else (0,)
+        return [head + tuple(1 << x for x in iter_bits(comp))
+                for comp in self.components]
+
     def count(self) -> int:
         if self.form is FamilyForm.EXPLICIT:
             return len(self.explicit)
-        if self.form is FamilyForm.ONE_PER_COMPONENT:
-            out = 1
-            for comp in self.components:
-                out *= comp.bit_count()
-            return out
-        if self.form is FamilyForm.SUBSET_OF_REPRESENTATIVES:
-            out = 1
-            for comp in self.components:
-                out *= comp.bit_count() + 1
-            return out - 1
-        return (1 << len(self.components)) - 1
+        pools = self._pools()
+        size = math.prod(map(len, pools))
+        return size - 1 if all(0 in pool for pool in pools) else size
 
     def contains(self, v: Mask) -> bool:
         if self.form is FamilyForm.EXPLICIT:
             return v in self.explicit
-        carrier = 0
-        for comp in self.components:
-            carrier |= comp
-        if v == 0 or v & ~carrier:
-            return False
-        per_class = [(v & comp) for comp in self.components]
-        if self.form is FamilyForm.ONE_PER_COMPONENT:
-            return all(part.bit_count() == 1 for part in per_class)
-        if self.form is FamilyForm.SUBSET_OF_REPRESENTATIVES:
-            return all(part.bit_count() <= 1 for part in per_class)
-        return all(part in (0, comp)
-                   for part, comp in zip(per_class, self.components))
+        parts = [v & comp for comp in self.components]
+        return (v != 0 and sum(parts) == v
+                and all(part in pool
+                        for part, pool in zip(parts, self._pools())))
 
     def __iter__(self) -> Iterator[Mask]:
-        """Deterministic iteration, lexicographic by alternative index."""
+        """Deterministic iteration.
+
+        Explicit families and the forms that may skip a component come out
+        in ascending bitmask order.  ``ONE_PER_COMPONENT`` streams the
+        product in component order, the last component varying fastest:
+        components ({1,2},{0,3}) give {0,1}, {1,3}, {0,2}, {2,3}.
+        """
         if self.form is FamilyForm.EXPLICIT:
             yield from sorted(self.explicit)
             return
+        picks = filter(None, map(sum, itertools.product(*self._pools())))
         if self.form is FamilyForm.ONE_PER_COMPONENT:
-            pools = [tuple(1 << x for x in iter_bits(comp))
-                     for comp in self.components]
-            for pick in itertools.product(*pools):
-                v = 0
-                for bit in pick:
-                    v |= bit
-                yield v
-            return
-        if self.form is FamilyForm.SUBSET_OF_REPRESENTATIVES:
-            pools = [(0,) + tuple(1 << x for x in iter_bits(comp))
-                     for comp in self.components]
-            seen = []
-            for pick in itertools.product(*pools):
-                v = 0
-                for bit in pick:
-                    v |= bit
-                if v:
-                    seen.append(v)
-            yield from sorted(set(seen))
-            return
-        out = []
-        for chosen in subsets((1 << len(self.components)) - 1):
-            if not chosen:
-                continue
-            v = 0
-            for i in iter_bits(chosen):
-                v |= self.components[i]
-            out.append(v)
-        yield from sorted(out)
-
-    def sets(self) -> tuple[Mask, ...]:
-        return tuple(self)
+            yield from picks
+        else:
+            yield from sorted(picks)
 
 
 @dataclass(frozen=True)
@@ -156,22 +140,19 @@ def is_stable_set(v: Mask, q: Relation) -> StabilityReport:
     """
     if v == 0:
         raise EmptySolution("the empty set is never a solution")
+    cols = q.columns()
+    outside = ((1 << q.n) - 1) & ~v
+    undominated = next((y for y in iter_bits(outside) if not cols[y] & v),
+                       None)
+    external_ok = undominated is None
     for x in iter_bits(v):
         bad = q.rows[x] & v & ~(1 << x)
         if bad:
             y = bad.bit_length() - 1
-            return StabilityReport(False, _external_ok(v, q), (x, y))
-    outside = ((1 << q.n) - 1) & ~v
-    for y in iter_bits(outside):
-        if not any(q.rows[x] >> y & 1 for x in iter_bits(v)):
-            return StabilityReport(True, False, (y,))
+            return StabilityReport(False, external_ok, (x, y))
+    if not external_ok:
+        return StabilityReport(True, False, (undominated,))
     return StabilityReport(True, True)
-
-
-def _external_ok(v: Mask, q: Relation) -> bool:
-    outside = ((1 << q.n) - 1) & ~v
-    return all(any(q.rows[x] >> y & 1 for x in iter_bits(v))
-               for y in iter_bits(outside))
 
 
 def core(p: DecisionProblem) -> Mask:
@@ -180,19 +161,16 @@ def core(p: DecisionProblem) -> Mask:
 
 
 def schwartz_set(p: DecisionProblem,
-                 method: SchwartzMethod = SchwartzMethod.CONDENSATION,
-                 max_n: int | None = None) -> Mask:
-    if method is SchwartzMethod.CONDENSATION:
-        c = equipotence_classes(p)
-        out = 0
-        for i in iter_bits(maximal_components(c)):
-            out |= c.classes[i]
-        return out
+                 method: SchwartzMethod = SchwartzMethod.CONDENSATION) -> Mask:
+    """Union of the undominated strong components, or (DEB) the maximal set
+    of the strict closure; `oracle.gocha_bruteforce` is the third route."""
     if method is SchwartzMethod.DEB:
-        closure = transitive_closure(p.strict)
-        return maximal_set(p.all_mask, closure)
-    from .oracle import gocha_bruteforce
-    return gocha_bruteforce(p, max_n=max_n)
+        return maximal_set(p.all_mask, p.closure)
+    c = equipotence_classes(p)
+    out = 0
+    for i in iter_bits(maximal_components(c)):
+        out |= c.classes[i]
+    return out
 
 
 def duggan_set(p: DecisionProblem) -> Mask:
@@ -203,15 +181,14 @@ def vnm_stable_sets(p: DecisionProblem,
                     max_n: int | None = None) -> SolutionFamily:
     """All stable sets under one-step strict dominance.
 
-    Acyclic strict parts take the constructive route (iterated maximal set,
-    unique and core-inclusive); anything else is a subset search.
+    Acyclic strict parts (every strong component a single alternative) take
+    the constructive route (iterated maximal set, unique and core-inclusive);
+    anything else is a subset search.
     """
     strict = p.strict
-    if is_acyclic(strict):
-        s = iterated_maximal(strict)
-        assert is_stable_set(s, strict).ok
-        assert core(p) & ~s == 0, "acyclic stable set must contain the core"
-        return SolutionFamily(FamilyForm.EXPLICIT, p.n, explicit=(s,))
+    if len(p.components) == p.n:
+        return SolutionFamily(FamilyForm.EXPLICIT, p.n,
+                              explicit=(iterated_maximal(strict),))
     limit = max_n if max_n is not None else subset_search_ceiling()
     if p.n > limit:
         raise OracleLimitExceeded(f"n={p.n} exceeds subset-search ceiling {limit}")
@@ -234,7 +211,7 @@ def socially_stable_sets(p: DecisionProblem,
     if p.n > limit:
         raise OracleLimitExceeded(f"n={p.n} exceeds subset-search ceiling {limit}")
     strict = p.strict
-    closure = transitive_closure(strict)
+    closure = p.closure
     strict_cols = strict.columns()
     found = []
     for v in subsets(p.all_mask):
@@ -245,13 +222,7 @@ def socially_stable_sets(p: DecisionProblem,
         outside = p.all_mask & ~v
         if all(strict_cols[y] & v for y in iter_bits(outside)):
             found.append(v)
-    family = SolutionFamily(FamilyForm.EXPLICIT, p.n, explicit=tuple(found))
-    c = equipotence_classes(p)
-    top = [c.classes[i] for i in iter_bits(maximal_components(c))]
-    for v in family.explicit:
-        assert all(v & comp for comp in top), \
-            "socially stable set must meet every maximal component"
-    return family
+    return SolutionFamily(FamilyForm.EXPLICIT, p.n, explicit=tuple(found))
 
 
 def _socially_internal_ok(v: Mask, strict: Relation, closure: Relation,
@@ -304,10 +275,8 @@ def undominated_pairs(p: DecisionProblem,
     limit = max_n if max_n is not None else min(subset_search_ceiling(), 8)
     if p.n > limit:
         raise OracleLimitExceeded(f"n={p.n} exceeds pair-enumeration ceiling {limit}")
-    strict = p.strict
-    closure = transitive_closure(strict)
-    strict_cols = strict.columns()
-    closure_cols = closure.columns()
+    strict_cols = p.strict.columns()
+    closure_cols = p.closure.columns()
     all_pairs: list[UndominatedPair] = []
     for ground in subsets(p.all_mask):
         if not ground:
@@ -339,7 +308,7 @@ def undominated_pairs(p: DecisionProblem,
 def top_pairgenerators(p: DecisionProblem,
                        max_n: int | None = None) -> Mask:
     """Union of generators of minimal pairs whose two sets are strict cycles."""
-    closure = transitive_closure(p.strict)
+    closure = p.closure
 
     def is_cycle(mask: Mask) -> bool:
         return all(closure.has(x, y)
@@ -367,15 +336,3 @@ def solve(p: DecisionProblem, concept: Concept,
     if concept is Concept.W_STABLE:
         return w_stable_sets(p)
     return extended_stable_sets(p)
-
-
-def dominance_for(p: DecisionProblem, concept: Concept) -> Relation:
-    """The relation each concept's stability is judged against."""
-    strict = p.strict
-    if concept is Concept.VNM or concept is Concept.SOCIALLY:
-        return strict
-    if concept is Concept.EXTENDED:
-        # Stability is judged against the literal relation; the acyclic
-        # component-level variant would leave same-class pairs undominated.
-        return extended_dominance(p, literal=True)
-    return transitive_closure(strict)

@@ -290,3 +290,43 @@ class TestExitCodes:
         path.write_text("3\n0 1\n1 2\n2 0\n")
         assert run_cli(["solve", "--concept", "vnm", "--input", str(path),
                         "--max-n", "2"]) == 1
+
+
+INPUT = "{input}"
+CYCLE = "3\n0 1\n1 2\n2 0\n"
+BAD_ARGUMENTS = [
+    pytest.param(["solve", "--concept", "core", "--input", INPUT], {},
+                 '{"n": true, "edges": []}', id="json-n-boolean"),
+    pytest.param(["verify", "--concept", "gss", "--max-n", "0"], {}, CYCLE,
+                 id="verify-max-n-0"),
+    pytest.param(["verify", "--concept", "gss", "--trials", "-1"], {}, CYCLE,
+                 id="verify-trials-negative"),
+    pytest.param(["random", "--n", "0"], {}, CYCLE, id="random-n-0"),
+    pytest.param(["random", "--n", "3", "--density", "2"], {}, CYCLE,
+                 id="random-density-2"),
+    pytest.param(["topology", "--check", "excluded", "--input", INPUT,
+                  "--excluded", "x"], {}, CYCLE, id="excluded-not-an-index"),
+    pytest.param(["topology", "--check", "excluded", "--input", INPUT,
+                  "--excluded", "7"], {}, CYCLE, id="excluded-out-of-range"),
+    pytest.param(["solve", "--concept", "vnm", "--input", INPUT],
+                 {"STABLESET_MAX_N": "abc"}, CYCLE, id="max-n-env-not-int"),
+]
+
+
+class TestInputContract:
+    """Bad arguments, settings and documents end in exit 1 or 64 with a
+    one-line message, never in a traceback or a silently accepted value."""
+
+    @pytest.mark.parametrize("argv, env, text", BAD_ARGUMENTS)
+    def test_rejected_with_one_line_message(self, argv, env, text, tmp_path,
+                                            monkeypatch, capsys):
+        path = tmp_path / "instance.txt"
+        path.write_text(text)
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        code = run_cli([str(path) if a == INPUT else a for a in argv])
+        captured = capsys.readouterr()
+        assert code in (1, 64)
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert captured.err.count("\n") == 1, captured.err

@@ -1,7 +1,6 @@
 from conftest import kernel_corpus
 from stableset.bitset import iter_bits, members
 from stableset.contraction import (_topological_order,
-                                   class_level_equivalence_check,
                                    condensation_stable_set,
                                    equipotence_classes, extended_dominance,
                                    maximal_components)
@@ -94,6 +93,35 @@ class TestExtendedDominance:
             p = random_problem(1 + seed % 7, (0.2, 0.5, 0.8)[seed % 3], seed)
             from stableset.oracle import _omega
             assert extended_dominance(p) == _omega(p)
+
+
+def class_level_equivalence_check(p):
+    """Condensation edges coincide with uniform extended dominance between
+    the member alternatives, computed from the raw definition."""
+    c = equipotence_classes(p)
+    strict = p.strict
+    closure = p.closure
+    n = p.n
+
+    def equipotent(x, y):
+        return x == y or (closure.has(x, y) and closure.has(y, x))
+
+    def omega_dominates(x, y):
+        if equipotent(x, y):
+            return False
+        return any(equipotent(x, z) and strict.has(z, w) and equipotent(w, y)
+                   for z in range(n) for w in range(n))
+
+    for i in range(c.k):
+        for j in range(c.k):
+            if i == j:
+                continue
+            uniform = all(omega_dominates(x, y)
+                          for x in iter_bits(c.classes[i])
+                          for y in iter_bits(c.classes[j]))
+            if bool(c.cond.rows[i] >> j & 1) != uniform:
+                return False
+    return True
 
 
 class TestClassLevelEquivalence:

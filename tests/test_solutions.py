@@ -1,14 +1,17 @@
 import pytest
 
+from conftest import corpus_digraphs
 from stableset.bitset import from_members, members
+from stableset.contraction import (equipotence_classes, extended_dominance,
+                                   maximal_components)
 from stableset.errors import EmptySolution, OracleLimitExceeded
 from stableset.fixtures import (CHAIN, CYCLE_WITH_TAIL, FIVE_CYCLE,
                                 FOUR_CYCLE, SYMMETRIC_PAIR, THREE_CYCLE)
-from stableset.oracle import random_problem
+from stableset.oracle import gocha_bruteforce, random_problem
 from stableset.relations import asymmetric_part, transitive_closure
 from stableset.solutions import (Concept, FamilyForm, SchwartzMethod,
                                  SociallyInterp, SolutionFamily, core,
-                                 dominance_for, duggan_set,
+                                 duggan_set,
                                  extended_stable_sets,
                                  generalized_stable_sets, is_stable_set,
                                  m_stable_sets, schwartz_set,
@@ -19,6 +22,17 @@ from stableset.solutions import (Concept, FamilyForm, SchwartzMethod,
 
 def fam(family):
     return [members(v) for v in family]
+
+
+def dominance_for(p, concept):
+    """The relation each concept's stability is judged against."""
+    if concept is Concept.VNM or concept is Concept.SOCIALLY:
+        return p.strict
+    if concept is Concept.EXTENDED:
+        # Stability is judged against the literal relation; the acyclic
+        # component-level variant would leave same-class pairs undominated.
+        return extended_dominance(p, literal=True)
+    return p.closure
 
 
 class TestStabilityChecker:
@@ -56,6 +70,7 @@ class TestPointSolutions:
         for p in (THREE_CYCLE, CHAIN, CYCLE_WITH_TAIL, FOUR_CYCLE,
                   SYMMETRIC_PAIR, FIVE_CYCLE):
             results = {schwartz_set(p, m) for m in SchwartzMethod}
+            results.add(gocha_bruteforce(p))
             assert len(results) == 1
 
     def test_duggan_examples(self):
@@ -96,6 +111,16 @@ class TestFamilies:
         for interp in SociallyInterp:
             assert fam(socially_stable_sets(CHAIN, interp)) == [(0,)]
 
+    def test_socially_meets_every_maximal_component(self):
+        for p in corpus_digraphs():
+            if p.n > 8:
+                continue
+            c = equipotence_classes(p)
+            top = [c.classes[i] for i in members(maximal_components(c))]
+            for interp in SociallyInterp:
+                for v in socially_stable_sets(p, interp):
+                    assert all(v & comp for comp in top), (p, interp, v)
+
     def test_m_stable(self):
         assert fam(m_stable_sets(CYCLE_WITH_TAIL)) == [(0, 1, 2)]
         assert fam(m_stable_sets(SYMMETRIC_PAIR)) == [(0,), (1,), (0, 1)]
@@ -134,6 +159,17 @@ class TestFamilyRepresentation:
         unions = SolutionFamily(FamilyForm.UNIONS_OF_COMPONENTS, 5,
                                 components=comps)
         assert unions.count() == 3 == len(list(unions))
+
+    def test_iteration_order(self):
+        comps = (from_members([1, 2]), from_members([0, 3]))
+        order = {
+            # The product streams in component order, last component fastest.
+            FamilyForm.ONE_PER_COMPONENT: [3, 10, 5, 12],
+            FamilyForm.SUBSET_OF_REPRESENTATIVES: [1, 2, 3, 4, 5, 8, 10, 12],
+            FamilyForm.UNIONS_OF_COMPONENTS: [6, 9, 15],
+        }
+        for form, expected in order.items():
+            assert list(SolutionFamily(form, 4, components=comps)) == expected
 
     def test_contains_without_enumeration(self):
         comps = (from_members([0, 1]), from_members([2]))
