@@ -6,8 +6,7 @@ from .contraction import (Contraction, condensation_stable_set,
                           equipotence_classes, extended_dominance,
                           maximal_components)
 from .errors import (EmptyGround, EmptySolution, LimitExceeded, LoopEdge,
-                     OracleLimitExceeded, ParseError, PosetViolation,
-                     StablesetError)
+                     ParseError, PosetViolation, StablesetError)
 from .io import export_dot, parse_instance, serialize_instance
 from .oracle import (VerificationReport, cross_verify, enumerate_solutions,
                      gocha_bruteforce, random_problem)

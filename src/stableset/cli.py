@@ -3,7 +3,8 @@
 Subcommands: solve, verify, contract, topology, random.  Results go to
 stdout as JSON.  Exit codes: 0 success, 1 solver error, 2 oracle mismatch,
 64 usage error.  Timings are opt-in (--timings) so default output stays
-byte-stable.
+byte-stable.  `solve --max-n` moves the subset-search ceiling; `verify
+--max-n` is the largest trial size, at most the oracle's ceiling.
 """
 
 from __future__ import annotations
@@ -17,15 +18,15 @@ from pathlib import Path
 from . import io as sio
 from .bitset import from_members, members
 from .contraction import equipotence_classes
-from .errors import StablesetError
+from .errors import LimitExceeded, ParseError, StablesetError, check_size
 from .oracle import cross_verify, gocha_bruteforce, random_problem
 from .order_topology import (Poset, dm_completion, excluded_set_topology,
                              frink_ideals, is_precontinuous, nachbin_closed,
                              weak_t1_separation)
 from .relations import (DecisionProblem, asymmetric_part, strict_poset_order,
                         transitive_closure, trap_relation)
-from .solutions import (Concept, SchwartzMethod, SociallyInterp, core,
-                        duggan_set, m_stable_sets, schwartz_set, solve,
+from .solutions import (SUBSET_LIMIT, Concept, SchwartzMethod, SociallyInterp,
+                        core, duggan_set, m_stable_sets, schwartz_set, solve,
                         w_stable_sets)
 
 EXIT_OK = 0
@@ -53,6 +54,24 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _bounded(text: str, limit: int, what: str) -> int:
+    """A positive integer within a size ceiling."""
+    value = _positive_int(text)
+    try:
+        check_size(value, limit, what)
+    except LimitExceeded as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return value
+
+
+def _alternative_count(text: str) -> int:
+    return _bounded(text, sio.PARSE_LIMIT, "parse")
+
+
+def _trial_size(text: str) -> int:
+    return _bounded(text, SUBSET_LIMIT, "oracle")
+
+
 def _count(text: str) -> int:
     value = int(text)
     if value < 0:
@@ -67,8 +86,9 @@ def _unit_float(text: str) -> float:
     return value
 
 
-def _indices(text: str) -> int:
-    """Comma-separated alternative indices as a mask."""
+def _indices(text: str) -> list[int]:
+    """Comma-separated alternative indices; the mask is built once n is
+    known to bound them."""
     try:
         idx = [int(v) for v in text.split(",")]
     except ValueError:
@@ -76,14 +96,23 @@ def _indices(text: str) -> int:
             f"expected comma-separated indices, got {text!r}") from None
     if min(idx) < 0:
         raise argparse.ArgumentTypeError(f"negative index in {text!r}")
-    return from_members(idx)
+    return idx
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises every usage error, including missing and unrecognized
+    arguments, so that `run_cli` reports it in one line; argparse itself
+    would print the usage block and exit."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="stableset", exit_on_error=False)
+    parser = _Parser(prog="stableset")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_solve = sub.add_parser("solve", exit_on_error=False)
+    p_solve = sub.add_parser("solve")
     p_solve.add_argument("--concept", required=True,
                          choices=list(_SET_CONCEPTS) + list(_FAMILY_CONCEPTS))
     p_solve.add_argument("--input", required=True)
@@ -92,24 +121,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--method",
                          choices=[m.value for m in SchwartzMethod] + [_BRUTE],
                          default=SchwartzMethod.CONDENSATION.value)
-    p_solve.add_argument("--max-n", type=int, default=None)
+    p_solve.add_argument("--max-n", type=int, default=SUBSET_LIMIT)
     p_solve.add_argument("--timings", action="store_true")
 
-    p_verify = sub.add_parser("verify", exit_on_error=False)
+    p_verify = sub.add_parser("verify")
     p_verify.add_argument("--concept", required=True,
                           choices=list(_FAMILY_CONCEPTS))
     p_verify.add_argument("--trials", type=_count, default=100)
-    p_verify.add_argument("--max-n", type=_positive_int, default=8)
+    p_verify.add_argument("--max-n", type=_trial_size, default=8)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--interp", choices=[i.value for i in SociallyInterp],
                           default=SociallyInterp.RESTRICT_CLOSURE.value)
     p_verify.add_argument("--timings", action="store_true")
 
-    p_contract = sub.add_parser("contract", exit_on_error=False)
+    p_contract = sub.add_parser("contract")
     p_contract.add_argument("--input", required=True)
     p_contract.add_argument("--dot", action="store_true")
 
-    p_topo = sub.add_parser("topology", exit_on_error=False)
+    p_topo = sub.add_parser("topology")
     p_topo.add_argument("--check", required=True,
                         choices=["dm", "frink", "precont", "excluded", "t1",
                                  "nachbin"])
@@ -120,8 +149,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         choices=["schwartz", "duggan", "wss", "mss"],
                         default="schwartz")
 
-    p_random = sub.add_parser("random", exit_on_error=False)
-    p_random.add_argument("--n", type=_positive_int, required=True)
+    p_random = sub.add_parser("random")
+    p_random.add_argument("--n", type=_alternative_count, required=True)
     p_random.add_argument("--density", type=_unit_float, default=0.5)
     p_random.add_argument("--seed", type=int, default=0)
     p_random.add_argument("--tournament", action="store_true")
@@ -130,7 +159,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(path: str) -> DecisionProblem:
-    return sio.parse_instance(Path(path).read_text())
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    return sio.parse_instance(text)
 
 
 def _emit(doc: dict):
@@ -178,7 +212,7 @@ def _cmd_verify(args) -> int:
         n = 1 + (seed % args.max_n)
         density = (0.2, 0.5, 0.8)[seed % 3]
         p = random_problem(n, density, seed)
-        report = cross_verify(p, concept, interp=interp, max_n=args.max_n)
+        report = cross_verify(p, concept, interp=interp)
         if not report.passed:
             failures.append({
                 "seed": seed, "n": n, "density": density,
@@ -226,9 +260,15 @@ def _generator_set(p: DecisionProblem, generator: str) -> int:
     return next(iter(m_stable_sets(p)))
 
 
+def _excluded_set(p: DecisionProblem, args) -> int:
+    if args.excluded is None:
+        return _generator_set(p, args.generator)
+    return from_members(args.excluded)
+
+
 def _cmd_topology(args) -> int:
     p = _load(args.input)
-    if args.excluded is not None and args.excluded >> p.n:
+    if args.excluded is not None and max(args.excluded) >= p.n:
         sys.stderr.write(f"usage error: --excluded: index out of range "
                          f"for n={p.n}\n")
         return EXIT_USAGE
@@ -243,8 +283,7 @@ def _cmd_topology(args) -> int:
         else:
             doc["precontinuous"] = is_precontinuous(poset)
     elif args.check == "excluded":
-        excluded = (args.excluded if args.excluded is not None
-                    else _generator_set(p, args.generator))
+        excluded = _excluded_set(p, args)
         top = excluded_set_topology(p.n, excluded)
         doc["excluded"] = list(members(excluded))
         doc["open_count"] = len(top.opens)
@@ -256,8 +295,7 @@ def _cmd_topology(args) -> int:
         doc["generator"] = args.generator
         doc["separated"] = weak_t1_separation(top, strict)
     else:  # nachbin
-        excluded = (args.excluded if args.excluded is not None
-                    else _generator_set(p, args.generator))
+        excluded = _excluded_set(p, args)
         top = excluded_set_topology(p.n, excluded)
         doc["nachbin_closed"] = nachbin_closed(top, strict_poset_order(p))
     _emit(doc)
@@ -278,7 +316,7 @@ def run_cli(argv=None) -> int:
     except argparse.ArgumentError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_USAGE
-    except SystemExit as exc:  # --help, or argparse paths that still exit
+    except SystemExit as exc:  # --help
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     handlers = {
         "solve": _cmd_solve,

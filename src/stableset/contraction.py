@@ -14,7 +14,8 @@ class Contraction:
     """Partition into strong components plus the induced acyclic relation.
 
     ``classes`` is ordered topologically for ``cond`` (dominating components
-    first), so the iterated-maximal extraction below is a single pass.
+    first), which makes the output deterministic and every condensation
+    edge ``(i, j)`` point forward, ``i < j``.
     """
 
     classes: tuple[Mask, ...]

@@ -17,12 +17,14 @@ class PosetViolation(StablesetError):
     """A constructed order failed a poset axiom (implementation bug)."""
 
 
-class OracleLimitExceeded(StablesetError):
-    """Exponential enumeration was requested above the configured ceiling."""
-
-
 class LimitExceeded(StablesetError):
-    """An order/topology construction was requested above its size guard."""
+    """A size-bounded construction was requested above its ceiling."""
+
+
+def check_size(n: int, limit: int, what: str) -> None:
+    """The one size guard: raise `LimitExceeded` when n > limit."""
+    if n > limit:
+        raise LimitExceeded(f"n={n} exceeds {what} ceiling {limit}")
 
 
 class ParseError(StablesetError):

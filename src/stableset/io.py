@@ -2,7 +2,9 @@
 
 Two instance formats are accepted: a JSON object {"n": ..., "labels": ...,
 "edges": [[u, v], ...]} and a whitespace edge list whose first line is the
-alternative count.  Loops are rejected; duplicate edges collapse.
+alternative count.  Loops are rejected; duplicate edges collapse.  The
+alternative count may not exceed `PARSE_LIMIT`: relation work grows with
+n^2, so a few bytes of document must not ask for unbounded time or memory.
 """
 
 from __future__ import annotations
@@ -14,9 +16,11 @@ from typing import Optional
 
 from .bitset import Mask, members
 from .contraction import Contraction
-from .errors import LoopEdge, ParseError
+from .errors import LimitExceeded, LoopEdge, ParseError, check_size
 from .relations import DecisionProblem, Relation
 from .solutions import SolutionFamily, FamilyForm
+
+PARSE_LIMIT = 2000
 
 
 def parse_instance(text: str) -> DecisionProblem:
@@ -35,6 +39,8 @@ def _parse_json(text: str) -> DecisionProblem:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno) from exc
+    except (ValueError, RecursionError) as exc:  # huge number, deep nesting
+        raise ParseError(f"invalid JSON: {exc}") from exc
     finally:
         if collecting:
             gc.enable()
@@ -43,6 +49,7 @@ def _parse_json(text: str) -> DecisionProblem:
     n = doc["n"]
     if type(n) is not int or n < 1:
         raise ParseError("'n' must be a positive integer")
+    _check_count(n)
     labels = doc.get("labels")
     if labels is not None and (not isinstance(labels, list) or len(labels) != n):
         raise ParseError("'labels' must list one name per alternative")
@@ -96,9 +103,14 @@ def _parse_edge_list(text: str) -> DecisionProblem:
         if header is None:
             if len(fields) != 1 or not fields[0].isdigit():
                 raise ParseError("header must be the alternative count", line=lineno)
-            header = int(fields[0])
+            try:
+                header = int(fields[0])
+            except ValueError:  # '²' passes isdigit(); int() caps digits
+                raise ParseError("header must be the alternative count",
+                                 line=lineno) from None
             if header < 1:
                 raise ParseError("alternative count must be positive", line=lineno)
+            _check_count(header, lineno)
             continue
         if len(fields) != 2:
             raise ParseError(f"expected 'u v', got {line!r}", line=lineno)
@@ -111,6 +123,13 @@ def _parse_edge_list(text: str) -> DecisionProblem:
     if header is None:
         raise ParseError("empty instance document")
     return DecisionProblem.from_edges(header, edges)
+
+
+def _check_count(n: int, line: int | None = None):
+    try:
+        check_size(n, PARSE_LIMIT, "parse")
+    except LimitExceeded as exc:
+        raise ParseError(str(exc), line=line) from None
 
 
 def _check_edge(u: int, v: int, n: int):
@@ -142,19 +161,20 @@ def export_dot(p: DecisionProblem, c: Optional[Contraction] = None) -> str:
     """Graphviz digraph; components become clusters when a contraction is
     supplied, with condensation edges drawn bold between cluster anchors."""
     lines = ["digraph decision_problem {"]
+    labels = [_dot_quote(label) for label in p.labels]
     if c is None:
         for x in range(p.n):
-            lines.append(f'  a{x} [label="{p.labels[x]}"];')
+            lines.append(f'  a{x} [label={labels[x]}];')
     else:
         for i, cls in enumerate(c.classes):
             xs = members(cls)
             if len(xs) == 1:
-                lines.append(f'  a{xs[0]} [label="{p.labels[xs[0]]}"];')
+                lines.append(f'  a{xs[0]} [label={labels[xs[0]]}];')
             else:
                 lines.append(f"  subgraph cluster_{i} {{")
                 lines.append(f'    label="component {i}";')
                 for x in xs:
-                    lines.append(f'    a{x} [label="{p.labels[x]}"];')
+                    lines.append(f'    a{x} [label={labels[x]}];')
                 lines.append("  }")
     for x, y in sorted(p.rel.pairs()):
         lines.append(f"  a{x} -> a{y};")
@@ -166,3 +186,8 @@ def export_dot(p: DecisionProblem, c: Optional[Contraction] = None) -> str:
                          f"ltail=cluster_{i}, lhead=cluster_{j}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def _dot_quote(label: str) -> str:
+    """A DOT quoted string: backslash and double quote are escaped."""
+    return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'

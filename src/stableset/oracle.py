@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional
 
 from .bitset import Mask, iter_bits, subsets
-from .errors import OracleLimitExceeded
+from .errors import check_size
 from .relations import DecisionProblem, Relation
-from .solutions import Concept, SociallyInterp, solve, subset_search_ceiling
+from .solutions import SUBSET_LIMIT, Concept, SociallyInterp, solve
 
 
 @dataclass(frozen=True)
@@ -66,18 +65,12 @@ def _omega(p: DecisionProblem, literal: bool = False) -> Relation:
     return Relation(n, tuple(rows))
 
 
-def _check_limit(p: DecisionProblem, max_n: Optional[int]):
-    limit = max_n if max_n is not None else subset_search_ceiling()
-    if p.n > limit:
-        raise OracleLimitExceeded(f"n={p.n} exceeds oracle ceiling {limit}")
-
-
 def enumerate_solutions(p: DecisionProblem, concept: Concept,
                         interp: SociallyInterp = SociallyInterp.RESTRICT_CLOSURE,
-                        max_n: Optional[int] = None) -> list[Mask]:
+                        max_n: int = SUBSET_LIMIT) -> list[Mask]:
     """All non-empty subsets passing the definitional stability checks,
     in ascending bitmask order."""
-    _check_limit(p, max_n)
+    check_size(p.n, max_n, "oracle")
     strict = _strict(p.rel)
     closure = _closure(strict)
     strict_cols = strict.columns()
@@ -137,9 +130,9 @@ def _passes(v, full, concept, interp, strict, closure,
     return all(omega_cols[y] & v for y in iter_bits(outside))
 
 
-def gocha_bruteforce(p: DecisionProblem, max_n: Optional[int] = None) -> Mask:
+def gocha_bruteforce(p: DecisionProblem, max_n: int = SUBSET_LIMIT) -> Mask:
     """Union of all inclusion-minimal strictly-undominated non-empty subsets."""
-    _check_limit(p, max_n)
+    check_size(p.n, max_n, "oracle")
     strict = _strict(p.rel)
     strict_cols = strict.columns()
     undominated = [d for d in subsets(p.all_mask)
@@ -179,7 +172,7 @@ def random_problem(n: int, density: float, seed: int,
 
 def cross_verify(p: DecisionProblem, concept: Concept,
                  interp: SociallyInterp = SociallyInterp.RESTRICT_CLOSURE,
-                 max_n: Optional[int] = None) -> VerificationReport:
+                 max_n: int = SUBSET_LIMIT) -> VerificationReport:
     """Compare the constructive family with definitional enumeration."""
     expected = set(enumerate_solutions(p, concept, interp=interp, max_n=max_n))
     actual = set(solve(p, concept, interp=interp, max_n=max_n))

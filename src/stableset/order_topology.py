@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bitset import Mask, full_mask, iter_bits, subsets
-from .errors import LimitExceeded
+from .errors import check_size
 from .relations import Relation, _check_poset, transitive_closure
 
 DM_LIMIT = 10
@@ -101,8 +101,7 @@ def delta_closure(p: Poset, a: Mask) -> Mask:
 
 def dm_completion(p: Poset, max_n: int = DM_LIMIT) -> CutLattice:
     """Every closure-stable set, by image of the closure over all subsets."""
-    if p.n > max_n:
-        raise LimitExceeded(f"n={p.n} exceeds completion ceiling {max_n}")
+    check_size(p.n, max_n, "completion")
     cuts = sorted({delta_closure(p, a) for a in subsets(p.all_mask)})
     return CutLattice(p.n, tuple(cuts))
 
@@ -114,8 +113,7 @@ def frink_ideals(p: Poset, max_n: int = IDEAL_LIMIT) -> list[Mask]:
     empty set (the global lower bounds); on a bounded poset the empty set is
     therefore not an ideal.
     """
-    if p.n > max_n:
-        raise LimitExceeded(f"n={p.n} exceeds ideal-enumeration ceiling {max_n}")
+    check_size(p.n, max_n, "ideal-enumeration")
     out = []
     for i in subsets(p.all_mask):
         if all(delta_closure(p, z) & ~i == 0 for z in subsets(i)):
@@ -123,20 +121,18 @@ def frink_ideals(p: Poset, max_n: int = IDEAL_LIMIT) -> list[Mask]:
     return out
 
 
-def way_below_e(p: Poset, x: int, y: int, max_n: int = IDEAL_LIMIT) -> bool:
+def way_below_e(p: Poset, x: int, y: int) -> bool:
     """x is ideal-theoretically below y: every ideal whose closure captures y
     already contains x."""
-    for ideal in frink_ideals(p, max_n=max_n):
+    for ideal in frink_ideals(p):
         if delta_closure(p, ideal) >> y & 1 and not ideal >> x & 1:
             return False
     return True
 
 
-def is_precontinuous(p: Poset, max_n: int = IDEAL_LIMIT) -> bool:
+def is_precontinuous(p: Poset) -> bool:
     """Every element sits in the closure of its way-below lower set."""
-    if p.n > max_n:
-        raise LimitExceeded(f"n={p.n} exceeds ideal-enumeration ceiling {max_n}")
-    ideals = frink_ideals(p, max_n=max_n)
+    ideals = frink_ideals(p)
     closures = {i: delta_closure(p, i) for i in ideals}
     for x in range(p.n):
         below = 0

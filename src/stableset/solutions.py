@@ -14,30 +14,22 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-import os
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .bitset import Mask, iter_bits, subsets
 from .contraction import (condensation_stable_set, equipotence_classes,
                           maximal_components)
-from .errors import EmptySolution, OracleLimitExceeded, StablesetError
+from .errors import EmptySolution, check_size
 from .relations import (DecisionProblem, Relation, iterated_maximal,
                         maximal_set, restrict, trap_relation,
                         transitive_closure)
 
-DEFAULT_MAX_N = 12
-
-
-def subset_search_ceiling() -> int:
-    raw = os.environ.get("STABLESET_MAX_N")
-    if raw is None:
-        return DEFAULT_MAX_N
-    try:
-        return int(raw)
-    except ValueError:
-        raise StablesetError(
-            f"STABLESET_MAX_N must be an integer, got {raw!r}") from None
+# Largest n for a 2^n subset scan (VNM on cyclic inputs, socially stable
+# sets, and the oracle's definitional checks).
+SUBSET_LIMIT = 12
+# Largest n for the pair enumeration, which scans subsets of subsets.
+PAIR_LIMIT = 8
 
 
 class Concept(enum.Enum):
@@ -166,11 +158,7 @@ def schwartz_set(p: DecisionProblem,
     of the strict closure; `oracle.gocha_bruteforce` is the third route."""
     if method is SchwartzMethod.DEB:
         return maximal_set(p.all_mask, p.closure)
-    c = equipotence_classes(p)
-    out = 0
-    for i in iter_bits(maximal_components(c)):
-        out |= c.classes[i]
-    return out
+    return sum(_maximal_classes(p))
 
 
 def duggan_set(p: DecisionProblem) -> Mask:
@@ -178,7 +166,7 @@ def duggan_set(p: DecisionProblem) -> Mask:
 
 
 def vnm_stable_sets(p: DecisionProblem,
-                    max_n: int | None = None) -> SolutionFamily:
+                    max_n: int = SUBSET_LIMIT) -> SolutionFamily:
     """All stable sets under one-step strict dominance.
 
     Acyclic strict parts (every strong component a single alternative) take
@@ -189,27 +177,28 @@ def vnm_stable_sets(p: DecisionProblem,
     if len(p.components) == p.n:
         return SolutionFamily(FamilyForm.EXPLICIT, p.n,
                               explicit=(iterated_maximal(strict),))
-    limit = max_n if max_n is not None else subset_search_ceiling()
-    if p.n > limit:
-        raise OracleLimitExceeded(f"n={p.n} exceeds subset-search ceiling {limit}")
+    check_size(p.n, max_n, "subset-search")
     found = [v for v in subsets(p.all_mask)
              if v and is_stable_set(v, strict).ok]
     return SolutionFamily(FamilyForm.EXPLICIT, p.n, explicit=tuple(found))
 
 
+def _maximal_classes(p: DecisionProblem) -> tuple[Mask, ...]:
+    """The undominated strong components, in the contraction's order."""
+    c = equipotence_classes(p)
+    return tuple(c.classes[i] for i in iter_bits(maximal_components(c)))
+
+
 def generalized_stable_sets(p: DecisionProblem) -> SolutionFamily:
     """One representative from each undominated component."""
-    c = equipotence_classes(p)
-    comps = tuple(c.classes[i] for i in iter_bits(maximal_components(c)))
-    return SolutionFamily(FamilyForm.ONE_PER_COMPONENT, p.n, components=comps)
+    return SolutionFamily(FamilyForm.ONE_PER_COMPONENT, p.n,
+                          components=_maximal_classes(p))
 
 
 def socially_stable_sets(p: DecisionProblem,
                          interp: SociallyInterp = SociallyInterp.RESTRICT_CLOSURE,
-                         max_n: int | None = None) -> SolutionFamily:
-    limit = max_n if max_n is not None else subset_search_ceiling()
-    if p.n > limit:
-        raise OracleLimitExceeded(f"n={p.n} exceeds subset-search ceiling {limit}")
+                         max_n: int = SUBSET_LIMIT) -> SolutionFamily:
+    check_size(p.n, max_n, "subset-search")
     strict = p.strict
     closure = p.closure
     strict_cols = strict.columns()
@@ -237,17 +226,14 @@ def _socially_internal_ok(v: Mask, strict: Relation, closure: Relation,
 
 def m_stable_sets(p: DecisionProblem) -> SolutionFamily:
     """Non-empty unions of whole undominated components."""
-    c = equipotence_classes(p)
-    comps = tuple(c.classes[i] for i in iter_bits(maximal_components(c)))
-    return SolutionFamily(FamilyForm.UNIONS_OF_COMPONENTS, p.n, components=comps)
+    return SolutionFamily(FamilyForm.UNIONS_OF_COMPONENTS, p.n,
+                          components=_maximal_classes(p))
 
 
 def w_stable_sets(p: DecisionProblem) -> SolutionFamily:
     """At most one representative per undominated component, none elsewhere."""
-    c = equipotence_classes(p)
-    comps = tuple(c.classes[i] for i in iter_bits(maximal_components(c)))
     return SolutionFamily(FamilyForm.SUBSET_OF_REPRESENTATIVES, p.n,
-                          components=comps)
+                          components=_maximal_classes(p))
 
 
 def extended_stable_sets(p: DecisionProblem) -> SolutionFamily:
@@ -269,12 +255,9 @@ class UndominatedPair:
                 and self.ground & ~other.ground == 0)
 
 
-def undominated_pairs(p: DecisionProblem,
-                      max_n: int | None = None) -> list[UndominatedPair]:
+def undominated_pairs(p: DecisionProblem) -> list[UndominatedPair]:
     """All minimal strictly-undominated pairs (generator, ground)."""
-    limit = max_n if max_n is not None else min(subset_search_ceiling(), 8)
-    if p.n > limit:
-        raise OracleLimitExceeded(f"n={p.n} exceeds pair-enumeration ceiling {limit}")
+    check_size(p.n, PAIR_LIMIT, "pair-enumeration")
     strict_cols = p.strict.columns()
     closure_cols = p.closure.columns()
     all_pairs: list[UndominatedPair] = []
@@ -305,8 +288,7 @@ def undominated_pairs(p: DecisionProblem,
     return minimal
 
 
-def top_pairgenerators(p: DecisionProblem,
-                       max_n: int | None = None) -> Mask:
+def top_pairgenerators(p: DecisionProblem) -> Mask:
     """Union of generators of minimal pairs whose two sets are strict cycles."""
     closure = p.closure
 
@@ -315,7 +297,7 @@ def top_pairgenerators(p: DecisionProblem,
                    for x in iter_bits(mask) for y in iter_bits(mask))
 
     out = 0
-    for pair in undominated_pairs(p, max_n=max_n):
+    for pair in undominated_pairs(p):
         if is_cycle(pair.generator) and is_cycle(pair.ground):
             out |= pair.generator
     return out
@@ -323,7 +305,7 @@ def top_pairgenerators(p: DecisionProblem,
 
 def solve(p: DecisionProblem, concept: Concept,
           interp: SociallyInterp = SociallyInterp.RESTRICT_CLOSURE,
-          max_n: int | None = None) -> SolutionFamily:
+          max_n: int = SUBSET_LIMIT) -> SolutionFamily:
     """Dispatch a family-producing concept by tag."""
     if concept is Concept.VNM:
         return vnm_stable_sets(p, max_n=max_n)

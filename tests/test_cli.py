@@ -1,13 +1,15 @@
 import json
 import random
+from pathlib import Path
 
 import pytest
 
 from stableset.cli import run_cli
 from stableset.errors import LoopEdge, ParseError
 from stableset.fixtures import CYCLE_WITH_TAIL
-from stableset.io import export_dot, parse_instance, serialize_instance
-from stableset.relations import Relation
+from stableset.io import (PARSE_LIMIT, export_dot, parse_instance,
+                          serialize_instance)
+from stableset.relations import DecisionProblem, Relation
 from stableset.oracle import random_problem
 from stableset.contraction import equipotence_classes
 
@@ -74,6 +76,31 @@ class TestParsing:
         assert dot.startswith("digraph")
         assert "subgraph cluster_0" in dot
         assert "style=bold" in dot
+
+    def test_dot_labels_escaped(self):
+        p = DecisionProblem.from_edges(4, [(0, 1), (1, 2), (2, 0)],
+                                       labels=['a"b', "c\\d", "e", 'f\\"'])
+        quoted = ['"a\\"b"', '"c\\\\d"', '"e"', '"f\\\\\\""']
+        for dot in (export_dot(p), export_dot(p, equipotence_classes(p))):
+            for x, label in enumerate(quoted):
+                assert f"a{x} [label={label}];" in dot
+
+    def test_alternative_count_ceiling(self):
+        for template in ('{"n": %d, "edges": []}', "# header\n%d\n"):
+            assert parse_instance(template % PARSE_LIMIT).n == PARSE_LIMIT
+            with pytest.raises(ParseError,
+                               match=f"n={PARSE_LIMIT + 1} exceeds parse "
+                                     f"ceiling {PARSE_LIMIT}"):
+                parse_instance(template % (PARSE_LIMIT + 1))
+
+    def test_unconvertible_documents(self):
+        """Numbers too long for int(), nesting too deep for the decoder and
+        non-decimal digits end as parse errors."""
+        for text in ('{"n": %s}' % ("1" * 5000), '{"n": %s}' % ("[" * 100000),
+                     '{"n": 2, "edges": [[0, %s]]}' % ("1" * 5000),
+                     "1" * 5000 + "\n", "\u00b2\n", "2\n0 \u00b2\n"):
+            with pytest.raises(ParseError):
+                parse_instance(text)
 
 
 def per_edge_parse(text):
@@ -211,6 +238,13 @@ class TestVerifyCommand:
         assert code == 0
         assert json.loads(out)["status"] == "PASS"
 
+    def test_trial_size_up_to_the_oracle_ceiling(self, capsys):
+        # Seed 11 draws n = 1 + 11 % 12 = 12, the largest accepted size.
+        code, out = run(capsys, "verify", "--concept", "gss", "--max-n", "12",
+                        "--trials", "1", "--seed", "11")
+        assert code == 0 and json.loads(out)["status"] == "PASS"
+        assert run_cli(["verify", "--concept", "gss", "--max-n", "13"]) == 64
+
 
 class TestContractCommand:
     def test_json(self, capsys, tail_file):
@@ -291,6 +325,19 @@ class TestExitCodes:
         assert run_cli(["solve", "--concept", "vnm", "--input", str(path),
                         "--max-n", "2"]) == 1
 
+    @pytest.mark.parametrize("extra", [["--concept", "vnm"],
+                                       ["--concept", "sss"],
+                                       ["--concept", "schwartz",
+                                        "--method", "brute"]])
+    def test_max_n_moves_the_subset_ceiling(self, extra, capsys, tmp_path):
+        path = tmp_path / "cyc13.txt"
+        path.write_text("13\n" + "".join(f"{x} {(x + 1) % 13}\n"
+                                         for x in range(13)))
+        argv = ["solve", "--input", str(path)] + extra
+        assert run_cli(argv) == 1
+        assert "exceeds" in capsys.readouterr().err
+        assert run_cli(argv + ["--max-n", "13"]) == 0
+
 
 INPUT = "{input}"
 CYCLE = "3\n0 1\n1 2\n2 0\n"
@@ -308,8 +355,22 @@ BAD_ARGUMENTS = [
                   "--excluded", "x"], {}, CYCLE, id="excluded-not-an-index"),
     pytest.param(["topology", "--check", "excluded", "--input", INPUT,
                   "--excluded", "7"], {}, CYCLE, id="excluded-out-of-range"),
-    pytest.param(["solve", "--concept", "vnm", "--input", INPUT],
-                 {"STABLESET_MAX_N": "abc"}, CYCLE, id="max-n-env-not-int"),
+    pytest.param(["verify", "--concept", "gss", "--max-n", "40",
+                  "--trials", "40"], {}, CYCLE, id="verify-max-n-40"),
+    pytest.param(["solve", "--concept", "core", "--input", INPUT], {},
+                 '{"n": %d, "edges": []}' % (PARSE_LIMIT + 1),
+                 id="json-n-over-parse-ceiling"),
+    pytest.param(["contract", "--input", INPUT], {}, "%d\n" % (PARSE_LIMIT + 1),
+                 id="edge-list-n-over-parse-ceiling"),
+    pytest.param(["random", "--n", str(PARSE_LIMIT + 1)], {}, CYCLE,
+                 id="random-n-over-parse-ceiling"),
+    pytest.param(["topology", "--check", "excluded", "--input", INPUT,
+                  "--excluded", "100000000000"], {}, CYCLE,
+                 id="excluded-index-1e11"),
+    pytest.param(["solve", "--concept", "core"], {}, CYCLE,
+                 id="missing-required-argument"),
+    pytest.param(["contract", "--input", INPUT, "--bogus"], {}, CYCLE,
+                 id="unrecognized-argument"),
 ]
 
 
@@ -330,3 +391,141 @@ class TestInputContract:
         assert captured.out == ""
         assert "Traceback" not in captured.err
         assert captured.err.count("\n") == 1, captured.err
+
+    def test_non_utf8_document(self, tmp_path, capsys):
+        path = tmp_path / "instance.txt"
+        path.write_bytes(b"\xff\xfe")
+        code = run_cli(["solve", "--concept", "core", "--input", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error: not UTF-8 text")
+        assert captured.err.count("\n") == 1, captured.err
+
+
+# Commands whose output or scan is exponential in n by design (product-form
+# families are written out member by member; excluded-set topologies list
+# every open set).  The fuzz gives them only documents with n <= FUZZ_SMALL_N.
+EXPONENTIAL = {("solve", "mss"), ("solve", "wss"), ("topology", "excluded"),
+               ("topology", "t1"), ("topology", "nachbin")}
+FUZZ_SMALL_N = 8
+SOLVE_CONCEPTS = ("core", "schwartz", "duggan", "vnm", "gss", "sss", "mss",
+                  "wss", "ess")
+TOPOLOGY_CHECKS = ("dm", "frink", "precont", "excluded", "t1", "nachbin")
+BAD_COUNTS = ["-1", "0", "1.5", "x", "", str(PARSE_LIMIT + 1), "10" * 10,
+              "9" * 5000]
+
+
+class TestCliFuzz:
+    """Seeded malformed documents and arguments: every run ends with exit 0,
+    1, 2 or 64, never a traceback, and one stderr line when it fails."""
+
+    def document(self, rng) -> bytes:
+        n = rng.randint(1, 6)
+        p = random_problem(n, rng.choice((0.0, 0.3, 0.8)), rng.randrange(99))
+        valid = (serialize_instance(p) if rng.random() < 0.5 else
+                 f"{n}\n" + "".join(f"{x} {y}\n" for x, y in p.rel.pairs()))
+        kind = rng.randrange(8)
+        if kind == 0:
+            return valid.encode()
+        if kind == 1:  # truncated
+            return valid[:rng.randrange(len(valid))].encode()
+        if kind == 2:  # corrupted bytes, often not UTF-8
+            data = bytearray(valid.encode())
+            for _ in range(rng.randint(1, 3)):
+                data[rng.randrange(len(data))] = rng.randrange(256)
+            return bytes(data)
+        if kind == 3:  # non-UTF-8 bytes spliced in
+            cut = rng.randrange(len(valid) + 1)
+            return (valid[:cut].encode() + rng.choice((b"\xff\xfe", b"\xc3",
+                                                       b"\x80\x80"))
+                    + valid[cut:].encode())
+        if kind == 4:  # wrong types
+            doc = {"n": rng.choice((n, -1, 0, 1.5, "3", None, True, [], {}))}
+            if rng.random() < 0.7:
+                doc["edges"] = rng.choice(("x", {}, 5, None, [[0]], [[0, "1"]],
+                                           [[0, 1, 2]], [[0, 1]], [[1, 0]]))
+            if rng.random() < 0.5:
+                doc["labels"] = rng.choice((5, ["a"], "ab", None,
+                                            [str(x) for x in range(n)]))
+            return json.dumps(rng.choice((doc, [doc], n))).encode()
+        if kind == 5:  # n over the parse ceiling
+            big = rng.choice((PARSE_LIMIT + 1, 10 ** 6, 10 ** 30))
+            return rng.choice(('{"n": %d, "edges": []}' % big,
+                               "%d\n0 1\n" % big)).encode()
+        if kind == 6:  # nesting, digits and junk the decoders refuse
+            return rng.choice(('{"n": %s}' % ("[" * 50000), '{"n": 1%s}' % (
+                "0" * 5000), "²\n", "0\n", "", " \n# only\n", "{",
+                "3\n0 1 2\n", "3\n0 5\n", "3\n1 1\n")).encode()
+        return b"\x00" * rng.randint(1, 8)
+
+    def argv(self, rng, path, n):
+        """Arguments for one run; n is the document's size, or None when it
+        does not parse."""
+        command = rng.choice(("solve", "contract", "topology", "verify",
+                              "random", "junk"))
+        small = n is None or n <= FUZZ_SMALL_N
+        if command == "solve":
+            concept = rng.choice([c for c in SOLVE_CONCEPTS
+                                  if small or ("solve", c) not in EXPONENTIAL
+                                  and c not in ("vnm", "sss")])
+            argv = ["solve", "--concept", concept, "--input", path]
+            if rng.random() < 0.4 and small:
+                argv += ["--max-n", rng.choice(("-1", "0", "3", "12", "40",
+                                                "x"))]
+            if rng.random() < 0.3 and small:
+                argv += ["--method", rng.choice(("deb", "brute", "nope"))]
+            if rng.random() < 0.2:
+                argv += ["--interp", "closure_of_restriction"]
+            return argv
+        if command == "contract":
+            return ["contract", "--input", path] + (["--dot"] if rng.random()
+                                                    < 0.5 else [])
+        if command == "topology":
+            check = rng.choice([c for c in TOPOLOGY_CHECKS
+                                if small or ("topology", c) not in EXPONENTIAL])
+            argv = ["topology", "--check", check, "--input", path]
+            if rng.random() < 0.6:
+                argv += ["--excluded", rng.choice((
+                    "0", "1,2", "100000000000", str(10 ** 20), "-1", "", "x",
+                    "0,,1", f"{10 ** 23},0", "1" * 5000))]
+            if rng.random() < 0.3:
+                argv += ["--generator", rng.choice(("duggan", "wss", "x"))]
+            return argv
+        if command == "verify":
+            # Seeds below 4 keep every trial at n <= 4.
+            max_n = rng.choice(["1", "2", "6", "12", "13", "40"] + BAD_COUNTS)
+            return ["verify", "--concept", rng.choice(("gss", "vnm", "sss",
+                                                       "ess", "bad")),
+                    "--max-n", max_n, "--trials", rng.choice(("0", "2", "-1")),
+                    "--seed", str(rng.randrange(4))]
+        if command == "random":
+            return ["random", "--n", rng.choice(["1", "7", "30"] + BAD_COUNTS),
+                    "--density", rng.choice(("0", "0.5", "1", "2", "nan",
+                                             "x")),
+                    "--seed", str(rng.randrange(99))]
+        return rng.choice(([], ["bogus"], ["solve"], ["--bogus"],
+                           ["solve", "--concept", "core"],
+                           ["random", "--n"], ["contract", "--input"],
+                           ["contract", "--input", path, "--bogus"],
+                           ["contract", "--input", path + ".missing"],
+                           ["contract", "--input", str(Path(path).parent)]))
+
+    def test_exit_codes_and_one_line_errors(self, tmp_path, capsys):
+        path = tmp_path / "doc.txt"
+        rng = random.Random(20261018)
+        for case in range(300):
+            data = self.document(rng)
+            path.write_bytes(data)
+            try:
+                n = parse_instance(data.decode()).n
+            except (UnicodeDecodeError, ParseError):
+                n = None
+            argv = self.argv(rng, str(path), n)
+            code = run_cli(argv)
+            captured = capsys.readouterr()
+            where = f"case {case}: {argv} on {data[:80]!r}"
+            assert code in (0, 1, 2, 64), where
+            assert "Traceback" not in captured.err, where
+            if code:
+                assert captured.err.endswith("\n"), where
+                assert captured.err.count("\n") == 1, where

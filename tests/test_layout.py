@@ -6,6 +6,9 @@
   say it is.
 - `solutions` never imports `oracle`, so the oracle stays an independent
   check of the constructive code and the import graph has no cycle.
+- `LimitExceeded` is raised only by `errors.check_size`, so every size
+  ceiling is checked, and worded, in one place.
+- No module reads the process environment: every setting is an argument.
 """
 
 import ast
@@ -52,3 +55,33 @@ def test_solutions_does_not_import_oracle():
              if isinstance(node, (ast.Import, ast.ImportFrom))
              and any("oracle" in name.split(".") for name in import_names(node))]
     assert found == [], f"solutions.py imports the oracle on lines {found}"
+
+
+
+# The identifier each kind of naming node spells.
+SPELLING = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}
+
+
+def spelled(node):
+    """(line, identifier) for every name, attribute and imported name
+    inside a syntax tree."""
+    return [(sub.lineno, getattr(sub, SPELLING[type(sub)]))
+            for sub in ast.walk(node) if type(sub) in SPELLING]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_limit_exceeded_raised_only_by_the_size_guard(path):
+    if path.name == "errors.py":
+        return
+    found = [node.lineno for node in ast.walk(tree(path))
+             if isinstance(node, ast.Raise) and node.exc is not None
+             and any(name.endswith("LimitExceeded")
+                     for _, name in spelled(node.exc))]
+    assert found == [], f"{path.name}: raises a size error on lines {found}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_environment_reads(path):
+    found = [line for line, name in spelled(tree(path))
+             if name in ("environ", "environb", "getenv")]
+    assert found == [], f"{path.name}: reads the environment on lines {found}"

@@ -1,7 +1,7 @@
 import pytest
 
 from stableset.bitset import from_members, members
-from stableset.errors import OracleLimitExceeded
+from stableset.errors import LimitExceeded
 from stableset.fixtures import (CHAIN, CYCLE_WITH_TAIL, FOUR_CYCLE,
                                 SYMMETRIC_PAIR, THREE_CYCLE)
 from stableset.oracle import (cross_verify, enumerate_solutions,
@@ -44,7 +44,7 @@ class TestEnumeration:
         assert out == sorted(out)
 
     def test_limit(self):
-        with pytest.raises(OracleLimitExceeded):
+        with pytest.raises(LimitExceeded):
             enumerate_solutions(THREE_CYCLE, Concept.VNM, max_n=2)
 
 

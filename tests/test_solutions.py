@@ -4,7 +4,7 @@ from conftest import corpus_digraphs
 from stableset.bitset import from_members, members
 from stableset.contraction import (equipotence_classes, extended_dominance,
                                    maximal_components)
-from stableset.errors import EmptySolution, OracleLimitExceeded
+from stableset.errors import EmptySolution, LimitExceeded
 from stableset.fixtures import (CHAIN, CYCLE_WITH_TAIL, FIVE_CYCLE,
                                 FOUR_CYCLE, SYMMETRIC_PAIR, THREE_CYCLE)
 from stableset.oracle import gocha_bruteforce, random_problem
@@ -92,7 +92,7 @@ class TestVnm:
         assert fam(family) == [(0,)]
 
     def test_limit(self):
-        with pytest.raises(OracleLimitExceeded):
+        with pytest.raises(LimitExceeded):
             vnm_stable_sets(THREE_CYCLE, max_n=2)
 
 
@@ -240,5 +240,5 @@ class TestUndominatedPairs:
 
     def test_limit(self):
         p = random_problem(9, 0.5, 1)
-        with pytest.raises(OracleLimitExceeded):
+        with pytest.raises(LimitExceeded):
             undominated_pairs(p)
