@@ -10,10 +10,8 @@ byte-stable.  `solve --max-n` moves the subset-search ceiling; `verify
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
-from pathlib import Path
 
 from . import io as sio
 from .bitset import from_members, members
@@ -159,23 +157,28 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(path: str) -> DecisionProblem:
+    return sio.parse_instance(_read_text(path))
+
+
+def _read_text(path: str) -> str:
+    """The UTF-8 document at path, read up to one byte past the limit; its
+    bytes are freed before it is parsed."""
+    with open(path, "rb") as f:
+        data = f.read(sio.BYTE_LIMIT + 1)
+    if len(data) > sio.BYTE_LIMIT:
+        raise ParseError(f"document exceeds {sio.BYTE_LIMIT} bytes")
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(
             f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
-    return sio.parse_instance(text)
-
-
-def _emit(doc: dict):
-    json.dump(doc, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
 
 
 def _cmd_solve(args) -> int:
     started = time.perf_counter()
     p = _load(args.input)
     doc: dict = {"concept": args.concept}
+    family = None
     if args.concept == "core":
         doc["set"] = sio.set_document(core(p))
     elif args.concept == "schwartz":
@@ -191,14 +194,13 @@ def _cmd_solve(args) -> int:
         concept = _FAMILY_CONCEPTS[args.concept]
         family = solve(p, concept, interp=SociallyInterp(args.interp),
                        max_n=args.max_n)
-        doc["family"] = sio.family_document(family)
         if concept is Concept.SOCIALLY:
             doc["interp"] = args.interp
-        if doc["family"]["count"] == 0:
+        if family.count() == 0:
             doc["note"] = "no stable set"
     if args.timings:
         doc["timings"] = {"total_s": round(time.perf_counter() - started, 6)}
-    _emit(doc)
+    sio.write_document(sys.stdout, doc, family)
     return EXIT_OK
 
 
@@ -225,7 +227,7 @@ def _cmd_verify(args) -> int:
            "failures": failures}
     if args.timings:
         doc["timings"] = {"total_s": round(time.perf_counter() - started, 6)}
-    _emit(doc)
+    sio.write_document(sys.stdout, doc)
     return EXIT_OK if not failures else EXIT_VERIFY_MISMATCH
 
 
@@ -239,7 +241,7 @@ def _cmd_contract(args) -> int:
         "classes": [list(members(cls)) for cls in c.classes],
         "condensation_edges": sorted([i, j] for i, j in c.cond.pairs()),
     }
-    _emit(doc)
+    sio.write_document(sys.stdout, doc)
     return EXIT_OK
 
 
@@ -256,8 +258,8 @@ def _generator_set(p: DecisionProblem, generator: str) -> int:
     if generator == "duggan":
         return duggan_set(p)
     if generator == "wss":
-        return next(iter(w_stable_sets(p)))
-    return next(iter(m_stable_sets(p)))
+        return w_stable_sets(p).first()
+    return m_stable_sets(p).first()
 
 
 def _excluded_set(p: DecisionProblem, args) -> int:
@@ -298,7 +300,7 @@ def _cmd_topology(args) -> int:
         excluded = _excluded_set(p, args)
         top = excluded_set_topology(p.n, excluded)
         doc["nachbin_closed"] = nachbin_closed(top, strict_poset_order(p))
-    _emit(doc)
+    sio.write_document(sys.stdout, doc)
     return EXIT_OK
 
 

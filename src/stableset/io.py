@@ -11,16 +11,26 @@ from __future__ import annotations
 
 import gc
 import json
-from itertools import chain
-from typing import Optional
+from itertools import chain, cycle, islice, repeat
+from operator import add
+from typing import Optional, TextIO
 
-from .bitset import Mask, members
+from .bitset import Mask, iter_bits, members
 from .contraction import Contraction
 from .errors import LimitExceeded, LoopEdge, ParseError, check_size
 from .relations import DecisionProblem, Relation
 from .solutions import SolutionFamily, FamilyForm
 
 PARSE_LIMIT = 2000
+# Bytes read from one document.  The largest document the CLI writes,
+# `random --n PARSE_LIMIT --density 1`, lists every ordered pair as
+# "[u, v], " with indices of at most len(str(PARSE_LIMIT)) digits; two more
+# bytes a pair cover its labels and header.
+BYTE_LIMIT = (2 * len(str(PARSE_LIMIT)) + 8) * PARSE_LIMIT ** 2
+# Sets rendered per write when a family's members are streamed.  At n = 16
+# a batch is about 55 KB; batches of 1,024 or 4,096 sets raised the peak
+# RSS of the benchmark's subset-search workload by 7 % at some seeds.
+SET_BATCH = 512
 
 
 def parse_instance(text: str) -> DecisionProblem:
@@ -146,11 +156,84 @@ def serialize_instance(p: DecisionProblem) -> str:
 
 
 def family_document(family: SolutionFamily) -> dict:
+    doc = _family_head(family)
+    doc["sets"] = [list(members(v)) for v in family]
+    return doc
+
+
+def _family_head(family: SolutionFamily) -> dict:
+    """Every field of a family's document but its member sets."""
     doc: dict = {"form": family.form.value, "count": family.count()}
     if family.form is not FamilyForm.EXPLICIT:
         doc["components"] = [list(members(c)) for c in family.components]
-    doc["sets"] = [list(members(v)) for v in family]
     return doc
+
+
+def write_document(out: TextIO, doc: dict,
+                   family: Optional[SolutionFamily] = None) -> None:
+    """Write `json.dumps(doc, indent=2, sort_keys=True)` and a newline.
+
+    Given a family, the document gains a "family" key holding
+    `family_document(family)`.  Its member sets are rendered straight from
+    the masks the family yields, `SET_BATCH` sets per write, in the bytes
+    the encoder would write for the whole list.
+    """
+    if family is not None:
+        # An empty "sets" is the right text for a family with no members.
+        doc = {**doc, "family": {**_family_head(family), "sets": []}}
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    masks = iter(() if family is None else family)
+    batch = list(islice(masks, SET_BATCH))
+    if not batch:
+        out.write(text)
+        return
+    # No other key of the document is "sets", so its first empty "sets" is
+    # the family's.
+    head, _, tail = text.partition('"sets": []')
+    sets = _SetText(family.n)
+    out.write(head + '"sets": [\n')
+    while batch:
+        rendered = sets.render(batch)
+        batch = list(islice(masks, SET_BATCH))
+        # The last set takes the list's closing bracket instead of ",\n".
+        out.write(rendered if batch else rendered[:-2] + "\n    ]" + tail)
+
+
+class _SetText(dict):
+    """The text of a family's member sets as `json.dumps(indent=2)` writes
+    them at depth 3 of a document ("family", "sets", the set), each
+    followed by ",\n".
+
+    A set's text is the join of one piece per byte of its mask, keyed by
+    256 * byte offset + byte value and built on first use: the member
+    lines of that byte, with the opening bracket before the first byte and
+    the closing one after the last.  Every member line ends in a comma, and
+    `render` drops the one before each closing bracket.  A family never
+    yields the empty set, whose text this is not.
+    """
+
+    def __init__(self, n: int):
+        super().__init__()
+        self.width = (n + 7) // 8
+        self.offsets = range(0, 256 * self.width, 256)
+
+    def __missing__(self, key: int) -> str:
+        offset = key >> 8
+        text = "".join(f"        {8 * offset + x},\n"
+                       for x in iter_bits(key & 255))
+        if offset == 0:
+            text = "      [\n" + text
+        if offset == self.width - 1:
+            text += "      ],\n"
+        self[key] = text
+        return text
+
+    def render(self, masks: list[Mask]) -> str:
+        data = b"".join(map(int.to_bytes, masks, repeat(self.width),
+                            repeat("little")))
+        text = "".join(map(self.__getitem__,
+                           map(add, cycle(self.offsets), data)))
+        return text.replace(",\n      ]", "\n      ]")
 
 
 def set_document(mask: Mask) -> list[int]:

@@ -13,6 +13,10 @@ from .relations import Relation, _check_poset, transitive_closure
 
 DM_LIMIT = 10
 IDEAL_LIMIT = 8
+# Largest number of free alternatives (outside the excluded set) of an
+# excluded-set topology, which has 2^free + 1 opens; `nachbin_closed` scans
+# pairs of them.
+FREE_LIMIT = 12
 
 
 @dataclass(frozen=True)
@@ -145,8 +149,11 @@ def is_precontinuous(p: Poset) -> bool:
 
 
 def excluded_set_topology(n: int, excluded: Mask) -> FiniteTopology:
-    """Opens are the subsets disjoint from `excluded`, plus the full set."""
+    """Opens are the subsets disjoint from `excluded`, plus the full set.
+
+    The number of free alternatives is bounded by `FREE_LIMIT`."""
     free = full_mask(n) & ~excluded
+    check_size(free.bit_count(), FREE_LIMIT, "excluded-set topology")
     opens = set(subsets(free))
     opens.add(full_mask(n))
     return FiniteTopology(n, frozenset(opens))

@@ -112,6 +112,16 @@ class SolutionFamily:
         else:
             yield from sorted(picks)
 
+    def first(self) -> Mask:
+        """The first member `__iter__` yields, or 0 when there is none,
+        without enumerating the others: in ascending order it is the least
+        non-empty part, because the parts are disjoint."""
+        if self.form is FamilyForm.EXPLICIT:
+            return min(self.explicit, default=0)
+        if self.form is FamilyForm.ONE_PER_COMPONENT:
+            return next(iter(self), 0)
+        return min(filter(None, itertools.chain(*self._pools())), default=0)
+
 
 @dataclass(frozen=True)
 class StabilityReport:

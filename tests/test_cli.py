@@ -1,5 +1,7 @@
 import json
+import os
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -7,8 +9,9 @@ import pytest
 from stableset.cli import run_cli
 from stableset.errors import LoopEdge, ParseError
 from stableset.fixtures import CYCLE_WITH_TAIL
-from stableset.io import (PARSE_LIMIT, export_dot, parse_instance,
-                          serialize_instance)
+from stableset.io import (BYTE_LIMIT, PARSE_LIMIT, export_dot,
+                          parse_instance, serialize_instance)
+from stableset.order_topology import FREE_LIMIT
 from stableset.relations import DecisionProblem, Relation
 from stableset.oracle import random_problem
 from stableset.contraction import equipotence_classes
@@ -391,6 +394,41 @@ class TestInputContract:
         assert captured.out == ""
         assert "Traceback" not in captured.err
         assert captured.err.count("\n") == 1, captured.err
+
+    @pytest.mark.skipif(not Path("/dev/zero").exists(),
+                        reason="no /dev/zero")
+    def test_endless_input_is_cut_at_the_byte_limit(self, capsys):
+        started = time.perf_counter()
+        code = run_cli(["solve", "--concept", "core", "--input", "/dev/zero"])
+        captured = capsys.readouterr()
+        assert time.perf_counter() - started < 5
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"error: document exceeds {BYTE_LIMIT} bytes\n"
+
+    def test_byte_limit_boundary(self, tmp_path, capsys):
+        # Sparse files: the limit is checked before the document is parsed.
+        path = tmp_path / "big.json"
+        path.write_bytes(b"{")
+        os.truncate(path, BYTE_LIMIT)
+        assert run_cli(["solve", "--concept", "core", "--input", str(path)]) == 1
+        assert "invalid JSON" in capsys.readouterr().err
+        os.truncate(path, BYTE_LIMIT + 1)
+        assert run_cli(["solve", "--concept", "core", "--input", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: document exceeds")
+
+    def test_excluded_set_topology_above_its_ceiling(self, tmp_path, capsys):
+        # Every alternative of an edgeless document is undominated, and the
+        # w-stable generator excludes only alternative 0.
+        path = tmp_path / "edgeless.json"
+        path.write_text('{"n": %d, "edges": []}' % PARSE_LIMIT)
+        started = time.perf_counter()
+        code = run_cli(["topology", "--check", "t1", "--input", str(path),
+                        "--generator", "wss"])
+        captured = capsys.readouterr()
+        assert time.perf_counter() - started < 1
+        assert code == 1 and captured.out == ""
+        assert captured.err == (f"error: n={PARSE_LIMIT - 1} exceeds "
+                                f"excluded-set topology ceiling {FREE_LIMIT}\n")
 
     def test_non_utf8_document(self, tmp_path, capsys):
         path = tmp_path / "instance.txt"

@@ -1,0 +1,158 @@
+"""The JSON writer: every document the CLI prints is the text of
+`json.dumps(doc, indent=2, sort_keys=True)` plus a newline, where a solved
+family's document is `family_document(family)`."""
+
+import json
+from types import SimpleNamespace
+
+import pytest
+
+from stableset import io as sio
+from stableset.cli import run_cli
+from stableset.io import family_document, parse_instance
+from stableset.solutions import (Concept, FamilyForm, SociallyInterp,
+                                 solve)
+
+CONCEPTS = {"vnm": Concept.VNM, "gss": Concept.GENERALIZED,
+            "sss": Concept.SOCIALLY, "mss": Concept.M_STABLE,
+            "wss": Concept.W_STABLE, "ess": Concept.EXTENDED}
+
+
+def expected_stdout(text, concept, interp="restrict_closure", timings=None):
+    """The CLI's stdout built as it was before families were streamed: the
+    whole document through the encoder in one call."""
+    p = parse_instance(text)
+    family = solve(p, CONCEPTS[concept], interp=SociallyInterp(interp))
+    doc = {"concept": concept, "family": family_document(family)}
+    if CONCEPTS[concept] is Concept.SOCIALLY:
+        doc["interp"] = interp
+    if family.count() == 0:
+        doc["note"] = "no stable set"
+    if timings is not None:
+        doc["timings"] = timings
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n", family
+
+
+def solve_stdout(capsys, path, concept, *extra):
+    code = run_cli(["solve", "--concept", concept, "--input", str(path)]
+                   + list(extra))
+    assert code == 0
+    return capsys.readouterr().out
+
+
+def spanning(n, cyclic=True):
+    """An instance whose undominated alternatives lie on both sides of each
+    byte boundary below n; every other alternative is dominated by 0.  With
+    `cyclic`, the strict 3-cycles (0, 1, 2), (7, 8, 9) and (15, 16, n - 1),
+    where they fit, make undominated components of three alternatives."""
+    top = {0, 1, 2, 6, 7, 8, 9, 14, 15, 16, n - 1} & set(range(n))
+    edges = [(0, x) for x in range(n) if x not in top]
+    if cyclic:
+        for cycle in ((0, 1, 2), (7, 8, 9), (15, 16, n - 1)):
+            if len(set(cycle)) == 3 and max(cycle) < n:
+                edges += zip(cycle, cycle[1:] + cycle[:1])
+    return json.dumps({"n": n, "edges": edges})
+
+
+FORMS_BY_CONCEPT = {"mss": FamilyForm.UNIONS_OF_COMPONENTS,
+                    "wss": FamilyForm.SUBSET_OF_REPRESENTATIVES,
+                    "gss": FamilyForm.ONE_PER_COMPONENT,
+                    "ess": FamilyForm.ONE_PER_COMPONENT}
+
+
+class TestFamilyDocuments:
+    @pytest.mark.parametrize("n", [7, 8, 9, 15, 16, 17, 200])
+    @pytest.mark.parametrize("concept", ["mss", "wss", "gss", "ess"])
+    def test_product_forms_across_byte_boundaries(self, concept, n, tmp_path,
+                                                  capsys):
+        path = tmp_path / "doc.json"
+        path.write_text(spanning(n))
+        expected, family = expected_stdout(path.read_text(), concept)
+        assert family.form is FORMS_BY_CONCEPT[concept]
+        assert family.count() > 1
+        assert solve_stdout(capsys, path, concept) == expected
+
+    @pytest.mark.parametrize("n", [7, 8, 9, 15, 16, 17, 200])
+    def test_explicit_form_across_byte_boundaries(self, n, tmp_path, capsys):
+        # Acyclic instances take the VNM route without a size ceiling.
+        path = tmp_path / "doc.json"
+        path.write_text(spanning(n, cyclic=False))
+        expected, family = expected_stdout(path.read_text(), "vnm")
+        assert family.form is FamilyForm.EXPLICIT and family.count() == 1
+        assert solve_stdout(capsys, path, "vnm") == expected
+
+    @pytest.mark.parametrize("concept", ["vnm", "sss"])
+    @pytest.mark.parametrize("interp", ["restrict_closure",
+                                        "closure_of_restriction"])
+    def test_explicit_families_with_several_sets(self, concept, interp,
+                                                 tmp_path, capsys):
+        path = tmp_path / "doc.json"
+        path.write_text(spanning(9))
+        expected, family = expected_stdout(path.read_text(), concept, interp)
+        assert family.form is FamilyForm.EXPLICIT
+        assert solve_stdout(capsys, path, concept, "--interp",
+                            interp) == expected
+
+    def test_empty_family_has_a_note(self, tmp_path, capsys):
+        path = tmp_path / "doc.txt"
+        path.write_text("3\n0 1\n1 2\n2 0\n")
+        expected, family = expected_stdout(path.read_text(), "vnm")
+        assert family.count() == 0
+        out = solve_stdout(capsys, path, "vnm")
+        assert out == expected and '"sets": []' in out
+        assert json.loads(out)["note"] == "no stable set"
+
+    @pytest.mark.parametrize("concept", ["mss", "sss"])
+    def test_timings_come_after_the_family(self, concept, tmp_path, capsys):
+        path = tmp_path / "doc.json"
+        path.write_text(spanning(9))
+        out = solve_stdout(capsys, path, concept, "--timings")
+        timings = json.loads(out)["timings"]
+        expected, _ = expected_stdout(path.read_text(), concept,
+                                      timings=timings)
+        assert out == expected
+        assert out.index('"family"') < out.index('"timings"')
+
+    def test_family_larger_than_one_write_batch(self, tmp_path, capsys):
+        path = tmp_path / "doc.json"
+        path.write_text('{"n": 13, "edges": []}')
+        expected, family = expected_stdout(path.read_text(), "mss")
+        assert family.count() == 8191 > sio.SET_BATCH
+        assert solve_stdout(capsys, path, "mss") == expected
+
+    @pytest.mark.parametrize("batch", [1, 2, 3, 5])
+    def test_every_batch_boundary(self, batch, monkeypatch, tmp_path, capsys):
+        # The w-stable family of spanning(17): components {0, 1, 2},
+        # {7, 8, 9} and four singletons give 4 * 4 * 2 ** 4 - 1 sets.
+        monkeypatch.setattr(sio, "SET_BATCH", batch)
+        path = tmp_path / "doc.json"
+        path.write_text(spanning(17))
+        expected, family = expected_stdout(path.read_text(), "wss")
+        assert family.count() == 255
+        assert solve_stdout(capsys, path, "wss") == expected
+
+    def test_writes_are_batched(self, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_text('{"n": 13, "edges": []}')
+        family = solve(parse_instance(path.read_text()), Concept.M_STABLE)
+        writes = []
+        sio.write_document(SimpleNamespace(write=writes.append),
+                           {"concept": "mss"}, family)
+        expected = json.dumps({"concept": "mss",
+                               "family": family_document(family)},
+                              indent=2, sort_keys=True) + "\n"
+        assert "".join(writes) == expected
+        # The head, then one write per batch of sets; the last one closes
+        # the document.
+        assert writes[0].endswith('"sets": [\n')
+        full, rest = divmod(8191, sio.SET_BATCH)
+        assert [w.count("      [\n") for w in writes[1:]] == \
+            [sio.SET_BATCH] * full + [rest] * (rest > 0)
+
+
+class TestOtherDocuments:
+    def test_one_write_per_document(self, tmp_path):
+        writes = []
+        doc = {"classes": [[0, 1, 2], [3]], "condensation_edges": [[0, 1]]}
+        sio.write_document(SimpleNamespace(write=writes.append), doc)
+        assert writes == [json.dumps(doc, indent=2, sort_keys=True) + "\n"]

@@ -9,6 +9,9 @@
 - `LimitExceeded` is raised only by `errors.check_size`, so every size
   ceiling is checked, and worded, in one place.
 - No module reads the process environment: every setting is an argument.
+- Only `io` calls `json.dump`/`json.dumps` with `indent`: the pure-Python
+  encoder that `indent` selects is slow, and `io.write_document` is the one
+  place that renders indented output.
 """
 
 import ast
@@ -85,3 +88,15 @@ def test_no_environment_reads(path):
     found = [line for line, name in spelled(tree(path))
              if name in ("environ", "environb", "getenv")]
     assert found == [], f"{path.name}: reads the environment on lines {found}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_indented_json_only_in_io(path):
+    if path.name == "io.py":
+        return
+    found = [node.lineno for node in ast.walk(tree(path))
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and node.func.attr in ("dump", "dumps")
+             and any(k.arg == "indent" for k in node.keywords)]
+    assert found == [], f"{path.name}: indented JSON on lines {found}"

@@ -171,6 +171,24 @@ class TestFamilyRepresentation:
         for form, expected in order.items():
             assert list(SolutionFamily(form, 4, components=comps)) == expected
 
+    def test_first_member_without_enumeration(self):
+        comps = (from_members([1, 2]), from_members([0, 3]))
+        for form in (FamilyForm.ONE_PER_COMPONENT,
+                     FamilyForm.SUBSET_OF_REPRESENTATIVES,
+                     FamilyForm.UNIONS_OF_COMPONENTS):
+            family = SolutionFamily(form, 4, components=comps)
+            assert family.first() == next(iter(family))
+        assert SolutionFamily(FamilyForm.EXPLICIT, 4).first() == 0
+        for p in corpus_digraphs(count=100):
+            for concept in Concept:
+                family = solve(p, concept)
+                assert family.first() == next(iter(family), 0)
+        # 2^2000 - 1 w-stable sets: the first is found without them.
+        edgeless = SolutionFamily(FamilyForm.SUBSET_OF_REPRESENTATIVES, 2000,
+                                  components=tuple(1 << x
+                                                   for x in range(2000)))
+        assert edgeless.first() == 1
+
     def test_contains_without_enumeration(self):
         comps = (from_members([0, 1]), from_members([2]))
         one = SolutionFamily(FamilyForm.ONE_PER_COMPONENT, 4, components=comps)
