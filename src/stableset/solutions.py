@@ -1,12 +1,12 @@
 """Solution concepts over abstract decision problems.
 
 Every concept with a product-form characterization (generalized, m-, w-,
-extended stable sets) is built from the condensation; concepts without one
-(VNM on cyclic inputs, socially stable) fall back to subset search under the
-subset-search ceiling.  The stability checker lives here as well so each
-family can be validated member by member.  The brute-force routes live in
-`stableset.oracle`, which imports this module; this module never imports the
-oracle.
+extended stable sets) is built from the condensation.  VNM stable sets on
+cyclic inputs and socially stable sets have none; they are found by one
+branch-and-prune search (`_stable_search`) under the subset-search ceiling.
+The stability checker lives here as well so each family can be validated
+member by member.  The brute-force routes live in `stableset.oracle`, which
+imports this module; this module never imports the oracle.
 """
 
 from __future__ import annotations
@@ -21,12 +21,11 @@ from .bitset import Mask, iter_bits, subsets
 from .contraction import (condensation_stable_set, equipotence_classes,
                           maximal_components)
 from .errors import EmptySolution, check_size
-from .relations import (DecisionProblem, Relation, iterated_maximal,
-                        maximal_set, restrict, trap_relation,
-                        transitive_closure)
+from .relations import (DecisionProblem, Relation, asymmetric_part,
+                        iterated_maximal, maximal_set, trap_relation)
 
-# Largest n for a 2^n subset scan (VNM on cyclic inputs, socially stable
-# sets, and the oracle's definitional checks).
+# Largest n for the VNM and socially stable searches (exponential in the
+# worst case) and for the oracle's 2^n definitional checks.
 SUBSET_LIMIT = 12
 # Largest n for the pair enumeration, which scans subsets of subsets.
 PAIR_LIMIT = 8
@@ -181,16 +180,14 @@ def vnm_stable_sets(p: DecisionProblem,
 
     Acyclic strict parts (every strong component a single alternative) take
     the constructive route (iterated maximal set, unique and core-inclusive);
-    anything else is a subset search.
+    anything else is a search for the kernels of the strict digraph.
     """
     strict = p.strict
     if len(p.components) == p.n:
         return SolutionFamily(FamilyForm.EXPLICIT, p.n,
                               explicit=(iterated_maximal(strict),))
     check_size(p.n, max_n, "subset-search")
-    found = [v for v in subsets(p.all_mask)
-             if v and is_stable_set(v, strict).ok]
-    return SolutionFamily(FamilyForm.EXPLICIT, p.n, explicit=tuple(found))
+    return _stable_search(p, strict, p.all_mask)
 
 
 def _maximal_classes(p: DecisionProblem) -> tuple[Mask, ...]:
@@ -208,30 +205,116 @@ def generalized_stable_sets(p: DecisionProblem) -> SolutionFamily:
 def socially_stable_sets(p: DecisionProblem,
                          interp: SociallyInterp = SociallyInterp.RESTRICT_CLOSURE,
                          max_n: int = SUBSET_LIMIT) -> SolutionFamily:
+    """Sets that strictly dominate every outsider and relate their own
+    members only both ways: under the closure restricted to v, or under
+    the closure of the strict digraph on v.
+
+    Restrict-closure members avoid one-way closure pairs and lie in the
+    Schwartz set (each undominated component meets v, and nothing it
+    reaches reaches back), so only that set is searched.  Closure of
+    restriction has no such confinement; its members avoid the trap
+    relation, whose edges join strong components and so lie on no cycle.
+    """
     check_size(p.n, max_n, "subset-search")
-    strict = p.strict
-    closure = p.closure
-    strict_cols = strict.columns()
+    if interp is SociallyInterp.RESTRICT_CLOSURE:
+        return _stable_search(p, asymmetric_part(p.closure), schwartz_set(p))
+    return _stable_search(p, trap_relation(p), p.all_mask, cyclic=True)
+
+
+def _stable_search(p: DecisionProblem, conflict: Relation, free: Mask,
+                   cyclic: bool = False) -> SolutionFamily:
+    """Every non-empty v inside `free` that no `conflict` edge joins and
+    that strictly dominates each alternative outside it, in ascending
+    order; with `cyclic`, every strict edge inside v also lies on a cycle
+    inside v.
+
+    In/out branching: putting x in excludes everything adjacent to x in
+    `conflict`, and a branch dies once an excluded alternative has no
+    dominator left among the chosen and undecided ones.  Each step branches
+    on a dominator of the excluded, undominated alternative with the
+    fewest dominators left.
+    """
+    full, rows, cols = p.all_mask, p.strict.rows, p.strict.columns()
+    adjacent = tuple(row | col
+                     for row, col in zip(conflict.rows, conflict.columns()))
     found = []
-    for v in subsets(p.all_mask):
-        if not v:
+    # (chosen, undecided, everything the chosen dominate)
+    stack = [(0, free, 0)]
+    while stack:
+        chosen, undecided, covered = stack.pop()
+        pending = full & ~(chosen | undecided | covered)
+        pick, fewest = 0, len(rows) + 1
+        while pending:
+            low = pending & -pending
+            pending ^= low
+            cands = cols[low.bit_length() - 1] & undecided
+            size = cands.bit_count()
+            if size < fewest:
+                pick, fewest = cands, size
+                if size <= 1:
+                    break
+        if fewest == 0:
             continue
-        if not _socially_internal_ok(v, strict, closure, interp):
+        if cyclic and not _cycle_degrees_ok(chosen, chosen | undecided,
+                                            rows, cols):
             continue
-        outside = p.all_mask & ~v
-        if all(strict_cols[y] & v for y in iter_bits(outside)):
-            found.append(v)
+        if not pick:
+            if not undecided:
+                if not cyclic or _closed_inside(chosen, rows, cols):
+                    found.append(chosen)
+                continue
+            pick, fewest = undecided, 2
+        bit = pick & -pick
+        x = bit.bit_length() - 1
+        if fewest > 1:  # a sole dominator gets no out-branch
+            stack.append((chosen, undecided ^ bit, covered))
+        stack.append((chosen | bit, undecided & ~adjacent[x] & ~bit,
+                      covered | rows[x]))
+    found.sort()
     return SolutionFamily(FamilyForm.EXPLICIT, p.n, explicit=tuple(found))
 
 
-def _socially_internal_ok(v: Mask, strict: Relation, closure: Relation,
-                          interp: SociallyInterp) -> bool:
-    if interp is SociallyInterp.RESTRICT_CLOSURE:
-        q = restrict(closure, v)
-    else:
-        q = transitive_closure(restrict(strict, v))
-    return all(q.rows[y] >> x & 1
-               for x in iter_bits(v) for y in iter_bits(q.rows[x] & v))
+def _cycle_degrees_ok(chosen: Mask, live: Mask, rows: tuple[Mask, ...],
+                      cols: tuple[Mask, ...]) -> bool:
+    """A chosen alternative with an edge in from the chosen ones needs one
+    out to a live (chosen or undecided) one, and the reverse."""
+    rest = chosen
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        x = low.bit_length() - 1
+        if (cols[x] & chosen and not rows[x] & live
+                or rows[x] & chosen and not cols[x] & live):
+            return False
+    return True
+
+
+def _closed_inside(v: Mask, rows: tuple[Mask, ...],
+                   cols: tuple[Mask, ...]) -> bool:
+    """Every edge inside v lies on a cycle inside v: inside v, each weak
+    component's least member reaches exactly what reaches it."""
+    rest = v
+    while rest:
+        start = rest & -rest
+        ahead = _reach(start, rows, v)
+        if _reach(start, cols, v) != ahead:
+            return False
+        rest &= ~ahead
+    return True
+
+
+def _reach(start: Mask, rel: tuple[Mask, ...], v: Mask) -> Mask:
+    """start plus everything it reaches along rel inside v."""
+    seen = frontier = start
+    while frontier:
+        step = 0
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            step |= rel[low.bit_length() - 1]
+        frontier = step & v & ~seen
+        seen |= frontier
+    return seen
 
 
 def m_stable_sets(p: DecisionProblem) -> SolutionFamily:

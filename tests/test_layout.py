@@ -12,6 +12,9 @@
 - Only `io` calls `json.dump`/`json.dumps` with `indent`: the pure-Python
   encoder that `indent` selects is slow, and `io.write_document` is the one
   place that renders indented output.
+- In `solutions`, only `undominated_pairs` calls `bitset.subsets`: VNM and
+  socially stable sets are searched, not scanned, so the 2^n scan stays in
+  the pair enumeration and the oracle.
 """
 
 import ast
@@ -100,3 +103,14 @@ def test_indented_json_only_in_io(path):
              and node.func.attr in ("dump", "dumps")
              and any(k.arg == "indent" for k in node.keywords)]
     assert found == [], f"{path.name}: indented JSON on lines {found}"
+
+
+def test_solutions_scan_subsets_only_for_pairs():
+    scanning = {fn.name
+                for fn in tree(SRC / "solutions.py").body
+                if isinstance(fn, ast.FunctionDef)
+                for node in ast.walk(fn)
+                if isinstance(node, ast.Call)
+                and any(name == "subsets" for _, name in spelled(node.func))}
+    assert not scanning & {"vnm_stable_sets", "socially_stable_sets"}
+    assert scanning <= {"undominated_pairs"}, sorted(scanning)

@@ -1,14 +1,16 @@
 import pytest
 
-from conftest import corpus_digraphs
+from conftest import corpus_digraphs, corpus_tournaments
 from stableset.bitset import from_members, members
 from stableset.contraction import (equipotence_classes, extended_dominance,
                                    maximal_components)
 from stableset.errors import EmptySolution, LimitExceeded
 from stableset.fixtures import (CHAIN, CYCLE_WITH_TAIL, FIVE_CYCLE,
                                 FOUR_CYCLE, SYMMETRIC_PAIR, THREE_CYCLE)
-from stableset.oracle import gocha_bruteforce, random_problem
-from stableset.relations import asymmetric_part, transitive_closure
+from stableset.oracle import (enumerate_solutions, gocha_bruteforce,
+                              random_problem)
+from stableset.relations import (DecisionProblem, asymmetric_part,
+                                 transitive_closure)
 from stableset.solutions import (Concept, FamilyForm, SchwartzMethod,
                                  SociallyInterp, SolutionFamily, core,
                                  duggan_set,
@@ -94,6 +96,67 @@ class TestVnm:
     def test_limit(self):
         with pytest.raises(LimitExceeded):
             vnm_stable_sets(THREE_CYCLE, max_n=2)
+
+
+# The three searched routes: (concept, socially reading).
+SEARCHED = ((Concept.VNM, SociallyInterp.RESTRICT_CLOSURE),
+            (Concept.SOCIALLY, SociallyInterp.RESTRICT_CLOSURE),
+            (Concept.SOCIALLY, SociallyInterp.CLOSURE_OF_RESTRICTION))
+
+
+def cyclic_problem(n, density, seed, tournament=False):
+    """The first instance from `seed` upward whose strict part has a cycle."""
+    while True:
+        p = random_problem(n, density, seed, tournament=tournament)
+        if len(p.components) < p.n:
+            return p
+        seed += 1
+
+
+@pytest.fixture(scope="module")
+def searched_corpus():
+    """The 1,203 corpus instances, each with the oracle's family for every
+    searched route."""
+    return [(p, {route: enumerate_solutions(p, route[0], interp=route[1])
+                 for route in SEARCHED})
+            for p in corpus_digraphs() + corpus_tournaments()]
+
+
+class TestSearchAgainstOracle:
+    def test_corpus(self, searched_corpus):
+        for p, expected in searched_corpus:
+            for (concept, interp), family in expected.items():
+                got = list(solve(p, concept, interp=interp))
+                assert got == family, (p, concept, interp)
+
+    @pytest.mark.parametrize("density,tournament",
+                             [(0.2, False), (0.5, False), (0.5, True)])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_cyclic_n12(self, density, tournament, seed):
+        p = cyclic_problem(12, density, seed, tournament)
+        for concept, interp in SEARCHED:
+            assert list(solve(p, concept, interp=interp)) == \
+                enumerate_solutions(p, concept, interp=interp)
+
+    def test_restrict_closure_members_lie_in_the_schwartz_set(
+            self, searched_corpus):
+        # The restrict-closure search runs over the Schwartz set only.
+        route = (Concept.SOCIALLY, SociallyInterp.RESTRICT_CLOSURE)
+        for p, expected in searched_corpus:
+            top = schwartz_set(p)
+            assert all(v & ~top == 0 for v in expected[route]), p
+
+    def test_closure_of_restriction_is_not_confined(self):
+        # On the path 0 -> 1 -> 2 the Schwartz set is {0}, but {0, 2} is
+        # internally stable (no edge inside it) and dominates 1.
+        path = DecisionProblem.from_edges(3, [(0, 1), (1, 2)])
+        assert members(schwartz_set(path)) == (0,)
+        for family in (enumerate_solutions(
+                path, Concept.SOCIALLY,
+                interp=SociallyInterp.CLOSURE_OF_RESTRICTION),
+                socially_stable_sets(
+                    path, SociallyInterp.CLOSURE_OF_RESTRICTION)):
+            assert fam(family) == [(0, 2)]
 
 
 class TestFamilies:
