@@ -257,9 +257,8 @@ def _generator_set(p: DecisionProblem, generator: str) -> int:
         return schwartz_set(p)
     if generator == "duggan":
         return duggan_set(p)
-    if generator == "wss":
-        return w_stable_sets(p).first()
-    return m_stable_sets(p).first()
+    family = w_stable_sets(p) if generator == "wss" else m_stable_sets(p)
+    return next(iter(family), 0)
 
 
 def _excluded_set(p: DecisionProblem, args) -> int:

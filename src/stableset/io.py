@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import gc
 import json
-from itertools import chain, cycle, islice, repeat
+from itertools import chain
 from operator import add
 from typing import Optional, TextIO
 
@@ -27,9 +27,11 @@ PARSE_LIMIT = 2000
 # "[u, v], " with indices of at most len(str(PARSE_LIMIT)) digits; two more
 # bytes a pair cover its labels and header.
 BYTE_LIMIT = (2 * len(str(PARSE_LIMIT)) + 8) * PARSE_LIMIT ** 2
-# Sets rendered per write when a family's members are streamed.  At n = 16
-# a batch is about 55 KB; batches of 1,024 or 4,096 sets raised the peak
-# RSS of the benchmark's subset-search workload by 7 % at some seeds.
+# Fewest sets in one write when a family's members are streamed.  Writes
+# carry whole blocks of up to 256 sets, so a write holds 512 to 767 sets,
+# 55 to 80 KB at n = 16.  Batches of 1,024 or 4,096 sets raised the peak
+# RSS of the benchmark's subset-search workload by 7 % at some seeds; one
+# write per block was 0.3 MiB above this value.
 SET_BATCH = 512
 
 
@@ -175,65 +177,71 @@ def write_document(out: TextIO, doc: dict,
 
     Given a family, the document gains a "family" key holding
     `family_document(family)`.  Its member sets are rendered straight from
-    the masks the family yields, `SET_BATCH` sets per write, in the bytes
-    the encoder would write for the whole list.
+    the family's blocks, in the bytes the encoder would write for the
+    whole list; each write but the last holds whole blocks and at least
+    `SET_BATCH` sets.
     """
     if family is not None:
         # An empty "sets" is the right text for a family with no members.
         doc = {**doc, "family": {**_family_head(family), "sets": []}}
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    masks = iter(() if family is None else family)
-    batch = list(islice(masks, SET_BATCH))
-    if not batch:
+    blocks = iter(() if family is None else family.blocks())
+    first = next(blocks, None)
+    if first is None:
         out.write(text)
         return
     # No other key of the document is "sets", so its first empty "sets" is
     # the family's.
     head, _, tail = text.partition('"sets": []')
-    sets = _SetText(family.n)
     out.write(head + '"sets": [\n')
-    while batch:
-        rendered = sets.render(batch)
-        batch = list(islice(masks, SET_BATCH))
-        # The last set takes the list's closing bracket instead of ",\n".
-        out.write(rendered if batch else rendered[:-2] + "\n    ]" + tail)
+    lines = _MemberLines()
+    pending, sets = [], 0
+    for high, lows in chain((first,), blocks):
+        if sets >= SET_BATCH:
+            out.write("".join(pending))
+            pending, sets = [], 0
+        pending.append(lines.render(high, lows))
+        sets += len(lows)
+    # The last set takes the list's closing bracket instead of ",\n".
+    out.write("".join(pending)[:-2] + "\n    ]" + tail)
 
 
-class _SetText(dict):
-    """The text of a family's member sets as `json.dumps(indent=2)` writes
-    them at depth 3 of a document ("family", "sets", the set), each
-    followed by ",\n".
+# A set's opening and closing lines at depth 3.
+_OPEN, _CLOSE = "      [\n", "\n      ],\n"
 
-    A set's text is the join of one piece per byte of its mask, keyed by
-    256 * byte offset + byte value and built on first use: the member
-    lines of that byte, with the opening bracket before the first byte and
-    the closing one after the last.  Every member line ends in a comma, and
-    `render` drops the one before each closing bracket.  A family never
-    yields the empty set, whose text this is not.
+
+class _MemberLines(dict):
+    """Member lines of sets as `json.dumps(indent=2)` writes them at depth
+    3 of a document ("family", "sets", the set), each followed by ",\n".
+
+    The lines of a mask are the join of one piece per byte, keyed by
+    256 * byte offset + byte value and built on first use.
     """
 
-    def __init__(self, n: int):
-        super().__init__()
-        self.width = (n + 7) // 8
-        self.offsets = range(0, 256 * self.width, 256)
-
     def __missing__(self, key: int) -> str:
-        offset = key >> 8
-        text = "".join(f"        {8 * offset + x},\n"
-                       for x in iter_bits(key & 255))
-        if offset == 0:
-            text = "      [\n" + text
-        if offset == self.width - 1:
-            text += "      ],\n"
+        base = 8 * (key >> 8)
+        text = "".join(f"        {base + x},\n" for x in iter_bits(key & 255))
         self[key] = text
         return text
 
-    def render(self, masks: list[Mask]) -> str:
-        data = b"".join(map(int.to_bytes, masks, repeat(self.width),
-                            repeat("little")))
-        text = "".join(map(self.__getitem__,
-                           map(add, cycle(self.offsets), data)))
-        return text.replace(",\n      ]", "\n      ]")
+    def render(self, high: Mask, lows: tuple[int, ...]) -> str:
+        """The sets ``high | low`` for each low, each followed by ",\n".
+
+        One join of the low bytes' lines: between them go the high part's
+        lines, less the last member's comma, and the brackets that close
+        one set and open the next.  With no high part, each low byte's lines
+        lose their own last comma instead.  The empty set is never a member.
+        """
+        if high:
+            data = high.to_bytes((high.bit_length() + 7) // 8, "little")
+            close = "".join(map(self.__getitem__,
+                                map(add, range(0, 256 * len(data), 256),
+                                    data)))[:-2] + _CLOSE
+            pieces = map(self.__getitem__, lows)
+        else:
+            close = _CLOSE
+            pieces = [self[low][:-2] for low in lows]
+        return _OPEN + (close + _OPEN).join(pieces) + close
 
 
 def set_document(mask: Mask) -> list[int]:

@@ -15,7 +15,7 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .bitset import Mask, iter_bits, subsets
 from .contraction import (condensation_stable_set, equipotence_classes,
@@ -73,11 +73,7 @@ class SolutionFamily:
 
     def _pools(self) -> list[tuple[Mask, ...]]:
         """The parts each component may contribute to a member."""
-        if self.form is FamilyForm.UNIONS_OF_COMPONENTS:
-            return [(0, comp) for comp in self.components]
-        head = () if self.form is FamilyForm.ONE_PER_COMPONENT else (0,)
-        return [head + tuple(1 << x for x in iter_bits(comp))
-                for comp in self.components]
+        return [_pool(self.form, comp) for comp in self.components]
 
     def count(self) -> int:
         if self.form is FamilyForm.EXPLICIT:
@@ -95,31 +91,109 @@ class SolutionFamily:
                         for part, pool in zip(parts, self._pools())))
 
     def __iter__(self) -> Iterator[Mask]:
-        """Deterministic iteration.
+        """The members in the order `blocks` gives them, built lazily.
 
         Explicit families and the forms that may skip a component come out
         in ascending bitmask order.  ``ONE_PER_COMPONENT`` streams the
         product in component order, the last component varying fastest:
         components ({1,2},{0,3}) give {0,1}, {1,3}, {0,2}, {2,3}.
         """
-        if self.form is FamilyForm.EXPLICIT:
-            yield from sorted(self.explicit)
-            return
-        picks = filter(None, map(sum, itertools.product(*self._pools())))
-        if self.form is FamilyForm.ONE_PER_COMPONENT:
-            yield from picks
-        else:
-            yield from sorted(picks)
+        for high, lows in self.blocks():
+            yield from map(high.__or__, lows)
 
-    def first(self) -> Mask:
-        """The first member `__iter__` yields, or 0 when there is none,
-        without enumerating the others: in ascending order it is the least
-        non-empty part, because the parts are disjoint."""
+    def blocks(self) -> Iterator[tuple[Mask, tuple[int, ...]]]:
+        """The members in runs that share all but their low byte.
+
+        Yields ``(high, lows)``: ``high`` has a zero low byte, ``lows`` is
+        an ascending tuple of low bytes, and the members are ``high | low``
+        for each low in turn.  The ascending forms never hold the whole
+        family: their runs come from the same construction on the bits
+        above the low byte (see `_ascending_runs`).
+        """
         if self.form is FamilyForm.EXPLICIT:
-            return min(self.explicit, default=0)
+            return _runs(sorted(self.explicit))
         if self.form is FamilyForm.ONE_PER_COMPONENT:
-            return next(iter(self), 0)
-        return min(filter(None, itertools.chain(*self._pools())), default=0)
+            return _runs(filter(None, map(
+                sum, itertools.product(*self._pools()))))
+        runs = _ascending_runs(self.form, self.components)
+        high, lows = next(runs)  # the empty pick comes first; drop it
+        return itertools.chain(((high, lows[1:]),) if len(lows) > 1 else (),
+                               runs)
+
+
+def _runs(masks: Iterable[Mask]) -> Iterator[tuple[Mask, tuple[int, ...]]]:
+    """Cut masks, in their order, into runs of one high part and ascending
+    low bytes."""
+    high, lows = -1, []
+    for mask in masks:
+        low = mask & 255
+        if mask ^ low != high or low <= lows[-1]:
+            if lows:
+                yield high, tuple(lows)
+            high, lows = mask ^ low, []
+        lows.append(low)
+    if lows:
+        yield high, tuple(lows)
+
+
+def _ascending_runs(form: FamilyForm, components: tuple[Mask, ...]
+                    ) -> Iterator[tuple[Mask, tuple[int, ...]]]:
+    """`SolutionFamily.blocks` of an ascending form over `components`, the
+    empty member included: it comes first, in the run ``(0, (0, ...))``.
+
+    A member's high part is a member of the same form over the components'
+    bits above the low byte, so the high parts come in ascending order
+    from the level above.  That level starts at the next byte a component
+    touches and is built only when this level needs a second high part,
+    so the depth grows with the log of the members taken, not with n.  A
+    member's low byte depends on its high part only through the
+    components that straddle the byte boundary: a straddling union is in
+    or out as a whole, and a straddling representative lies above the
+    boundary or is free below it.  One table of low bytes is built per set
+    of straddling components the high part touches.
+    """
+    unions = form is FamilyForm.UNIONS_OF_COMPONENTS
+    below = [comp for comp in components if comp < 256]
+    straddling = [comp for comp in components if comp & 255 and comp >> 8]
+    above = sum(comp >> 8 for comp in components)
+    # The next level starts at the next byte any component touches.
+    shift = 8 + ((above & -above).bit_length() - 1) // 8 * 8 if above else 8
+    upper = tuple(comp >> shift for comp in components if comp >> shift)
+    tables: dict[tuple[bool, ...], tuple[int, ...]] = {}
+
+    def table(high: Mask) -> tuple[int, ...]:
+        touched = tuple(bool(high & comp) for comp in straddling)
+        lows = tables.get(touched)
+        if lows is None:
+            pools = [_pool(form, comp) for comp in below]
+            for comp, hit in zip(straddling, touched):
+                if unions:
+                    pools.append((comp & 255 if hit else 0,))
+                else:
+                    pools.append((0,) if hit else _pool(form, comp & 255))
+            lows = tables[touched] = tuple(sorted(
+                map(sum, itertools.product(*pools))))
+        return lows
+
+    yield 0, table(0)
+    if not upper:
+        return
+    # High part 0, the level above's empty member, was just yielded, so
+    # the level above is built only when a second run is asked for.
+    runs = _ascending_runs(form, upper)
+    _, lows = next(runs)
+    for high, lows in itertools.chain(((0, lows[1:]),), runs):
+        for low in lows:
+            mask = (high | low) << shift
+            yield mask, table(mask)
+
+
+def _pool(form: FamilyForm, comp: Mask) -> tuple[Mask, ...]:
+    """The parts one component may contribute to a member."""
+    if form is FamilyForm.UNIONS_OF_COMPONENTS:
+        return (0, comp)
+    picks = tuple(1 << x for x in iter_bits(comp))
+    return picks if form is FamilyForm.ONE_PER_COMPONENT else (0,) + picks
 
 
 @dataclass(frozen=True)

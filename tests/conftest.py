@@ -1,8 +1,13 @@
 """Shared corpus builders for property and acceptance tests."""
 
 import functools
+import itertools
+import math
+import random
 
+from stableset.bitset import iter_bits
 from stableset.oracle import random_problem
+from stableset.solutions import FamilyForm
 
 DENSITIES = (0.2, 0.5, 0.8)
 
@@ -36,4 +41,48 @@ def kernel_corpus():
             out.append(random_problem(n, 4 / (n - 1), seed))
             out.append(random_problem(n, 0.5, seed))
             out.append(random_problem(n, 0.5, seed, tournament=True))
+    return tuple(out)
+
+
+def reference_order(family):
+    """A family's members in order, from the whole product of its pools:
+    ascending for the forms that may skip a component, product order (last
+    component fastest) for ONE_PER_COMPONENT."""
+    if family.form is FamilyForm.EXPLICIT:
+        return sorted(family.explicit)
+    if family.form is FamilyForm.UNIONS_OF_COMPONENTS:
+        pools = [(0, comp) for comp in family.components]
+    else:
+        head = () if family.form is FamilyForm.ONE_PER_COMPONENT else (0,)
+        pools = [head + tuple(1 << x for x in iter_bits(comp))
+                 for comp in family.components]
+    picks = filter(None, map(sum, itertools.product(*pools)))
+    if family.form is FamilyForm.ONE_PER_COMPONENT:
+        return list(picks)
+    return sorted(picks)
+
+
+@functools.lru_cache(maxsize=None)
+def product_partitions(count=1000, max_n=22, limit=200_000, seed=2026):
+    """Seeded (n, components) pairs: a random subset of range(n), n <= 22,
+    cut into disjoint components, kept when the unions and the
+    representatives families both have at most `limit` members.  Many
+    components straddle bit 8, some bit 16, and some partitions leave a
+    whole byte untouched between two they touch."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(1, max_n)
+        skipped = rng.choice((None, 1))  # byte 1 is bits 8 to 15
+        used = [x for x in range(n)
+                if x // 8 != skipped and rng.random() < 0.7]
+        if not used:
+            continue
+        comps = [0] * rng.randint(1, len(used))
+        for x in used:
+            comps[rng.randrange(len(comps))] |= 1 << x
+        comps = tuple(comp for comp in comps if comp)
+        reps = math.prod(comp.bit_count() + 1 for comp in comps) - 1
+        if max(reps, 2 ** len(comps) - 1) <= limit:
+            out.append((n, comps))
     return tuple(out)

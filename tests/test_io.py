@@ -3,15 +3,17 @@
 family's document is `family_document(family)`."""
 
 import json
+from itertools import accumulate
 from types import SimpleNamespace
 
 import pytest
 
+from conftest import product_partitions
 from stableset import io as sio
 from stableset.cli import run_cli
 from stableset.io import family_document, parse_instance
 from stableset.solutions import (Concept, FamilyForm, SociallyInterp,
-                                 solve)
+                                 SolutionFamily, solve)
 
 CONCEPTS = {"vnm": Concept.VNM, "gss": Concept.GENERALIZED,
             "sss": Concept.SOCIALLY, "mss": Concept.M_STABLE,
@@ -142,12 +144,39 @@ class TestFamilyDocuments:
                                "family": family_document(family)},
                               indent=2, sort_keys=True) + "\n"
         assert "".join(writes) == expected
-        # The head, then one write per batch of sets; the last one closes
-        # the document.
+        # The head, then writes of whole blocks holding at least SET_BATCH
+        # sets each but the last, which closes the document.
         assert writes[0].endswith('"sets": [\n')
-        full, rest = divmod(8191, sio.SET_BATCH)
-        assert [w.count("      [\n") for w in writes[1:]] == \
-            [sio.SET_BATCH] * full + [rest] * (rest > 0)
+        sizes = [w.count("      [\n") for w in writes[1:]]
+        assert sum(sizes) == 8191 and len(sizes) > 1
+        assert all(size >= sio.SET_BATCH for size in sizes[:-1])
+        ends = set(accumulate(len(lows) for _, lows in family.blocks()))
+        assert set(accumulate(sizes)) <= ends
+        assert all(w.startswith("      [\n") for w in writes[1:])
+
+    def test_seeded_partitions(self):
+        # A tenth of the property-test partitions, each as three product
+        # forms and as an explicit family of every third member.
+        for n, comps in product_partitions()[::10]:
+            for form in (FamilyForm.UNIONS_OF_COMPONENTS,
+                         FamilyForm.SUBSET_OF_REPRESENTATIVES,
+                         FamilyForm.ONE_PER_COMPONENT):
+                family = SolutionFamily(form, n, components=comps)
+                if family.count() > 5000:
+                    continue
+                self.check_bytes(family)
+                self.check_bytes(SolutionFamily(
+                    FamilyForm.EXPLICIT, n, explicit=tuple(family)[::3]))
+
+    @staticmethod
+    def check_bytes(family):
+        writes = []
+        sio.write_document(SimpleNamespace(write=writes.append),
+                           {"concept": "x"}, family)
+        expected = json.dumps({"concept": "x",
+                               "family": family_document(family)},
+                              indent=2, sort_keys=True) + "\n"
+        assert "".join(writes) == expected
 
 
 class TestOtherDocuments:

@@ -1,6 +1,10 @@
+import tracemalloc
+from itertools import islice
+
 import pytest
 
-from conftest import corpus_digraphs, corpus_tournaments
+from conftest import (corpus_digraphs, corpus_tournaments,
+                      product_partitions, reference_order)
 from stableset.bitset import from_members, members
 from stableset.contraction import (equipotence_classes, extended_dominance,
                                    maximal_components)
@@ -236,21 +240,41 @@ class TestFamilyRepresentation:
 
     def test_first_member_without_enumeration(self):
         comps = (from_members([1, 2]), from_members([0, 3]))
-        for form in (FamilyForm.ONE_PER_COMPONENT,
-                     FamilyForm.SUBSET_OF_REPRESENTATIVES,
-                     FamilyForm.UNIONS_OF_COMPONENTS):
+        first = {FamilyForm.ONE_PER_COMPONENT: 3,
+                 FamilyForm.SUBSET_OF_REPRESENTATIVES: 1,
+                 FamilyForm.UNIONS_OF_COMPONENTS: 6}
+        for form, expected in first.items():
             family = SolutionFamily(form, 4, components=comps)
-            assert family.first() == next(iter(family))
-        assert SolutionFamily(FamilyForm.EXPLICIT, 4).first() == 0
+            assert next(iter(family), 0) == expected
+        assert next(iter(SolutionFamily(FamilyForm.EXPLICIT, 4)), 0) == 0
         for p in corpus_digraphs(count=100):
             for concept in Concept:
                 family = solve(p, concept)
-                assert family.first() == next(iter(family), 0)
-        # 2^2000 - 1 w-stable sets: the first is found without them.
-        edgeless = SolutionFamily(FamilyForm.SUBSET_OF_REPRESENTATIVES, 2000,
-                                  components=tuple(1 << x
-                                                   for x in range(2000)))
-        assert edgeless.first() == 1
+                assert next(iter(family), 0) == \
+                    (reference_order(family) or [0])[0]
+        # 2^2000 - 1 w-stable and m-stable sets: the first is found
+        # without the others.
+        for form in (FamilyForm.SUBSET_OF_REPRESENTATIVES,
+                     FamilyForm.UNIONS_OF_COMPONENTS):
+            edgeless = SolutionFamily(form, 2000,
+                                      components=tuple(1 << x
+                                                       for x in range(2000)))
+            assert next(iter(edgeless), 0) == 1
+
+    @pytest.mark.parametrize("form", [FamilyForm.UNIONS_OF_COMPONENTS,
+                                      FamilyForm.SUBSET_OF_REPRESENTATIVES])
+    def test_ascending_members_come_without_the_whole_product(self, form):
+        # 2^20 - 1 members; building and sorting them all takes about 59 MiB.
+        family = SolutionFamily(form, 20,
+                                components=tuple(1 << x for x in range(20)))
+        tracemalloc.start()
+        try:
+            head = list(islice(family, 10_000))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert head == list(range(1, 10_001))
+        assert peak < 4 * 2 ** 20
 
     def test_contains_without_enumeration(self):
         comps = (from_members([0, 1]), from_members([2]))
@@ -278,6 +302,71 @@ class TestFamilyRepresentation:
                 assert len(listed) == family.count()
                 for v in range(1, 1 << p.n):
                     assert family.contains(v) == (v in listed)
+
+
+def gapped(comps):
+    """Whether an untouched byte lies between two touched ones."""
+    touched = sum(comps)
+    top = (touched.bit_length() + 7) // 8
+    return any(not touched >> 8 * k & 255
+               for k in range((touched & -touched).bit_length() // 8, top))
+
+
+class TestBlocks:
+    """`SolutionFamily.blocks` and the iteration built on it, against the
+    order of the whole product."""
+
+    FORMS = (FamilyForm.UNIONS_OF_COMPONENTS,
+             FamilyForm.SUBSET_OF_REPRESENTATIVES,
+             FamilyForm.ONE_PER_COMPONENT)
+
+    @staticmethod
+    def check(family):
+        assert list(family) == reference_order(family)
+        for high, lows in family.blocks():
+            assert high & 255 == 0
+            assert lows and list(lows) == sorted(set(lows))
+            assert 0 <= lows[0] and lows[-1] < 256
+
+    def test_seeded_partitions(self):
+        partitions = product_partitions()
+        assert len(partitions) >= 1000
+        # Components that straddle a byte boundary tie a member's low byte
+        # to its high part.
+        assert sum(any(c & 0xFF and c >> 8 for c in comps)
+                   for _, comps in partitions) >= 300
+        assert sum(any(c & 0xFFFF and c >> 16 for c in comps)
+                   for _, comps in partitions) >= 100
+        assert sum(gapped(comps) for _, comps in partitions) >= 100
+        for n, comps in partitions:
+            for form in self.FORMS:
+                self.check(SolutionFamily(form, n, components=comps))
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_untouched_bytes_add_no_level(self, form):
+        # A level per byte would nest 1,000 generators here, past the
+        # recursion limit.
+        n = 8010
+        comps = (1 << n - 3, 1 << n - 5, (1 << n - 1) | 1)
+        self.check(SolutionFamily(form, n, components=comps))
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_straddling_components(self, form):
+        # Bits {1, 11}, {6, 7}, {5, 8, 16, 18}, {9} and {10}: the member
+        # {9} has a high part that touches no straddling component, like
+        # the empty high part.
+        comps = (2050, 192, 327968, 512, 1024)
+        family = SolutionFamily(form, 19, components=comps)
+        self.check(family)
+        if form is not FamilyForm.ONE_PER_COMPONENT:
+            assert family.contains(512) and 512 in list(family)
+
+    def test_explicit_runs(self):
+        explicit = (3, 5, 256, 300, 257, 1 << 40, (1 << 40) | 7)
+        family = SolutionFamily(FamilyForm.EXPLICIT, 41, explicit=explicit)
+        self.check(family)
+        assert list(family.blocks()) == [(0, (3, 5)), (256, (0, 1, 44)),
+                                         (1 << 40, (0, 7))]
 
 
 class TestInclusions:
