@@ -4,7 +4,7 @@ Run with `python3 demos/demo_order_topology.py`.
 """
 
 from stableset import DecisionProblem, schwartz_set
-from stableset.bitset import members
+from stableset.bitset import full_mask, members
 from stableset.order_topology import (Poset, delta_closure, dm_completion,
                                       excluded_set_topology, frink_ideals,
                                       is_precontinuous, nachbin_closed,
@@ -36,8 +36,10 @@ winners = schwartz_set(p)
 top = excluded_set_topology(p.n, winners)
 
 print("winners (excluded set):", show(winners))
-print("open sets:", [show(u) for u in top.opens_by_size()])
-print("compact subcover:", [show(top.compactness_witness())])
+# The opens are listed here only to show them; the checks never list them.
+opens = sorted(top.opens, key=lambda u: (u.bit_count(), u))
+print("open sets:", [show(u) for u in opens])
+print("compact subcover:", [show(full_mask(p.n))])
 print("weak T1 separation vs strict closure:",
       weak_t1_separation(top, strict))
 print("nachbin closed vs induced poset:",

@@ -10,11 +10,11 @@ from .errors import (EmptyGround, EmptySolution, LimitExceeded, LoopEdge,
 from .io import export_dot, parse_instance, serialize_instance
 from .oracle import (VerificationReport, cross_verify, enumerate_solutions,
                      gocha_bruteforce, random_problem)
-from .order_topology import (CutLattice, FiniteTopology, Poset, delta_closure,
-                             dm_completion, excluded_set_topology,
-                             frink_ideals, is_precontinuous, lower_bounds,
-                             nachbin_closed, upper_bounds, way_below_e,
-                             weak_t1_separation)
+from .order_topology import (CutLattice, ExcludedSetTopology, Poset,
+                             delta_closure, dm_completion,
+                             excluded_set_topology, frink_ideals,
+                             is_precontinuous, lower_bounds, nachbin_closed,
+                             upper_bounds, way_below_e, weak_t1_separation)
 from .relations import (DecisionProblem, Relation, asymmetric_part,
                         is_acyclic, iterated_maximal, maximal_set, restrict,
                         strict_poset_order, strong_components,

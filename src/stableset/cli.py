@@ -274,21 +274,20 @@ def _cmd_topology(args) -> int:
                          f"for n={p.n}\n")
         return EXIT_USAGE
     doc: dict = {"check": args.check}
-    if args.check in ("dm", "frink", "precont"):
+    if args.check in ("dm", "frink", "precont", "nachbin"):
         poset = Poset(strict_poset_order(p))
-        if args.check == "dm":
-            lattice = dm_completion(poset)
-            doc["cuts"] = [list(members(c)) for c in lattice.cuts]
-        elif args.check == "frink":
-            doc["ideals"] = [list(members(i)) for i in frink_ideals(poset)]
-        else:
-            doc["precontinuous"] = is_precontinuous(poset)
+    if args.check == "dm":
+        doc["cuts"] = [list(members(c)) for c in dm_completion(poset).cuts]
+    elif args.check == "frink":
+        doc["ideals"] = [list(members(i)) for i in frink_ideals(poset)]
+    elif args.check == "precont":
+        doc["precontinuous"] = is_precontinuous(poset)
     elif args.check == "excluded":
         excluded = _excluded_set(p, args)
-        top = excluded_set_topology(p.n, excluded)
         doc["excluded"] = list(members(excluded))
-        doc["open_count"] = len(top.opens)
-        doc["compact_subcover"] = [list(members(top.compactness_witness()))]
+        doc["open_count"] = excluded_set_topology(p.n, excluded).open_count
+        # A finite space is compact: the full set covers any open cover.
+        doc["compact_subcover"] = [list(range(p.n))]
     elif args.check == "t1":
         excluded = _generator_set(p, args.generator)
         top = excluded_set_topology(p.n, excluded)
@@ -298,7 +297,7 @@ def _cmd_topology(args) -> int:
     else:  # nachbin
         excluded = _excluded_set(p, args)
         top = excluded_set_topology(p.n, excluded)
-        doc["nachbin_closed"] = nachbin_closed(top, strict_poset_order(p))
+        doc["nachbin_closed"] = nachbin_closed(top, poset.leq)
     sio.write_document(sys.stdout, doc)
     return EXIT_OK
 

@@ -21,10 +21,11 @@ class LimitExceeded(StablesetError):
     """A size-bounded construction was requested above its ceiling."""
 
 
-def check_size(n: int, limit: int, what: str) -> None:
-    """The one size guard: raise `LimitExceeded` when n > limit."""
+def check_size(n: int, limit: int, what: str, counted: str = "n") -> None:
+    """The one size guard: raise `LimitExceeded` when n > limit; `counted`
+    names the size in the message."""
     if n > limit:
-        raise LimitExceeded(f"n={n} exceeds {what} ceiling {limit}")
+        raise LimitExceeded(f"{counted}={n} exceeds {what} ceiling {limit}")
 
 
 class ParseError(StablesetError):

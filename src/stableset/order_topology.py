@@ -1,22 +1,25 @@
 """Finite order-topology lab: cut completion, Frink ideals, way-below,
 precontinuity, excluded-set topologies and the separation checks built on
-them.  Everything is explicit and desk-scale; size guards raise instead of
-truncating."""
+them.
+
+No check enumerates subsets.  The cuts come from closing the full set under
+intersection with each principal down-set, so their cost grows with the
+number of cuts, which `CUT_LIMIT` bounds.  An excluded-set topology is held
+as its excluded set, and its checks read the smallest open around each
+point: the point alone when it is free, the full set when it is excluded.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitset import Mask, full_mask, iter_bits, subsets
-from .errors import check_size
-from .relations import Relation, _check_poset, transitive_closure
+from .bitset import Mask, full_mask, iter_bits
+from .errors import PosetViolation, check_size
+from .relations import Relation, transitive_closure
 
-DM_LIMIT = 10
-IDEAL_LIMIT = 8
-# Largest number of free alternatives (outside the excluded set) of an
-# excluded-set topology, which has 2^free + 1 opens; `nachbin_closed` scans
-# pairs of them.
-FREE_LIMIT = 12
+# Largest number of cuts `dm_completion` builds.  It admits every chain and
+# antichain at the parse ceiling (at most n + 2 cuts).
+CUT_LIMIT = 2048
 
 
 @dataclass(frozen=True)
@@ -26,7 +29,16 @@ class Poset:
     leq: Relation
 
     def __post_init__(self):
-        _check_poset(self.leq)
+        rows = self.leq.rows
+        for x in range(self.leq.n):
+            if not rows[x] >> x & 1:
+                raise PosetViolation(f"not reflexive at {x}")
+        for x in range(self.leq.n):
+            for y in iter_bits(rows[x]):
+                if x != y and rows[y] >> x & 1:
+                    raise PosetViolation(f"not antisymmetric on ({x},{y})")
+                if rows[y] & ~rows[x]:
+                    raise PosetViolation(f"not transitive through ({x},{y})")
 
     @classmethod
     def from_pairs(cls, n: int, pairs) -> "Poset":
@@ -46,33 +58,26 @@ class Poset:
 
 
 @dataclass(frozen=True)
-class FiniteTopology:
-    """An explicit family of open sets over {0..n-1}."""
+class ExcludedSetTopology:
+    """The topology on {0..n-1} whose opens are the subsets disjoint from
+    `excluded`, plus the full set."""
 
     n: int
-    opens: frozenset[Mask]
+    excluded: Mask
 
-    def __post_init__(self):
-        if 0 not in self.opens or full_mask(self.n) not in self.opens:
-            raise ValueError("a topology must contain the empty and full sets")
+    @property
+    def open_count(self) -> int:
+        free = self.n - self.excluded.bit_count()
+        return 2 ** free + (self.excluded != 0)
 
-    def is_valid(self) -> bool:
-        """Pairwise union/intersection closure (sufficient on finite spaces).
-
-        Quadratic in the number of opens; call it in tests, not hot loops.
-        """
-        for u in self.opens:
-            for v in self.opens:
-                if u | v not in self.opens or u & v not in self.opens:
-                    return False
-        return True
-
-    def opens_by_size(self) -> list[Mask]:
-        return sorted(self.opens, key=lambda u: (u.bit_count(), u))
-
-    def compactness_witness(self) -> Mask:
-        """The full space itself covers any open cover of a finite space."""
-        return full_mask(self.n)
+    @property
+    def opens(self) -> frozenset[Mask]:
+        """Every open set, listed: `open_count` of them, so this is for
+        tests and references at small n; no check reads it."""
+        opens = {0, full_mask(self.n)}
+        for x in iter_bits(full_mask(self.n) & ~self.excluded):
+            opens |= {u | 1 << x for u in opens}
+        return frozenset(opens)
 
 
 @dataclass(frozen=True)
@@ -103,99 +108,78 @@ def delta_closure(p: Poset, a: Mask) -> Mask:
     return lower_bounds(p, upper_bounds(p, a))
 
 
-def dm_completion(p: Poset, max_n: int = DM_LIMIT) -> CutLattice:
-    """Every closure-stable set, by image of the closure over all subsets."""
-    check_size(p.n, max_n, "completion")
-    cuts = sorted({delta_closure(p, a) for a in subsets(p.all_mask)})
-    return CutLattice(p.n, tuple(cuts))
+def dm_completion(p: Poset) -> CutLattice:
+    """Every closure-stable set (cut), in ascending order.
 
-
-def frink_ideals(p: Poset, max_n: int = IDEAL_LIMIT) -> list[Mask]:
-    """Sets closed under the delta-closure of each of their subsets.
-
-    The empty subset counts, so an ideal always contains the closure of the
-    empty set (the global lower bounds); on a bounded poset the empty set is
-    therefore not an ideal.
+    Every cut is an intersection of principal down-sets (MacNeille 1937),
+    the empty intersection being the full set, so closing {X} under
+    intersection with each down-set in turn yields all of them.  The count
+    never falls, so it is checked against `CUT_LIMIT` after each down-set.
     """
-    check_size(p.n, max_n, "ideal-enumeration")
-    out = []
-    for i in subsets(p.all_mask):
-        if all(delta_closure(p, z) & ~i == 0 for z in subsets(i)):
-            out.append(i)
-    return out
+    cuts = {p.all_mask}
+    for down in p.leq.columns():
+        cuts |= {c & down for c in cuts}
+        check_size(len(cuts), CUT_LIMIT, "cut-completion", "cuts")
+    return CutLattice(p.n, tuple(sorted(cuts)))
+
+
+def frink_ideals(p: Poset) -> list[Mask]:
+    """Sets I containing the delta-closure of each of their subsets.
+
+    On a finite poset these are exactly the cuts.  A cut I satisfies
+    δ(Z) ⊆ δ(I) = I for every Z ⊆ I, because δ is monotone; and an ideal I
+    contains δ(I), so I = δ(I) is a cut.  The empty subset counts, so on a
+    bounded poset the empty set is not an ideal.
+    """
+    return list(dm_completion(p).cuts)
 
 
 def way_below_e(p: Poset, x: int, y: int) -> bool:
     """x is ideal-theoretically below y: every ideal whose closure captures y
-    already contains x."""
-    for ideal in frink_ideals(p):
-        if delta_closure(p, ideal) >> y & 1 and not ideal >> x & 1:
-            return False
-    return True
+    already contains x.  An ideal is a cut, its own closure."""
+    return all(c >> x & 1 for c in dm_completion(p).cuts if c >> y & 1)
 
 
 def is_precontinuous(p: Poset) -> bool:
-    """Every element sits in the closure of its way-below lower set."""
-    ideals = frink_ideals(p)
-    closures = {i: delta_closure(p, i) for i in ideals}
-    for x in range(p.n):
-        below = 0
-        for y in range(p.n):
-            if all(not (closures[i] >> x & 1) or i >> y & 1 for i in ideals):
-                below |= 1 << y
-        if not delta_closure(p, below) >> x & 1:
-            return False
-    return True
+    """Every element sits in the closure of its way-below lower set, the
+    AND of the cuts that contain it."""
+    below = [p.all_mask] * p.n
+    for c in dm_completion(p).cuts:
+        for x in iter_bits(c):
+            below[x] &= c
+    return all(delta_closure(p, b) >> x & 1 for x, b in enumerate(below))
 
 
-def excluded_set_topology(n: int, excluded: Mask) -> FiniteTopology:
-    """Opens are the subsets disjoint from `excluded`, plus the full set.
-
-    The number of free alternatives is bounded by `FREE_LIMIT`."""
-    free = full_mask(n) & ~excluded
-    check_size(free.bit_count(), FREE_LIMIT, "excluded-set topology")
-    opens = set(subsets(free))
-    opens.add(full_mask(n))
-    return FiniteTopology(n, frozenset(opens))
+def excluded_set_topology(n: int, excluded: Mask) -> ExcludedSetTopology:
+    """Opens are the subsets disjoint from `excluded`, plus the full set."""
+    return ExcludedSetTopology(n, excluded)
 
 
-def weak_t1_separation(top: FiniteTopology, strict: Relation) -> bool:
-    """Each strictly dominated point has an open set excluding its dominator."""
-    opens = top.opens_by_size()
-    for y in range(strict.n):
-        for x in iter_bits(strict.rows[y]):
-            # y strictly dominates x: need x in some open missing y.
-            ybit = 1 << y
-            xbit = 1 << x
-            if not any(u & xbit and not u & ybit for u in opens):
-                return False
-    return True
+def weak_t1_separation(top: ExcludedSetTopology, strict: Relation) -> bool:
+    """Each strictly dominated point has an open set excluding its dominator.
+
+    `strict` is irreflexive, so the open {x} serves a free x, and the only
+    open around an excluded x is the full set: the check holds iff no
+    excluded point is dominated.
+    """
+    dominated = 0
+    for row in strict.rows:
+        dominated |= row
+    return dominated & top.excluded == 0
 
 
-def nachbin_closed(top: FiniteTopology, order: Relation) -> bool:
+def nachbin_closed(top: ExcludedSetTopology, order: Relation) -> bool:
     """Every non-related pair separates by an open rectangle avoiding the
-    order's graph."""
-    opens = top.opens_by_size()
-    cols = order.columns()
-    for x in range(order.n):
-        for y in range(order.n):
-            if order.rows[x] >> y & 1:
-                continue
-            if not _rectangle_exists(opens, order, cols, x, y):
-                return False
-    return True
+    order's graph.
 
-
-def _rectangle_exists(opens, order, cols, x, y) -> bool:
-    xbit, ybit = 1 << x, 1 << y
-    for u in opens:
-        if not u & xbit:
-            continue
-        # v must avoid every point order-reachable from inside u.
-        blocked = 0
-        for s in iter_bits(u):
-            blocked |= order.rows[s]
-        for v in opens:
-            if v & ybit and not v & blocked:
-                return True
-    return False
+    The smallest opens give the best rectangle: {x} x {y} when both are
+    free.  `order` is reflexive, so a full-set side meets the order's graph
+    and the pair fails; the check holds iff every pair x ≰ y has both x and
+    y free.
+    """
+    full = full_mask(order.n)
+    unrelated = 0
+    for x, row in enumerate(order.rows):
+        if row != full:
+            unrelated |= 1 << x | full & ~row
+    return unrelated & top.excluded == 0

@@ -18,7 +18,7 @@ from functools import cached_property
 from typing import Iterable, Iterator
 
 from .bitset import Mask, full_mask, iter_bits
-from .errors import EmptyGround, PosetViolation
+from .errors import EmptyGround
 
 
 @dataclass(frozen=True)
@@ -267,21 +267,7 @@ def trap_relation(p: DecisionProblem) -> Relation:
 
 
 def strict_poset_order(p: DecisionProblem) -> Relation:
-    """Partial order induced by the strict closure: its strict part plus the diagonal."""
+    """Partial order induced by the strict closure: its strict part plus the
+    diagonal.  `order_topology.Poset` checks the axioms when it wraps it."""
     strict = asymmetric_part(p.closure)
-    leq = Relation(p.n, tuple(strict.rows[x] | (1 << x) for x in range(p.n)))
-    _check_poset(leq)
-    return leq
-
-
-def _check_poset(leq: Relation):
-    n = leq.n
-    for x in range(n):
-        if not leq.rows[x] >> x & 1:
-            raise PosetViolation(f"not reflexive at {x}")
-    for x in range(n):
-        for y in iter_bits(leq.rows[x]):
-            if x != y and leq.rows[y] >> x & 1:
-                raise PosetViolation(f"not antisymmetric on ({x},{y})")
-            if leq.rows[y] & ~leq.rows[x]:
-                raise PosetViolation(f"not transitive through ({x},{y})")
+    return Relation(p.n, tuple(strict.rows[x] | (1 << x) for x in range(p.n)))

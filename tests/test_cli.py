@@ -11,7 +11,7 @@ from stableset.errors import LoopEdge, ParseError
 from stableset.fixtures import CYCLE_WITH_TAIL
 from stableset.io import (BYTE_LIMIT, PARSE_LIMIT, export_dot,
                           parse_instance, serialize_instance)
-from stableset.order_topology import FREE_LIMIT
+from stableset.order_topology import CUT_LIMIT
 from stableset.relations import DecisionProblem, Relation
 from stableset.oracle import random_problem
 from stableset.contraction import equipotence_classes
@@ -416,9 +416,11 @@ class TestInputContract:
         assert run_cli(["solve", "--concept", "core", "--input", str(path)]) == 1
         assert capsys.readouterr().err.startswith("error: document exceeds")
 
-    def test_excluded_set_topology_above_its_ceiling(self, tmp_path, capsys):
+    def test_excluded_set_topology_at_the_parse_ceiling(self, tmp_path,
+                                                         capsys):
         # Every alternative of an edgeless document is undominated, and the
-        # w-stable generator excludes only alternative 0.
+        # w-stable generator excludes only alternative 0; the check reads
+        # no open sets, so n = PARSE_LIMIT costs no more than a small n.
         path = tmp_path / "edgeless.json"
         path.write_text('{"n": %d, "edges": []}' % PARSE_LIMIT)
         started = time.perf_counter()
@@ -426,9 +428,35 @@ class TestInputContract:
                         "--generator", "wss"])
         captured = capsys.readouterr()
         assert time.perf_counter() - started < 1
-        assert code == 1 and captured.out == ""
-        assert captured.err == (f"error: n={PARSE_LIMIT - 1} exceeds "
-                                f"excluded-set topology ceiling {FREE_LIMIT}\n")
+        assert code == 0 and captured.err == ""
+        assert json.loads(captured.out)["separated"] is True
+
+    def test_cut_budget_boundary(self, tmp_path, capsys):
+        # The crown a_i < b_j (i != j, i, j < 10) completes to the 2^10
+        # subsets of its indices, and each isolated alternative adds one
+        # cut, so the crown beside m isolated alternatives has 2^10 + m
+        # cuts.  An edgeless document (n + 2 cuts) cannot reach CUT_LIMIT
+        # under the parse ceiling.
+        def crown(isolated):
+            edges = [(i, 10 + j) for i in range(10) for j in range(10)
+                     if i != j]
+            path = tmp_path / "crown.json"
+            path.write_text(serialize_instance(DecisionProblem.from_edges(
+                20 + isolated, edges)))
+            return str(path)
+
+        path = crown(CUT_LIMIT - 2 ** 10)
+        assert run_cli(["topology", "--check", "dm", "--input", path]) == 0
+        assert len(json.loads(capsys.readouterr().out)["cuts"]) == CUT_LIMIT
+        path = crown(CUT_LIMIT - 2 ** 10 + 1)
+        for check in ("dm", "frink", "precont"):
+            started = time.perf_counter()
+            code = run_cli(["topology", "--check", check, "--input", path])
+            captured = capsys.readouterr()
+            assert time.perf_counter() - started < 1
+            assert code == 1 and captured.out == ""
+            assert captured.err == (f"error: cuts={CUT_LIMIT + 1} exceeds "
+                                    f"cut-completion ceiling {CUT_LIMIT}\n")
 
     def test_non_utf8_document(self, tmp_path, capsys):
         path = tmp_path / "instance.txt"
@@ -440,11 +468,10 @@ class TestInputContract:
         assert captured.err.count("\n") == 1, captured.err
 
 
-# Commands whose output or scan is exponential in n by design (product-form
-# families are written out member by member; excluded-set topologies list
-# every open set).  The fuzz gives them only documents with n <= FUZZ_SMALL_N.
-EXPONENTIAL = {("solve", "mss"), ("solve", "wss"), ("topology", "excluded"),
-               ("topology", "t1"), ("topology", "nachbin")}
+# Commands whose output is exponential in n by design (product-form
+# families are written out member by member).  The fuzz gives them only
+# documents with n <= FUZZ_SMALL_N.
+EXPONENTIAL = {("solve", "mss"), ("solve", "wss")}
 FUZZ_SMALL_N = 8
 SOLVE_CONCEPTS = ("core", "schwartz", "duggan", "vnm", "gss", "sss", "mss",
                   "wss", "ess")
@@ -519,9 +546,8 @@ class TestCliFuzz:
             return ["contract", "--input", path] + (["--dot"] if rng.random()
                                                     < 0.5 else [])
         if command == "topology":
-            check = rng.choice([c for c in TOPOLOGY_CHECKS
-                                if small or ("topology", c) not in EXPONENTIAL])
-            argv = ["topology", "--check", check, "--input", path]
+            argv = ["topology", "--check", rng.choice(TOPOLOGY_CHECKS),
+                    "--input", path]
             if rng.random() < 0.6:
                 argv += ["--excluded", rng.choice((
                     "0", "1,2", "100000000000", str(10 ** 20), "-1", "", "x",

@@ -15,6 +15,9 @@
 - In `solutions`, only `undominated_pairs` calls `bitset.subsets`: VNM and
   socially stable sets are searched, not scanned, so the 2^n scan stays in
   the pair enumeration and the oracle.
+- `order_topology` calls no `bitset.subsets`, and the CLI reads no
+  `opens`: the lab's checks read cuts and smallest open sets, and the
+  enumerating definitions live in the tests as their reference.
 """
 
 import ast
@@ -114,3 +117,13 @@ def test_solutions_scan_subsets_only_for_pairs():
                 and any(name == "subsets" for _, name in spelled(node.func))}
     assert not scanning & {"vnm_stable_sets", "socially_stable_sets"}
     assert scanning <= {"undominated_pairs"}, sorted(scanning)
+
+
+def test_order_topology_scans_no_subsets():
+    found = [node.lineno for node in ast.walk(tree(SRC / "order_topology.py"))
+             if isinstance(node, ast.Call)
+             and any(name == "subsets" for _, name in spelled(node.func))]
+    assert found == [], f"order_topology.py calls subsets on lines {found}"
+    listed = [line for line, name in spelled(tree(SRC / "cli.py"))
+              if name == "opens"]
+    assert listed == [], f"cli.py lists open sets on lines {listed}"

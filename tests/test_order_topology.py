@@ -1,15 +1,23 @@
+"""The order-topology lab against its definitions.
+
+The library reads cuts and smallest open sets; the reference scans below
+enumerate subsets and open sets by the definitions, and play the part that
+`stableset.oracle` plays for the solution concepts.
+"""
+
+import random
+
 import pytest
 
 from stableset.bitset import from_members, full_mask, subsets
-from stableset.errors import LimitExceeded, PosetViolation
+from stableset.errors import PosetViolation
 from stableset.fixtures import CYCLE_WITH_TAIL
 from stableset.oracle import random_problem
-from stableset.order_topology import (FiniteTopology, Poset, delta_closure,
-                                      dm_completion, excluded_set_topology,
-                                      frink_ideals, is_precontinuous,
-                                      lower_bounds, nachbin_closed,
-                                      upper_bounds, way_below_e,
-                                      weak_t1_separation)
+from stableset.order_topology import (Poset, delta_closure, dm_completion,
+                                      excluded_set_topology, frink_ideals,
+                                      is_precontinuous, lower_bounds,
+                                      nachbin_closed, upper_bounds,
+                                      way_below_e, weak_t1_separation)
 from stableset.relations import (Relation, asymmetric_part,
                                  strict_poset_order, transitive_closure)
 from stableset.solutions import schwartz_set
@@ -26,7 +34,74 @@ def random_poset(seed, max_n=6):
 
 
 def indiscrete(n):
-    return FiniteTopology(n, frozenset({0, full_mask(n)}))
+    return excluded_set_topology(n, full_mask(n))
+
+
+# Reference scans, by the definitions.
+
+def ref_dm_completion(p):
+    """The image of the delta-closure over all 2^n subsets."""
+    return tuple(sorted({delta_closure(p, a) for a in subsets(p.all_mask)}))
+
+
+def ref_frink_ideals(p):
+    """Sets containing the delta-closure of each of their subsets: 3^n."""
+    return [i for i in subsets(p.all_mask)
+            if all(delta_closure(p, z) & ~i == 0 for z in subsets(i))]
+
+
+def ref_way_below_e(p, ideals, x, y):
+    return all(i >> x & 1 for i in ideals if delta_closure(p, i) >> y & 1)
+
+
+def ref_is_precontinuous(p):
+    ideals = ref_frink_ideals(p)
+    for x in range(p.n):
+        below = from_members(y for y in range(p.n)
+                             if ref_way_below_e(p, ideals, y, x))
+        if not delta_closure(p, below) >> x & 1:
+            return False
+    return True
+
+
+def ref_opens(n, excluded):
+    """The subsets disjoint from `excluded`, plus the full set."""
+    return set(subsets(full_mask(n) & ~excluded)) | {full_mask(n)}
+
+
+def ref_is_topology(n, opens):
+    """Pairwise union/intersection closure (sufficient on finite spaces)."""
+    return ({0, full_mask(n)} <= opens
+            and all(u | v in opens and u & v in opens
+                    for u in opens for v in opens))
+
+
+def ref_weak_t1(opens, strict):
+    """Each strictly dominated point x lies in an open set missing its
+    dominator y."""
+    return all(any(u >> x & 1 and not u >> y & 1 for u in opens)
+               for y, x in strict.pairs())
+
+
+def ref_nachbin(opens, order):
+    """Each pair x, y with not x <= y has opens u around x and v around y
+    such that v misses every point above a point of u."""
+    for x in range(order.n):
+        for y in range(order.n):
+            if order.rows[x] >> y & 1:
+                continue
+            if not any(v >> y & 1 and not v & _above(order, u)
+                       for u in opens if u >> x & 1 for v in opens):
+                return False
+    return True
+
+
+def _above(order, u):
+    out = 0
+    for s in range(order.n):
+        if u >> s & 1:
+            out |= order.rows[s]
+    return out
 
 
 class TestPoset:
@@ -91,10 +166,6 @@ class TestCompletion:
                 for b in cuts:
                     assert a & b in cuts
 
-    def test_limit(self):
-        with pytest.raises(LimitExceeded):
-            dm_completion(CHAIN3, max_n=2)
-
 
 class TestFrinkIdeals:
     def test_chain_downsets(self):
@@ -118,11 +189,6 @@ class TestFrinkIdeals:
                     if i >> x & 1:
                         down |= cols[x]
                 assert down & ~i == 0
-
-    def test_limit(self):
-        p = random_poset(3, max_n=6)
-        with pytest.raises(LimitExceeded):
-            frink_ideals(p, max_n=0)
 
 
 class TestWayBelow:
@@ -158,11 +224,13 @@ class TestExcludedSetTopology:
         assert excluded_set_topology(2, 0b11).opens == frozenset({0b00, 0b11})
 
     def test_always_valid_and_compact(self):
+        # Finite, so the full set, always open, covers any open cover.
         for n in range(1, 6):
             for f in subsets(full_mask(n)):
                 t = excluded_set_topology(n, f)
-                assert t.is_valid()
-                assert t.compactness_witness() == full_mask(n)
+                assert t.opens == ref_opens(n, f)
+                assert ref_is_topology(n, t.opens)
+                assert t.open_count == len(t.opens)
 
 
 class TestWeakT1:
@@ -195,3 +263,43 @@ class TestNachbin:
         # that would need an open set isolating 0.
         order = Poset.from_pairs(3, [(1, 2), (2, 0)]).leq
         assert not nachbin_closed(excluded_set_topology(3, 0b001), order)
+
+
+class TestAgainstReference:
+    """The library's routes equal the reference scans on seeded inputs."""
+
+    def test_cut_routes(self):
+        for seed in range(600):
+            p = random_poset(seed, max_n=8)
+            cuts = dm_completion(p).cuts
+            assert cuts == ref_dm_completion(p), seed
+            ideals = ref_frink_ideals(p)
+            assert frink_ideals(p) == ideals, seed
+            for x in range(p.n):
+                for y in range(p.n):
+                    assert way_below_e(p, x, y) == \
+                        ref_way_below_e(p, ideals, x, y), (seed, x, y)
+            assert is_precontinuous(p) == ref_is_precontinuous(p), seed
+
+    def test_excluded_set_routes(self):
+        # Reflexive orders with and without full rows, random excluded sets
+        # and, one time in four, none: both outcomes of each check occur.
+        rng = random.Random(2026)
+        outcomes = {"t1": set(), "nachbin": set()}
+        for seed in range(1500):
+            n = 1 + seed % 9
+            p = random_problem(n, (0.2, 0.5, 0.8, 0.95)[seed % 4], seed)
+            order = Relation(n, tuple(row | 1 << x
+                                      for x, row in enumerate(p.rel.rows)))
+            strict = asymmetric_part(p.closure)
+            excluded = rng.getrandbits(n) if rng.random() < 0.75 else 0
+            top = excluded_set_topology(n, excluded)
+            opens = ref_opens(n, excluded)
+            assert top.open_count == len(top.opens) == len(opens), seed
+            t1 = weak_t1_separation(top, strict)
+            assert t1 == ref_weak_t1(opens, strict), seed
+            closed = nachbin_closed(top, order)
+            assert closed == ref_nachbin(opens, order), seed
+            outcomes["t1"].add(t1)
+            outcomes["nachbin"].add(closed)
+        assert outcomes == {"t1": {False, True}, "nachbin": {False, True}}

@@ -6,6 +6,7 @@ from stableset.errors import EmptyGround
 from stableset.fixtures import (CHAIN, CYCLE_WITH_TAIL, FOUR_CYCLE,
                                 SYMMETRIC_PAIR, THREE_CYCLE)
 from stableset.oracle import random_problem
+from stableset.order_topology import Poset
 from stableset.relations import (Relation, asymmetric_part, is_acyclic,
                                  maximal_set, restrict, strict_poset_order,
                                  strong_components, transitive_closure,
@@ -142,11 +143,11 @@ class TestStrictPosetOrder:
         assert set(leq.pairs()) == self.diagonal(4) | {(0, 3), (1, 3), (2, 3)}
 
     def test_poset_axioms_on_random(self):
-        # strict_poset_order validates internally; it must never raise.
+        # Poset checks the axioms on build; it must never raise here.
         count = 0
         for seed in range(1000):
             p = random_problem(1 + seed % 10, (0.2, 0.5, 0.8)[seed % 3], seed)
-            leq = strict_poset_order(p)
+            leq = Poset(strict_poset_order(p)).leq
             assert all(leq.has(x, x) for x in range(p.n))
             count += 1
         assert count == 1000
