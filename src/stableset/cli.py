@@ -3,8 +3,8 @@
 Subcommands: solve, verify, contract, topology, random.  Results go to
 stdout as JSON.  Exit codes: 0 success, 1 solver error, 2 oracle mismatch,
 64 usage error.  Timings are opt-in (--timings) so default output stays
-byte-stable.  `solve --max-n` moves the subset-search ceiling; `verify
---max-n` is the largest trial size, at most the oracle's ceiling.
+byte-stable.  `verify --max-n` is the largest trial size, at most the
+oracle's ceiling.
 """
 
 from __future__ import annotations
@@ -119,7 +119,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--method",
                          choices=[m.value for m in SchwartzMethod] + [_BRUTE],
                          default=SchwartzMethod.CONDENSATION.value)
-    p_solve.add_argument("--max-n", type=int, default=SUBSET_LIMIT)
     p_solve.add_argument("--timings", action="store_true")
 
     p_verify = sub.add_parser("verify")
@@ -183,7 +182,7 @@ def _cmd_solve(args) -> int:
         doc["set"] = sio.set_document(core(p))
     elif args.concept == "schwartz":
         if args.method == _BRUTE:
-            found = gocha_bruteforce(p, max_n=args.max_n)
+            found = gocha_bruteforce(p)
         else:
             found = schwartz_set(p, SchwartzMethod(args.method))
         doc["set"] = sio.set_document(found)
@@ -192,8 +191,7 @@ def _cmd_solve(args) -> int:
         doc["set"] = sio.set_document(duggan_set(p))
     else:
         concept = _FAMILY_CONCEPTS[args.concept]
-        family = solve(p, concept, interp=SociallyInterp(args.interp),
-                       max_n=args.max_n)
+        family = solve(p, concept, interp=SociallyInterp(args.interp))
         if concept is Concept.SOCIALLY:
             doc["interp"] = args.interp
         if family.count() == 0:

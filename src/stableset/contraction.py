@@ -107,11 +107,10 @@ def maximal_components(c: Contraction) -> Mask:
     return out
 
 
-def extended_dominance(p: DecisionProblem, literal: bool = False) -> Relation:
+def extended_dominance(p: DecisionProblem) -> Relation:
     """Component-mediated strict dominance between alternatives.
 
-    The default excludes equipotent pairs, which is what makes the relation
-    acyclic; ``literal=True`` keeps within-component pairs for comparison.
+    Equipotent pairs are excluded, which is what makes the relation acyclic.
     """
     c = equipotence_classes(p)
     n = p.n
@@ -121,15 +120,8 @@ def extended_dominance(p: DecisionProblem, literal: bool = False) -> Relation:
         row = 0
         for j in iter_bits(c.cond.rows[i]):
             row |= c.classes[j]
-        if literal and c.classes[i].bit_count() > 1 and _has_internal_edge(p, c, i):
-            row |= c.classes[i]
         rows[x] = row
     return Relation(n, tuple(rows))
-
-
-def _has_internal_edge(p: DecisionProblem, c: Contraction, i: int) -> bool:
-    cls = c.classes[i]
-    return any(p.strict.rows[x] & cls for x in iter_bits(cls))
 
 
 def condensation_stable_set(c: Contraction) -> Mask:

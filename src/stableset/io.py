@@ -248,33 +248,28 @@ def set_document(mask: Mask) -> list[int]:
     return list(members(mask))
 
 
-def export_dot(p: DecisionProblem, c: Optional[Contraction] = None) -> str:
-    """Graphviz digraph; components become clusters when a contraction is
-    supplied, with condensation edges drawn bold between cluster anchors."""
+def export_dot(p: DecisionProblem, c: Contraction) -> str:
+    """Graphviz digraph with the contraction's components as clusters and
+    condensation edges drawn bold between cluster anchors."""
     lines = ["digraph decision_problem {"]
     labels = [_dot_quote(label) for label in p.labels]
-    if c is None:
-        for x in range(p.n):
-            lines.append(f'  a{x} [label={labels[x]}];')
-    else:
-        for i, cls in enumerate(c.classes):
-            xs = members(cls)
-            if len(xs) == 1:
-                lines.append(f'  a{xs[0]} [label={labels[xs[0]]}];')
-            else:
-                lines.append(f"  subgraph cluster_{i} {{")
-                lines.append(f'    label="component {i}";')
-                for x in xs:
-                    lines.append(f'    a{x} [label={labels[x]}];')
-                lines.append("  }")
+    for i, cls in enumerate(c.classes):
+        xs = members(cls)
+        if len(xs) == 1:
+            lines.append(f'  a{xs[0]} [label={labels[xs[0]]}];')
+        else:
+            lines.append(f"  subgraph cluster_{i} {{")
+            lines.append(f'    label="component {i}";')
+            for x in xs:
+                lines.append(f'    a{x} [label={labels[x]}];')
+            lines.append("  }")
     for x, y in sorted(p.rel.pairs()):
         lines.append(f"  a{x} -> a{y};")
-    if c is not None:
-        for i, j in sorted(c.cond.pairs()):
-            src = members(c.classes[i])[0]
-            dst = members(c.classes[j])[0]
-            lines.append(f"  a{src} -> a{dst} [style=bold, color=red, "
-                         f"ltail=cluster_{i}, lhead=cluster_{j}];")
+    for i, j in sorted(c.cond.pairs()):
+        src = members(c.classes[i])[0]
+        dst = members(c.classes[j])[0]
+        lines.append(f"  a{src} -> a{dst} [style=bold, color=red, "
+                     f"ltail=cluster_{i}, lhead=cluster_{j}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -130,9 +130,9 @@ def _passes(v, full, concept, interp, strict, closure,
     return all(omega_cols[y] & v for y in iter_bits(outside))
 
 
-def gocha_bruteforce(p: DecisionProblem, max_n: int = SUBSET_LIMIT) -> Mask:
+def gocha_bruteforce(p: DecisionProblem) -> Mask:
     """Union of all inclusion-minimal strictly-undominated non-empty subsets."""
-    check_size(p.n, max_n, "oracle")
+    check_size(p.n, SUBSET_LIMIT, "oracle")
     strict = _strict(p.rel)
     strict_cols = strict.columns()
     undominated = [d for d in subsets(p.all_mask)
@@ -173,9 +173,9 @@ def random_problem(n: int, density: float, seed: int,
 def cross_verify(p: DecisionProblem, concept: Concept,
                  interp: SociallyInterp = SociallyInterp.RESTRICT_CLOSURE,
                  max_n: int = SUBSET_LIMIT) -> VerificationReport:
-    """Compare the constructive family with definitional enumeration."""
+    """Compare the constructive family with enumeration bounded by max_n."""
     expected = set(enumerate_solutions(p, concept, interp=interp, max_n=max_n))
-    actual = set(solve(p, concept, interp=interp, max_n=max_n))
+    actual = set(solve(p, concept, interp=interp))
     if expected == actual:
         return VerificationReport(concept, True)
     return VerificationReport(concept, False,

@@ -153,6 +153,8 @@ def transitive_closure(r: Relation) -> Relation:
     for k in range(r.n):
         bit = 1 << k
         via = rows[k]
+        if not via:  # a pivot with no successors adds nothing to any row
+            continue
         for x in range(r.n):
             if rows[x] & bit:
                 rows[x] |= via

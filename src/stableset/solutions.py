@@ -248,8 +248,7 @@ def duggan_set(p: DecisionProblem) -> Mask:
     return maximal_set(p.all_mask, trap_relation(p))
 
 
-def vnm_stable_sets(p: DecisionProblem,
-                    max_n: int = SUBSET_LIMIT) -> SolutionFamily:
+def vnm_stable_sets(p: DecisionProblem) -> SolutionFamily:
     """All stable sets under one-step strict dominance.
 
     Acyclic strict parts (every strong component a single alternative) take
@@ -260,7 +259,7 @@ def vnm_stable_sets(p: DecisionProblem,
     if len(p.components) == p.n:
         return SolutionFamily(FamilyForm.EXPLICIT, p.n,
                               explicit=(iterated_maximal(strict),))
-    check_size(p.n, max_n, "subset-search")
+    check_size(p.n, SUBSET_LIMIT, "subset-search")
     return _stable_search(p, strict, p.all_mask)
 
 
@@ -277,8 +276,8 @@ def generalized_stable_sets(p: DecisionProblem) -> SolutionFamily:
 
 
 def socially_stable_sets(p: DecisionProblem,
-                         interp: SociallyInterp = SociallyInterp.RESTRICT_CLOSURE,
-                         max_n: int = SUBSET_LIMIT) -> SolutionFamily:
+                         interp: SociallyInterp = SociallyInterp.RESTRICT_CLOSURE
+                         ) -> SolutionFamily:
     """Sets that strictly dominate every outsider and relate their own
     members only both ways: under the closure restricted to v, or under
     the closure of the strict digraph on v.
@@ -289,7 +288,7 @@ def socially_stable_sets(p: DecisionProblem,
     restriction has no such confinement; its members avoid the trap
     relation, whose edges join strong components and so lie on no cycle.
     """
-    check_size(p.n, max_n, "subset-search")
+    check_size(p.n, SUBSET_LIMIT, "subset-search")
     if interp is SociallyInterp.RESTRICT_CLOSURE:
         return _stable_search(p, asymmetric_part(p.closure), schwartz_set(p))
     return _stable_search(p, trap_relation(p), p.all_mask, cyclic=True)
@@ -471,15 +470,15 @@ def top_pairgenerators(p: DecisionProblem) -> Mask:
 
 
 def solve(p: DecisionProblem, concept: Concept,
-          interp: SociallyInterp = SociallyInterp.RESTRICT_CLOSURE,
-          max_n: int = SUBSET_LIMIT) -> SolutionFamily:
+          interp: SociallyInterp = SociallyInterp.RESTRICT_CLOSURE
+          ) -> SolutionFamily:
     """Dispatch a family-producing concept by tag."""
     if concept is Concept.VNM:
-        return vnm_stable_sets(p, max_n=max_n)
+        return vnm_stable_sets(p)
     if concept is Concept.GENERALIZED:
         return generalized_stable_sets(p)
     if concept is Concept.SOCIALLY:
-        return socially_stable_sets(p, interp=interp, max_n=max_n)
+        return socially_stable_sets(p, interp=interp)
     if concept is Concept.M_STABLE:
         return m_stable_sets(p)
     if concept is Concept.W_STABLE:

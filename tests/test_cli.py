@@ -84,9 +84,9 @@ class TestParsing:
         p = DecisionProblem.from_edges(4, [(0, 1), (1, 2), (2, 0)],
                                        labels=['a"b', "c\\d", "e", 'f\\"'])
         quoted = ['"a\\"b"', '"c\\\\d"', '"e"', '"f\\\\\\""']
-        for dot in (export_dot(p), export_dot(p, equipotence_classes(p))):
-            for x, label in enumerate(quoted):
-                assert f"a{x} [label={label}];" in dot
+        dot = export_dot(p, equipotence_classes(p))
+        for x, label in enumerate(quoted):
+            assert f"a{x} [label={label}];" in dot
 
     def test_alternative_count_ceiling(self):
         for template in ('{"n": %d, "edges": []}', "# header\n%d\n"):
@@ -323,23 +323,36 @@ class TestExitCodes:
                         "--input", str(path)]) == 1
 
     def test_oracle_ceiling(self, capsys, tmp_path):
+        """The brute-force Schwartz route answers a 12-cycle and refuses a
+        13-cycle at the fixed oracle ceiling."""
         path = tmp_path / "cyc.txt"
-        path.write_text("3\n0 1\n1 2\n2 0\n")
-        assert run_cli(["solve", "--concept", "vnm", "--input", str(path),
-                        "--max-n", "2"]) == 1
+        argv = ["solve", "--concept", "schwartz", "--method", "brute",
+                "--input", str(path)]
+        path.write_text(cycle_document(12))
+        assert run_cli(argv) == 0
+        assert json.loads(capsys.readouterr().out)["set"] == list(range(12))
+        path.write_text(cycle_document(13))
+        assert run_cli(argv) == 1
+        assert capsys.readouterr().err == \
+            "error: n=13 exceeds oracle ceiling 12\n"
 
     @pytest.mark.parametrize("extra", [["--concept", "vnm"],
                                        ["--concept", "sss"],
                                        ["--concept", "schwartz",
-                                        "--method", "brute"]])
+                                        "--method", "brute"],
+                                       ["--concept", "sss", "--interp",
+                                        "closure_of_restriction"]])
     def test_max_n_moves_the_subset_ceiling(self, extra, capsys, tmp_path):
         path = tmp_path / "cyc13.txt"
-        path.write_text("13\n" + "".join(f"{x} {(x + 1) % 13}\n"
-                                         for x in range(13)))
+        path.write_text(cycle_document(13))
         argv = ["solve", "--input", str(path)] + extra
         assert run_cli(argv) == 1
         assert "exceeds" in capsys.readouterr().err
-        assert run_cli(argv + ["--max-n", "13"]) == 0
+
+
+def cycle_document(n):
+    """An edge-list document of the directed n-cycle."""
+    return f"{n}\n" + "".join(f"{x} {(x + 1) % n}\n" for x in range(n))
 
 
 INPUT = "{input}"
@@ -374,6 +387,10 @@ BAD_ARGUMENTS = [
                  id="missing-required-argument"),
     pytest.param(["contract", "--input", INPUT, "--bogus"], {}, CYCLE,
                  id="unrecognized-argument"),
+    # No option moves a size ceiling, so no document can ask for 2^40 steps.
+    pytest.param(["solve", "--concept", "schwartz", "--method", "brute",
+                  "--input", INPUT, "--max-n", "40"], {}, cycle_document(40),
+                 id="solve-max-n-40"),
 ]
 
 

@@ -77,11 +77,6 @@ class TestExtendedDominance:
         assert sorted(extended_dominance(CHAIN).pairs()) == \
             [(0, 1), (0, 2), (1, 2)]
 
-    def test_literal_variant_keeps_cycle_pairs(self):
-        literal = extended_dominance(THREE_CYCLE, literal=True)
-        assert literal.has(0, 1) and literal.has(1, 0)
-        assert not is_acyclic(literal)
-
     def test_acyclic_on_random(self):
         for seed in range(1000):
             p = random_problem(1 + seed % 10, (0.2, 0.5, 0.8)[seed % 3], seed)

@@ -39,6 +39,14 @@ def indiscrete(n):
 
 # Reference scans, by the definitions.
 
+def ref_is_poset(leq):
+    """Reflexive, antisymmetric and transitive, checked pair by pair."""
+    rows = leq.rows
+    return (all(rows[x] >> x & 1 for x in range(leq.n))
+            and all(x == y or not rows[y] >> x & 1 for x, y in leq.pairs())
+            and all(rows[y] & ~rows[x] == 0 for x, y in leq.pairs()))
+
+
 def ref_dm_completion(p):
     """The image of the delta-closure over all 2^n subsets."""
     return tuple(sorted({delta_closure(p, a) for a in subsets(p.all_mask)}))
@@ -112,6 +120,26 @@ class TestPoset:
     def test_antisymmetry_enforced(self):
         with pytest.raises(PosetViolation):
             Poset.from_pairs(2, [(0, 1), (1, 0)])
+
+    def test_validation_matches_the_axioms(self):
+        # Raw relations with and without the diagonal, their closures, and
+        # induced orders: posets and each kind of violation all occur.
+        outcomes = set()
+        for seed in range(600):
+            p = random_problem(1 + seed % 8, (0.1, 0.3, 0.6)[seed % 3], seed)
+            reflexive = Relation(p.n, tuple(
+                row | 1 << x for x, row in enumerate(p.rel.rows)))
+            closed = transitive_closure(reflexive)
+            for leq in (p.rel, reflexive, closed, strict_poset_order(p)):
+                try:
+                    Poset(leq)
+                    outcome = "poset"
+                except PosetViolation as exc:
+                    outcome = str(exc).split(" ")[1]
+                assert (outcome == "poset") == ref_is_poset(leq), (seed, leq)
+                outcomes.add(outcome)
+        assert outcomes == {"poset", "reflexive", "antisymmetric",
+                            "transitive"}
 
 
 class TestBounds:

@@ -6,12 +6,11 @@ import pytest
 from conftest import (corpus_digraphs, corpus_tournaments,
                       product_partitions, reference_order)
 from stableset.bitset import from_members, members
-from stableset.contraction import (equipotence_classes, extended_dominance,
-                                   maximal_components)
+from stableset.contraction import equipotence_classes, maximal_components
 from stableset.errors import EmptySolution, LimitExceeded
 from stableset.fixtures import (CHAIN, CYCLE_WITH_TAIL, FIVE_CYCLE,
                                 FOUR_CYCLE, SYMMETRIC_PAIR, THREE_CYCLE)
-from stableset.oracle import (enumerate_solutions, gocha_bruteforce,
+from stableset.oracle import (_omega, enumerate_solutions, gocha_bruteforce,
                               random_problem)
 from stableset.relations import (DecisionProblem, asymmetric_part,
                                  transitive_closure)
@@ -37,7 +36,7 @@ def dominance_for(p, concept):
     if concept is Concept.EXTENDED:
         # Stability is judged against the literal relation; the acyclic
         # component-level variant would leave same-class pairs undominated.
-        return extended_dominance(p, literal=True)
+        return _omega(p, literal=True)
     return p.closure
 
 
@@ -98,8 +97,17 @@ class TestVnm:
         assert fam(family) == [(0,)]
 
     def test_limit(self):
-        with pytest.raises(LimitExceeded):
-            vnm_stable_sets(THREE_CYCLE, max_n=2)
+        """The search answers a 12-cycle and refuses a 13-cycle at the
+        fixed ceiling."""
+        assert fam(vnm_stable_sets(directed_cycle(12))) == [
+            tuple(range(0, 12, 2)), tuple(range(1, 12, 2))]
+        with pytest.raises(LimitExceeded,
+                           match="n=13 exceeds subset-search ceiling 12"):
+            vnm_stable_sets(directed_cycle(13))
+
+
+def directed_cycle(n):
+    return DecisionProblem.from_edges(n, [(x, (x + 1) % n) for x in range(n)])
 
 
 # The three searched routes: (concept, socially reading).
