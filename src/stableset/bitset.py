@@ -26,6 +26,20 @@ def iter_bits(mask: Mask) -> Iterator[int]:
         mask ^= low
 
 
+def reach(start: Mask, rel: tuple[Mask, ...], v: Mask) -> Mask:
+    """start plus everything it reaches along the rows `rel` inside v."""
+    seen = frontier = start
+    while frontier:
+        step = 0
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            step |= rel[low.bit_length() - 1]
+        frontier = step & v & ~seen
+        seen |= frontier
+    return seen
+
+
 def full_mask(n: int) -> Mask:
     return (1 << n) - 1
 

@@ -140,11 +140,11 @@ def _build_parser() -> argparse.ArgumentParser:
                         choices=["dm", "frink", "precont", "excluded", "t1",
                                  "nachbin"])
     p_topo.add_argument("--input", required=True)
-    p_topo.add_argument("--excluded", type=_indices, default=None,
-                        help="comma-separated indices generating the topology")
-    p_topo.add_argument("--generator",
-                        choices=["schwartz", "duggan", "wss", "mss"],
-                        default="schwartz")
+    generating = p_topo.add_mutually_exclusive_group()
+    generating.add_argument("--excluded", type=_indices,
+                            help="comma-separated excluded indices")
+    generating.add_argument("--generator", help="default: schwartz",
+                            choices=["schwartz", "duggan", "wss", "mss"])
 
     p_random = sub.add_parser("random")
     p_random.add_argument("--n", type=_alternative_count, required=True)
@@ -160,14 +160,15 @@ def _load(path: str) -> DecisionProblem:
 
 
 def _read_text(path: str) -> str:
-    """The UTF-8 document at path, read up to one byte past the limit; its
-    bytes are freed before it is parsed."""
+    """The UTF-8 document at path, less any byte-order mark, read up to one
+    byte past the limit; its bytes are freed before it is parsed."""
     with open(path, "rb") as f:
         data = f.read(sio.BYTE_LIMIT + 1)
     if len(data) > sio.BYTE_LIMIT:
         raise ParseError(f"document exceeds {sio.BYTE_LIMIT} bytes")
     try:
-        return data.decode("utf-8")
+        # Not the utf-8-sig codec: its error offsets skip the mark's 3 bytes.
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ParseError(
             f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
@@ -245,8 +246,7 @@ def _cmd_contract(args) -> int:
 
 def _strict_for_generator(p: DecisionProblem, generator: str):
     if generator == "duggan":
-        trap = trap_relation(p)
-        return transitive_closure(trap)
+        return transitive_closure(trap_relation(p))
     return asymmetric_part(p.closure)
 
 
@@ -259,13 +259,19 @@ def _generator_set(p: DecisionProblem, generator: str) -> int:
     return next(iter(family), 0)
 
 
-def _excluded_set(p: DecisionProblem, args) -> int:
-    if args.excluded is None:
-        return _generator_set(p, args.generator)
-    return from_members(args.excluded)
+# The options each topology check reads; giving it another is a usage error.
+_TOPOLOGY_OPTIONS = {"excluded": ("excluded", "generator"),
+                     "t1": ("generator",), "nachbin": ("excluded", "generator")}
 
 
 def _cmd_topology(args) -> int:
+    for option in ("excluded", "generator"):
+        if (getattr(args, option) is not None
+                and option not in _TOPOLOGY_OPTIONS.get(args.check, ())):
+            sys.stderr.write(f"usage error: --{option} does not apply to "
+                             f"--check {args.check}\n")
+            return EXIT_USAGE
+    generator = args.generator or "schwartz"
     p = _load(args.input)
     if args.excluded is not None and max(args.excluded) >= p.n:
         sys.stderr.write(f"usage error: --excluded: index out of range "
@@ -274,6 +280,10 @@ def _cmd_topology(args) -> int:
     doc: dict = {"check": args.check}
     if args.check in ("dm", "frink", "precont", "nachbin"):
         poset = Poset(strict_poset_order(p))
+    if args.check in ("excluded", "t1", "nachbin"):
+        excluded = (_generator_set(p, generator) if args.excluded is None
+                    else from_members(args.excluded))
+        top = excluded_set_topology(p.n, excluded)
     if args.check == "dm":
         doc["cuts"] = [list(members(c)) for c in dm_completion(poset).cuts]
     elif args.check == "frink":
@@ -281,20 +291,15 @@ def _cmd_topology(args) -> int:
     elif args.check == "precont":
         doc["precontinuous"] = is_precontinuous(poset)
     elif args.check == "excluded":
-        excluded = _excluded_set(p, args)
         doc["excluded"] = list(members(excluded))
-        doc["open_count"] = excluded_set_topology(p.n, excluded).open_count
+        doc["open_count"] = top.open_count
         # A finite space is compact: the full set covers any open cover.
         doc["compact_subcover"] = [list(range(p.n))]
     elif args.check == "t1":
-        excluded = _generator_set(p, args.generator)
-        top = excluded_set_topology(p.n, excluded)
-        strict = _strict_for_generator(p, args.generator)
-        doc["generator"] = args.generator
-        doc["separated"] = weak_t1_separation(top, strict)
+        doc["generator"] = generator
+        doc["separated"] = weak_t1_separation(
+            top, _strict_for_generator(p, generator))
     else:  # nachbin
-        excluded = _excluded_set(p, args)
-        top = excluded_set_topology(p.n, excluded)
         doc["nachbin_closed"] = nachbin_closed(top, poset.leq)
     sio.write_document(sys.stdout, doc)
     return EXIT_OK
@@ -332,3 +337,7 @@ def run_cli(argv=None) -> int:
 
 def main():  # console entry point
     raise SystemExit(run_cli())
+
+
+if __name__ == "__main__":
+    main()

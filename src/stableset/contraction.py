@@ -5,8 +5,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitset import Mask, iter_bits
-from .relations import DecisionProblem, Relation, iterated_maximal
+from .bitset import Mask, full_mask, iter_bits
+from .relations import DecisionProblem, Relation, iterated_maximal, maximal_set
 
 
 @dataclass(frozen=True)
@@ -76,35 +76,32 @@ def equipotence_classes(p: DecisionProblem) -> Contraction:
 def _topological_order(k: int, rows: list[Mask]) -> list[int]:
     """Kahn's algorithm; sources (undominated classes) come first.
 
-    Ties break by ascending class index for deterministic output.
+    Ties break by ascending class index for deterministic output: the next
+    class is the lowest bit of the ready mask, and a class becomes ready
+    once every class dominating it is placed.
     """
-    indeg = [0] * k
-    for i in range(k):
-        for j in iter_bits(rows[i]):
-            indeg[j] += 1
-    ready = [i for i in range(k) if indeg[i] == 0]
+    cols = Relation(k, tuple(rows)).columns()
+    placed = 0
+    ready = sum(1 << i for i in range(k) if not cols[i])
     out: list[int] = []
     while ready:
-        ready.sort()
-        i = ready.pop(0)
+        low = ready & -ready
+        i = low.bit_length() - 1
         out.append(i)
+        placed |= low
+        ready ^= low
         for j in iter_bits(rows[i]):
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                ready.append(j)
+            if not cols[j] & ~placed:
+                ready |= 1 << j
     if len(out) != k:
         raise AssertionError("condensation relation is cyclic")
     return out
 
 
 def maximal_components(c: Contraction) -> Mask:
-    """Class indices with no incoming condensation edge; never empty."""
-    cols = c.cond.columns()
-    out = 0
-    for i in range(c.k):
-        if cols[i] == 0:
-            out |= 1 << i
-    return out
+    """Class indices with no incoming condensation edge; never empty.  The
+    condensation is acyclic, so these are its weakly maximal classes."""
+    return maximal_set(full_mask(c.k), c.cond)
 
 
 def extended_dominance(p: DecisionProblem) -> Relation:

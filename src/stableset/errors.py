@@ -39,6 +39,6 @@ class ParseError(StablesetError):
 class LoopEdge(ParseError):
     """An instance document contained a reflexive edge."""
 
-    def __init__(self, index: int):
-        super().__init__(f"loop edge at alternative {index}")
+    def __init__(self, index: int, line: int | None = None):
+        super().__init__(f"loop edge at alternative {index}", line=line)
         self.index = index

@@ -68,20 +68,19 @@ def _parse_json(text: str) -> DecisionProblem:
     edges = doc.get("edges", [])
     if not isinstance(edges, list):
         raise ParseError("'edges' must be a list of [u, v] pairs")
-    rows = _edge_rows(edges, n)
-    if rows is None:
+    rel = _edge_relation(edges, n)
+    if rel is None:
         # Only reached on a bad document: find and name the first bad edge.
         for e in edges:
             if (not isinstance(e, (list, tuple)) or len(e) != 2
                     or not all(type(v) is int for v in e)):
                 raise ParseError(f"malformed edge {e!r}")
             _check_edge(e[0], e[1], n)
-    return DecisionProblem(Relation(n, tuple(rows)),
-                           tuple(str(x) for x in labels) if labels else ())
+    return DecisionProblem(rel, tuple(str(x) for x in labels) if labels else ())
 
 
-def _edge_rows(edges: list, n: int) -> list[Mask] | None:
-    """Adjacency rows of the edges, or None unless every edge is a pair of
+def _edge_relation(edges: list, n: int) -> Relation | None:
+    """The relation the edges list, or None unless every edge is a pair of
     distinct ints in range(n).
 
     The checks are C-level passes over the edges and their flattened
@@ -95,12 +94,8 @@ def _edge_rows(edges: list, n: int) -> list[Mask] | None:
     if ends and not (set(map(type, ends)) == {int}
                      and min(ends) >= 0 and max(ends) < n):
         return None
-    rows = [0] * n
-    for u, v in edges:
-        rows[u] |= 1 << v
-    if any(row >> x & 1 for x, row in enumerate(rows)):
-        return None
-    return rows
+    rel = Relation.from_pairs(n, edges)
+    return rel if rel.is_irreflexive() else None
 
 
 def _parse_edge_list(text: str) -> DecisionProblem:
@@ -130,7 +125,7 @@ def _parse_edge_list(text: str) -> DecisionProblem:
             u, v = int(fields[0]), int(fields[1])
         except ValueError:
             raise ParseError(f"non-integer edge {line!r}", line=lineno) from None
-        _check_edge(u, v, header)
+        _check_edge(u, v, header, lineno)
         edges.append((u, v))
     if header is None:
         raise ParseError("empty instance document")
@@ -144,11 +139,11 @@ def _check_count(n: int, line: int | None = None):
         raise ParseError(str(exc), line=line) from None
 
 
-def _check_edge(u: int, v: int, n: int):
+def _check_edge(u: int, v: int, n: int, line: int | None = None):
     if not (0 <= u < n and 0 <= v < n):
-        raise ParseError(f"edge ({u},{v}) out of range for n={n}")
+        raise ParseError(f"edge ({u},{v}) out of range for n={n}", line=line)
     if u == v:
-        raise LoopEdge(u)
+        raise LoopEdge(u, line=line)
 
 
 def serialize_instance(p: DecisionProblem) -> str:

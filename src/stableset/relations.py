@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator
 
-from .bitset import Mask, full_mask, iter_bits
+from .bitset import Mask, full_mask, iter_bits, reach
 from .errors import EmptyGround
 
 
@@ -190,18 +190,10 @@ def strong_components(r: Relation) -> tuple[Mask, ...]:
     unassigned = full_mask(r.n)
     comps: list[Mask] = []
     for x in reversed(finished):
-        if not unassigned >> x & 1:
-            continue
-        comp = frontier = 1 << x
-        unassigned ^= frontier
-        while frontier:
-            reach = 0
-            for y in iter_bits(frontier):
-                reach |= cols[y]
-            frontier = reach & unassigned
-            unassigned ^= frontier
-            comp |= frontier
-        comps.append(comp)
+        if unassigned >> x & 1:
+            comp = reach(1 << x, cols, unassigned)
+            unassigned ^= comp
+            comps.append(comp)
     comps.sort(key=lambda comp: comp & -comp)
     return tuple(comps)
 
@@ -223,16 +215,13 @@ def iterated_maximal(r: Relation) -> Mask:
     """The unique stable set of an acyclic relation.
 
     Keep the undominated members, drop everything they dominate in one step,
-    repeat on the remainder.
+    repeat on the remainder.  A layer is the remainder's `maximal_set`: r is
+    acyclic, so its weakly maximal members are its undominated ones.
     """
-    cols = r.columns()
     remaining = full_mask(r.n)
     chosen = 0
     while remaining:
-        layer = 0
-        for x in iter_bits(remaining):
-            if cols[x] & remaining == 0:
-                layer |= 1 << x
+        layer = maximal_set(remaining, r)
         dominated = 0
         for x in iter_bits(layer):
             dominated |= r.rows[x]

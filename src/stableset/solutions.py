@@ -17,12 +17,12 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from .bitset import Mask, iter_bits, subsets
+from .bitset import Mask, iter_bits, reach, subsets
 from .contraction import (condensation_stable_set, equipotence_classes,
                           maximal_components)
 from .errors import EmptySolution, check_size
-from .relations import (DecisionProblem, Relation, asymmetric_part,
-                        iterated_maximal, maximal_set, trap_relation)
+from .relations import (DecisionProblem, Relation, iterated_maximal,
+                        maximal_set, trap_relation)
 
 # Largest n for the VNM and socially stable searches (exponential in the
 # worst case) and for the oracle's 2^n definitional checks.
@@ -284,13 +284,15 @@ def socially_stable_sets(p: DecisionProblem,
 
     Restrict-closure members avoid one-way closure pairs and lie in the
     Schwartz set (each undominated component meets v, and nothing it
-    reaches reaches back), so only that set is searched.  Closure of
+    reaches reaches back), so only that set is searched.  Nothing in it
+    conflicts: a path between two undominated components would enter one
+    from outside, so there x reaching y means y reaches x.  Closure of
     restriction has no such confinement; its members avoid the trap
     relation, whose edges join strong components and so lie on no cycle.
     """
     check_size(p.n, SUBSET_LIMIT, "subset-search")
     if interp is SociallyInterp.RESTRICT_CLOSURE:
-        return _stable_search(p, asymmetric_part(p.closure), schwartz_set(p))
+        return _stable_search(p, Relation.empty(p.n), schwartz_set(p))
     return _stable_search(p, trap_relation(p), p.all_mask, cyclic=True)
 
 
@@ -369,25 +371,11 @@ def _closed_inside(v: Mask, rows: tuple[Mask, ...],
     rest = v
     while rest:
         start = rest & -rest
-        ahead = _reach(start, rows, v)
-        if _reach(start, cols, v) != ahead:
+        ahead = reach(start, rows, v)
+        if reach(start, cols, v) != ahead:
             return False
         rest &= ~ahead
     return True
-
-
-def _reach(start: Mask, rel: tuple[Mask, ...], v: Mask) -> Mask:
-    """start plus everything it reaches along rel inside v."""
-    seen = frontier = start
-    while frontier:
-        step = 0
-        while frontier:
-            low = frontier & -frontier
-            frontier ^= low
-            step |= rel[low.bit_length() - 1]
-        frontier = step & v & ~seen
-        seen |= frontier
-    return seen
 
 
 def m_stable_sets(p: DecisionProblem) -> SolutionFamily:

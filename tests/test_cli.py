@@ -1,11 +1,14 @@
 import json
 import os
 import random
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import stableset
 from stableset.cli import run_cli
 from stableset.errors import LoopEdge, ParseError
 from stableset.fixtures import CYCLE_WITH_TAIL
@@ -62,6 +65,13 @@ class TestParsing:
             parse_instance("2\n0 5\n")
         with pytest.raises(ParseError):
             parse_instance('{"edges": []}')
+        with pytest.raises(ParseError,
+                           match=r"^line 3: edge \(1,7\) out of range for n=3$"):
+            parse_instance("3\n0 1\n1 7\n")
+        with pytest.raises(LoopEdge) as exc:
+            parse_instance("3\n0 1\n\n1 1\n")
+        assert exc.value.line == 4 and exc.value.index == 1
+        assert str(exc.value) == "line 4: loop edge at alternative 1"
 
     def test_round_trip_fuzz(self):
         for seed in range(100):
@@ -306,6 +316,17 @@ class TestRandomCommand:
         b = run(capsys, "random", "--n", "5", "--seed", "9")[1]
         assert a == b
 
+    def test_runs_as_a_module(self):
+        src = str(Path(stableset.__file__).parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        done = subprocess.run(
+            [sys.executable, "-m", "stableset.cli", "random", "--n", "3",
+             "--seed", "1"], capture_output=True, text=True, env=env,
+            timeout=60)
+        assert done.returncode == 0 and done.stderr == ""
+        assert parse_instance(done.stdout).rel == random_problem(3, 0.5, 1).rel
+
 
 class TestExitCodes:
     def test_usage_error(self, capsys):
@@ -357,6 +378,17 @@ def cycle_document(n):
 
 INPUT = "{input}"
 CYCLE = "3\n0 1\n1 2\n2 0\n"
+# Topology options a check does not read, or that contradict each other.
+UNREAD_TOPOLOGY_OPTIONS = [
+    (check, options)
+    for check in ("dm", "frink", "precont")
+    for options in (["--excluded", "0"], ["--generator", "duggan"])
+] + [
+    ("t1", ["--excluded", "0"]),
+    ("excluded", ["--excluded", "0", "--generator", "duggan"]),
+    ("nachbin", ["--excluded", "0", "--generator", "schwartz"]),
+    ("t1", ["--excluded", "0", "--generator", "wss"]),
+]
 BAD_ARGUMENTS = [
     pytest.param(["solve", "--concept", "core", "--input", INPUT], {},
                  '{"n": true, "edges": []}', id="json-n-boolean"),
@@ -391,6 +423,11 @@ BAD_ARGUMENTS = [
     pytest.param(["solve", "--concept", "schwartz", "--method", "brute",
                   "--input", INPUT, "--max-n", "40"], {}, cycle_document(40),
                  id="solve-max-n-40"),
+] + [
+    pytest.param(["topology", "--check", check, "--input", INPUT] + options,
+                 {}, CYCLE, id="-".join(["topology", check]
+                                        + [o.lstrip("-") for o in options]))
+    for check, options in UNREAD_TOPOLOGY_OPTIONS
 ]
 
 
@@ -411,6 +448,16 @@ class TestInputContract:
         assert captured.out == ""
         assert "Traceback" not in captured.err
         assert captured.err.count("\n") == 1, captured.err
+
+    def test_topology_options_a_check_does_not_read(self, tmp_path, capsys):
+        path = tmp_path / "instance.txt"
+        path.write_text(CYCLE)
+        for check, options in UNREAD_TOPOLOGY_OPTIONS:
+            code = run_cli(["topology", "--check", check, "--input",
+                            str(path)] + options)
+            captured = capsys.readouterr()
+            assert code == 64 and captured.out == "", (check, options)
+            assert captured.err.startswith("usage error: ")
 
     @pytest.mark.skipif(not Path("/dev/zero").exists(),
                         reason="no /dev/zero")
@@ -466,7 +513,7 @@ class TestInputContract:
         assert run_cli(["topology", "--check", "dm", "--input", path]) == 0
         assert len(json.loads(capsys.readouterr().out)["cuts"]) == CUT_LIMIT
         path = crown(CUT_LIMIT - 2 ** 10 + 1)
-        for check in ("dm", "frink", "precont"):
+        for check in ("dm", "frink"):
             started = time.perf_counter()
             code = run_cli(["topology", "--check", check, "--input", path])
             captured = capsys.readouterr()
@@ -474,6 +521,30 @@ class TestInputContract:
             assert code == 1 and captured.out == ""
             assert captured.err == (f"error: cuts={CUT_LIMIT + 1} exceeds "
                                     f"cut-completion ceiling {CUT_LIMIT}\n")
+        # Precontinuity holds on every finite poset and lists no cuts, so
+        # the cut budget does not apply to it.
+        started = time.perf_counter()
+        code = run_cli(["topology", "--check", "precont", "--input", path])
+        captured = capsys.readouterr()
+        assert time.perf_counter() - started < 1
+        assert code == 0 and captured.err == ""
+        assert json.loads(captured.out)["precontinuous"] is True
+
+    def test_byte_order_mark_is_skipped(self, tmp_path, capsys):
+        path = tmp_path / "instance.txt"
+        for text in ('{"n": 2, "edges": [[0, 1]]}', "2\n0 1\n"):
+            path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+            code = run_cli(["solve", "--concept", "core", "--input",
+                            str(path)])
+            captured = capsys.readouterr()
+            assert code == 0 and captured.err == ""
+            assert json.loads(captured.out)["set"] == [0]
+        # Byte offsets count the mark.
+        path.write_bytes(b"\xef\xbb\xbf2\n0 \xff1\n")
+        assert run_cli(["solve", "--concept", "core", "--input",
+                        str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: not UTF-8 text: invalid start byte at byte 7\n")
 
     def test_non_utf8_document(self, tmp_path, capsys):
         path = tmp_path / "instance.txt"

@@ -18,6 +18,9 @@
 - `order_topology` calls no `bitset.subsets`, and the CLI reads no
   `opens`: the lab's checks read cuts and smallest open sets, and the
   enumerating definitions live in the tests as their reference.
+- In `order_topology`, only `frink_ideals` calls `dm_completion`: the
+  checks that hold on every finite poset (precontinuity, way-below) are
+  closed forms and build no cuts.
 """
 
 import ast
@@ -127,3 +130,14 @@ def test_order_topology_scans_no_subsets():
     listed = [line for line, name in spelled(tree(SRC / "cli.py"))
               if name == "opens"]
     assert listed == [], f"cli.py lists open sets on lines {listed}"
+
+
+def test_order_topology_builds_cuts_only_to_list_them():
+    callers = {fn.name
+               for fn in ast.walk(tree(SRC / "order_topology.py"))
+               if isinstance(fn, ast.FunctionDef)
+               for node in ast.walk(fn)
+               if isinstance(node, ast.Call)
+               and any(name == "dm_completion"
+                       for _, name in spelled(node.func))}
+    assert callers == {"frink_ideals"}, sorted(callers)

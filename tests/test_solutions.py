@@ -3,7 +3,7 @@ from itertools import islice
 
 import pytest
 
-from conftest import (corpus_digraphs, corpus_tournaments,
+from conftest import (corpus_digraphs, corpus_tournaments, kernel_corpus,
                       product_partitions, reference_order)
 from stableset.bitset import from_members, members
 from stableset.contraction import equipotence_classes, maximal_components
@@ -157,6 +157,19 @@ class TestSearchAgainstOracle:
         for p, expected in searched_corpus:
             top = schwartz_set(p)
             assert all(v & ~top == 0 for v in expected[route]), p
+
+    def test_nothing_conflicts_inside_the_schwartz_set(self):
+        # The strict closure relates two members of undominated components
+        # only both ways, so the restrict-closure search needs no conflict
+        # relation and no closure.
+        for p in kernel_corpus():
+            top = schwartz_set(p)
+            one_way = asymmetric_part(p.closure)
+            assert all(row & top == 0 for x, row in enumerate(one_way.rows)
+                       if top >> x & 1), p
+        p = cyclic_problem(10, 0.5, 0)
+        socially_stable_sets(p)
+        assert "closure" not in vars(p)
 
     def test_closure_of_restriction_is_not_confined(self):
         # On the path 0 -> 1 -> 2 the Schwartz set is {0}, but {0, 2} is
