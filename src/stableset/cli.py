@@ -4,12 +4,14 @@ Subcommands: solve, verify, contract, topology, random.  Results go to
 stdout as JSON.  Exit codes: 0 success, 1 solver error, 2 oracle mismatch,
 64 usage error.  Timings are opt-in (--timings) so default output stays
 byte-stable.  `verify --max-n` is the largest trial size, at most the
-oracle's ceiling.
+oracle's ceiling.  The argument parser is built once per process, on the
+first call; each call still parses into a fresh namespace.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 
@@ -106,6 +108,7 @@ class _Parser(argparse.ArgumentParser):
         raise argparse.ArgumentError(None, message)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="stableset")
     sub = parser.add_subparsers(dest="command", required=True)

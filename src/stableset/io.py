@@ -68,7 +68,7 @@ def _parse_json(text: str) -> DecisionProblem:
     edges = doc.get("edges", [])
     if not isinstance(edges, list):
         raise ParseError("'edges' must be a list of [u, v] pairs")
-    rel = _edge_relation(edges, n)
+    rel = _edge_relation(edges, n, text)
     if rel is None:
         # Only reached on a bad document: find and name the first bad edge.
         for e in edges:
@@ -79,22 +79,29 @@ def _parse_json(text: str) -> DecisionProblem:
     return DecisionProblem(rel, tuple(str(x) for x in labels) if labels else ())
 
 
-def _edge_relation(edges: list, n: int) -> Relation | None:
+def _edge_relation(edges: list, n: int, text: str) -> Relation | None:
     """The relation the edges list, or None unless every edge is a pair of
     distinct ints in range(n).
 
-    The checks are C-level passes over the edges and their flattened
-    endpoints; ``type(v) is int`` keeps JSON booleans out.  Loops show up
-    afterwards as diagonal bits.
+    One indexed loop builds the rows.  List indexing rejects floats,
+    strings, lists, edges that are not pairs and endpoints >= n before any
+    shift.  It lets through only booleans and negative ints, and a decoded
+    document can hold those only if its text contains "-", "true" or
+    "false"; only then are the endpoints rescanned for their type and
+    sign.  Loops show up afterwards as diagonal bits.
     """
-    if edges and not (set(map(type, edges)) == {list}
-                      and set(map(len, edges)) == {2}):
+    bits = [1 << y for y in range(n)]
+    rows = [0] * n
+    try:
+        for x, y in edges:
+            rows[x] |= bits[y]
+    except (TypeError, ValueError, IndexError):
         return None
-    ends = list(chain.from_iterable(edges))
-    if ends and not (set(map(type, ends)) == {int}
-                     and min(ends) >= 0 and max(ends) < n):
-        return None
-    rel = Relation.from_pairs(n, edges)
+    if "-" in text or "true" in text or "false" in text:
+        ends = list(chain.from_iterable(edges))
+        if ends and not (set(map(type, ends)) == {int} and min(ends) >= 0):
+            return None
+    rel = Relation(n, tuple(rows))
     return rel if rel.is_irreflexive() else None
 
 

@@ -4,12 +4,13 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import stableset
-from stableset.cli import run_cli
+from stableset.cli import _build_parser, run_cli
 from stableset.errors import LoopEdge, ParseError
 from stableset.fixtures import CYCLE_WITH_TAIL
 from stableset.io import (BYTE_LIMIT, PARSE_LIMIT, export_dot,
@@ -138,14 +139,18 @@ def per_edge_parse(text):
 
 BAD_EDGES = (5, "01", None, {"u": 0}, [], [0], [0, 1, 2], [0, 1.0], [0.5, 1],
              [0, "1"], [True, False], [0, True], [-1, 0], [0, -2], "n", "n+",
-             "loop")
+             "loop", [0, 10 ** 12])
+# Label words whose presence in the text makes the parser rescan endpoints
+# for booleans and negative ints.
+RESCAN_WORDS = ("-", "true", "false")
 
 
 class TestJsonParserEquivalence:
     """The C-level fast path raises what the per-edge check raises."""
 
-    def documents(self, seed):
-        """Seeded valid edge lists with one to three bad edges planted."""
+    def documents(self, seed, word=None):
+        """Seeded valid edge lists with one to three bad edges planted; with
+        a word, every label holds it."""
         rng = random.Random(seed)
         n = rng.randint(2, 40)
         edges = [[u, v] for u in range(n) for v in range(n)
@@ -161,17 +166,16 @@ class TestJsonParserEquivalence:
                 x = rng.randrange(n)
                 bad = [x, x]
             edges.insert(rng.randint(0, len(edges)), bad)
-        return json.dumps({"n": n, "edges": edges})
+        return labelled({"n": n, "edges": edges}, word)
 
     def test_bad_documents_raise_like_per_edge_check(self):
         for seed in range(400):
-            text = self.documents(seed)
-            with pytest.raises(ParseError) as expected:
-                per_edge_parse(text)
-            with pytest.raises(ParseError) as actual:
-                parse_instance(text)
-            assert type(actual.value) is type(expected.value)
-            assert str(actual.value) == str(expected.value)
+            assert_raises_like_per_edge_check(self.documents(seed))
+
+    @pytest.mark.parametrize("word", RESCAN_WORDS)
+    def test_bad_documents_with_rescan_labels(self, word):
+        for seed in range(100):
+            assert_raises_like_per_edge_check(self.documents(seed, word))
 
     def test_bad_edge_after_many_good_ones(self):
         good = [[u, v] for u in range(60) for v in range(60) if u != v]
@@ -179,13 +183,8 @@ class TestJsonParserEquivalence:
         for bad in BAD_EDGES:
             if isinstance(bad, str):
                 bad = concrete.get(bad, bad)
-            text = json.dumps({"n": 60, "edges": good + [bad]})
-            with pytest.raises(ParseError) as expected:
-                per_edge_parse(text)
-            with pytest.raises(ParseError) as actual:
-                parse_instance(text)
-            assert type(actual.value) is type(expected.value)
-            assert str(actual.value) == str(expected.value)
+            assert_raises_like_per_edge_check(
+                json.dumps({"n": 60, "edges": good + [bad]}))
 
     def test_valid_documents_round_trip(self):
         for seed in range(200):
@@ -198,6 +197,57 @@ class TestJsonParserEquivalence:
             p = parse_instance(json.dumps({"n": n, "edges": edges}))
             assert p.rel == per_edge_parse(json.dumps({"n": n, "edges": edges}))
             assert parse_instance(serialize_instance(p)).rel == p.rel
+
+    @pytest.mark.parametrize("word", RESCAN_WORDS)
+    def test_valid_documents_with_rescan_labels(self, word):
+        for seed in range(100):
+            rng = random.Random(seed)
+            n = rng.randint(1, 40)
+            edges = [[u, v] for u in range(n) for v in range(n)
+                     if u != v and rng.random() < rng.random()]
+            text = labelled({"n": n, "edges": edges}, word)
+            p = parse_instance(text)
+            assert p.rel == per_edge_parse(text)
+            assert p.labels == tuple(f"{word}{x}" for x in range(n))
+
+    def test_negative_zero_endpoint(self):
+        text = '{"n": 3, "edges": [[-0, 1], [2, -0]]}'
+        assert parse_instance(text).rel == per_edge_parse(text) == \
+            Relation.from_pairs(3, [(0, 1), (2, 0)])
+
+    def test_huge_endpoint_fails_before_any_shift(self):
+        """A shift by 10**12 would ask for 125 GB; the range check comes
+        first."""
+        text = json.dumps({"n": 3, "edges": [[0, 1], [0, 10 ** 12]]})
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError, match=r"^edge \(0,1000000000000\) "
+                                                 r"out of range for n=3$"):
+                parse_instance(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_from_pairs_refuses_a_negative_target(self):
+        with pytest.raises(ValueError):
+            Relation.from_pairs(2, [(0, -1)])
+
+
+def assert_raises_like_per_edge_check(text):
+    with pytest.raises(ParseError) as expected:
+        per_edge_parse(text)
+    with pytest.raises(ParseError) as actual:
+        parse_instance(text)
+    assert type(actual.value) is type(expected.value)
+    assert str(actual.value) == str(expected.value)
+
+
+def labelled(doc, word):
+    """The JSON text of an instance document, with labels holding word."""
+    if word is not None:
+        doc = {**doc, "labels": [f"{word}{x}" for x in range(doc["n"])]}
+    return json.dumps(doc)
 
 
 class TestSolveCommand:
@@ -317,15 +367,56 @@ class TestRandomCommand:
         assert a == b
 
     def test_runs_as_a_module(self):
-        src = str(Path(stableset.__file__).parent.parent)
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, (src, os.environ.get("PYTHONPATH"))))}
-        done = subprocess.run(
-            [sys.executable, "-m", "stableset.cli", "random", "--n", "3",
-             "--seed", "1"], capture_output=True, text=True, env=env,
-            timeout=60)
+        done = run_module("random", "--n", "3", "--seed", "1")
         assert done.returncode == 0 and done.stderr == ""
         assert parse_instance(done.stdout).rel == random_problem(3, 0.5, 1).rel
+
+
+def run_module(*argv, **env):
+    """`python -m stableset.cli argv` in a fresh process."""
+    src = str(Path(stableset.__file__).parent.parent)
+    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, "-m", "stableset.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+class TestParserReuse:
+    """The parser is built once per process; no call sees another's
+    arguments or defaults."""
+
+    def test_each_call_answers_as_it_does_alone(self, tmp_path, capsys,
+                                                monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # help text wraps to the width
+        path = tmp_path / "tail.txt"
+        path.write_text(TAIL_EDGES)
+        calls = [
+            ["topology", "--check", "nachbin", "--input", str(path),
+             "--excluded", "0"],
+            ["topology", "--check", "t1", "--input", str(path)],
+            ["solve", "--concept", "core"],
+            ["--help"],
+            ["--help"],
+            ["solve", "--concept", "gss", "--input", str(path)],
+        ]
+        codes = []
+        for argv in calls:
+            codes.append(run_cli(argv))
+            captured = capsys.readouterr()
+            alone = run_module(*argv, COLUMNS="80")
+            assert (codes[-1], captured.out, captured.err) == \
+                (alone.returncode, alone.stdout, alone.stderr), argv
+        assert codes == [0, 0, 64, 0, 0, 0]
+
+    def test_no_value_carries_over(self):
+        parser = _build_parser()
+        first = parser.parse_args(["topology", "--check", "nachbin",
+                                   "--input", "x", "--excluded", "0"])
+        second = parser.parse_args(["topology", "--check", "t1",
+                                    "--input", "x"])
+        assert _build_parser() is parser
+        assert first.excluded == [0]
+        assert second.excluded is None and second.generator is None
 
 
 class TestExitCodes:
@@ -622,9 +713,6 @@ class TestCliFuzz:
                                   if small or ("solve", c) not in EXPONENTIAL
                                   and c not in ("vnm", "sss")])
             argv = ["solve", "--concept", concept, "--input", path]
-            if rng.random() < 0.4 and small:
-                argv += ["--max-n", rng.choice(("-1", "0", "3", "12", "40",
-                                                "x"))]
             if rng.random() < 0.3 and small:
                 argv += ["--method", rng.choice(("deb", "brute", "nope"))]
             if rng.random() < 0.2:
@@ -634,13 +722,16 @@ class TestCliFuzz:
             return ["contract", "--input", path] + (["--dot"] if rng.random()
                                                     < 0.5 else [])
         if command == "topology":
-            argv = ["topology", "--check", rng.choice(TOPOLOGY_CHECKS),
-                    "--input", path]
-            if rng.random() < 0.6:
+            check = rng.choice(TOPOLOGY_CHECKS)
+            argv = ["topology", "--check", check, "--input", path]
+            # Only the options the check reads, never both: the refusals of
+            # the others are pinned in BAD_ARGUMENTS.
+            draw = rng.random()
+            if draw < 0.6 and check in ("excluded", "nachbin"):
                 argv += ["--excluded", rng.choice((
                     "0", "1,2", "100000000000", str(10 ** 20), "-1", "", "x",
                     "0,,1", f"{10 ** 23},0", "1" * 5000))]
-            if rng.random() < 0.3:
+            elif draw >= 0.7 and check in ("excluded", "t1", "nachbin"):
                 argv += ["--generator", rng.choice(("duggan", "wss", "x"))]
             return argv
         if command == "verify":
