@@ -83,25 +83,22 @@ def _edge_relation(edges: list, n: int, text: str) -> Relation | None:
     """The relation the edges list, or None unless every edge is a pair of
     distinct ints in range(n).
 
-    One indexed loop builds the rows.  List indexing rejects floats,
+    `Relation.from_checked_pairs` builds the rows, rejecting floats,
     strings, lists, edges that are not pairs and endpoints >= n before any
     shift.  It lets through only booleans and negative ints, and a decoded
     document can hold those only if its text contains "-", "true" or
     "false"; only then are the endpoints rescanned for their type and
-    sign.  Loops show up afterwards as diagonal bits.
+    sign, which adds about a quarter to a dense document's parse.
+    Loops show up afterwards as diagonal bits.
     """
-    bits = [1 << y for y in range(n)]
-    rows = [0] * n
     try:
-        for x, y in edges:
-            rows[x] |= bits[y]
+        rel = Relation.from_checked_pairs(n, edges)
     except (TypeError, ValueError, IndexError):
         return None
     if "-" in text or "true" in text or "false" in text:
         ends = list(chain.from_iterable(edges))
         if ends and not (set(map(type, ends)) == {int} and min(ends) >= 0):
             return None
-    rel = Relation(n, tuple(rows))
     return rel if rel.is_irreflexive() else None
 
 

@@ -43,6 +43,23 @@ class Relation:
         return cls(n, tuple(rows))
 
     @classmethod
+    def from_checked_pairs(cls, n: int,
+                           pairs: Iterable[tuple[int, int]]) -> "Relation":
+        """The relation of pairs whose ends are ints known to be >= 0.
+
+        The rows are built in one loop over a table of bits, with no shift
+        per pair.  The loop raises on a pair that is not two ints or has an
+        end >= n, but a negative end counts from the back of the table and
+        a boolean counts as 0 or 1, so callers rule those out; `from_pairs`
+        raises on a negative target.
+        """
+        bits = [1 << y for y in range(n)]
+        rows = [0] * n
+        for x, y in pairs:
+            rows[x] |= bits[y]
+        return cls(n, tuple(rows))
+
+    @classmethod
     def empty(cls, n: int) -> "Relation":
         return cls(n, (0,) * n)
 
@@ -89,7 +106,9 @@ class DecisionProblem:
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]],
                    labels: Iterable[str] | None = None) -> "DecisionProblem":
-        return cls(Relation.from_pairs(n, edges), tuple(labels) if labels else ())
+        """Edges are pairs of ints in range(n)."""
+        return cls(Relation.from_checked_pairs(n, edges),
+                   tuple(labels) if labels else ())
 
     @property
     def n(self) -> int:

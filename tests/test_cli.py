@@ -229,10 +229,6 @@ class TestJsonParserEquivalence:
             tracemalloc.stop()
         assert peak < 1 << 20
 
-    def test_from_pairs_refuses_a_negative_target(self):
-        with pytest.raises(ValueError):
-            Relation.from_pairs(2, [(0, -1)])
-
 
 def assert_raises_like_per_edge_check(text):
     with pytest.raises(ParseError) as expected:

@@ -17,6 +17,24 @@ def rel(n, pairs):
     return Relation.from_pairs(n, pairs)
 
 
+class TestFromPairs:
+    def test_from_pairs_refuses_a_negative_target(self):
+        with pytest.raises(ValueError):
+            Relation.from_pairs(2, [(0, -1)])
+
+    def test_checked_pairs_give_the_same_relation(self):
+        for seed in range(100):
+            r = random_problem(1 + seed % 12, 0.5, seed).rel
+            pairs = list(r.pairs()) * 2  # duplicates collapse
+            assert Relation.from_checked_pairs(r.n, pairs) == r
+            assert Relation.from_pairs(r.n, pairs) == r
+
+    def test_checked_pairs_refuse_an_end_past_n(self):
+        for pair in ((0, 2), (2, 0)):
+            with pytest.raises(IndexError):
+                Relation.from_checked_pairs(2, [pair])
+
+
 class TestAsymmetricPart:
     def test_symmetric_pair_vanishes(self):
         assert asymmetric_part(SYMMETRIC_PAIR.rel) == Relation.empty(2)
