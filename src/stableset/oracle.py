@@ -1,10 +1,11 @@
 """Brute-force ground truth.
 
-Every check here transcribes a definition directly against the raw relation
-data, with its own strict part and closure, and never calls the constructive
-code paths in `solutions`, so that agreement between the two is evidence
-rather than tautology.  Only `cross_verify` calls `solutions.solve`, because
-comparing the two is its job.
+Every check here is a definition written as a union identity over set
+images (the union of per-element masks over each subset's members), tested
+on all 2^n subsets.  It uses its own strict part and closure and never calls
+the constructive code paths in `solutions`, so that agreement between the
+two is evidence rather than tautology.  Only `cross_verify` calls
+`solutions.solve`, because comparing the two is its job.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .bitset import Mask, iter_bits, subsets
+from .bitset import Mask, iter_bits
 from .errors import check_size
 from .relations import DecisionProblem, Relation
 from .solutions import SUBSET_LIMIT, Concept, SociallyInterp, solve
@@ -41,102 +42,93 @@ def _closure(r: Relation) -> Relation:
     return Relation(r.n, tuple(rows))
 
 
-def _omega(p: DecisionProblem, literal: bool = False) -> Relation:
-    """Extended dominance straight from its definition via equipotence.
+def _images(masks) -> list[Mask]:
+    """`images[v]` is the union of `masks[x]` over the members x of v."""
+    images = [0]
+    for mk in masks:
+        images += [u | mk for u in images]
+    return images
 
-    The default drops equipotent pairs (the acyclic reading); `literal`
-    keeps them, which is the relation stability is judged against.
-    """
+
+def _omega(p: DecisionProblem) -> Relation:
+    """Extended dominance, equipotent pairs kept: x ω y iff some z
+    equipotent to x strictly dominates some w equipotent to y, so row x is
+    the union of the classes eq[w] over w in S[eq[x]]."""
     strict = _strict(p.rel)
     closure = _closure(strict)
-    n = p.n
+    cols = closure.columns()
+    eq = [closure.rows[x] & cols[x] | 1 << x for x in range(p.n)]
+    strict_img, eq_img = _images(strict.rows), _images(eq)
+    return Relation(p.n, tuple(eq_img[strict_img[e]] for e in eq))
 
-    def equipotent(x, y):
-        return x == y or (closure.has(x, y) and closure.has(y, x))
 
-    rows = [0] * n
-    for x in range(n):
-        for y in range(n):
-            if not literal and equipotent(x, y):
-                continue
-            if any(equipotent(x, z) and strict.has(z, w) and equipotent(w, y)
-                   for z in range(n) for w in range(n)):
-                rows[x] |= 1 << y
-    return Relation(n, tuple(rows))
+def _cycles_inside(v: Mask, strict: Relation) -> bool:
+    """Every strict edge inside v lies on a cycle inside v."""
+    q = _closure(Relation(strict.n, tuple(
+        strict.rows[x] & v if v >> x & 1 else 0 for x in range(strict.n)))).rows
+    return all(q[y] >> x & 1 for x in iter_bits(v) for y in iter_bits(q[x]))
 
 
 def enumerate_solutions(p: DecisionProblem, concept: Concept,
                         interp: SociallyInterp = SociallyInterp.RESTRICT_CLOSURE,
                         max_n: int = SUBSET_LIMIT) -> list[Mask]:
     """All non-empty subsets passing the definitional stability checks,
-    in ascending bitmask order."""
+    in ascending bitmask order.
+
+    Each check is the definition as a union identity over set images, X[v]
+    being the union of the rows X[x] over the members x of v.  S is the
+    strict part, C its closure, Cᵀ the closure's columns, * drops the
+    diagonal and ω is `_omega`.  A non-empty v is stable iff
+
+        vnm  S[v] ∩ v = ∅       and  S[v] ∪ v = full
+        gss  C*[v] ∩ v = ∅      and  C*[v] ∪ v = full
+        sss  (C∖Cᵀ)[v] ∩ v = ∅  and  S[v] ∪ v = full  (restrict_closure)
+        mss  (C∖Cᵀ)[v] ∩ v = ∅  and  Cᵀ[v] ⊆ v
+        wss  C*[v] ∩ v = ∅      and  (Cᵀ∖C)[v] ⊆ v
+        ess  ω*[v] ∩ v = ∅      and  ω*[v] ∪ v = full
+
+    sss closure_of_restriction needs S[v] ∪ v = full and `_cycles_inside`;
+    (S∖Cᵀ)[v] ∩ v = ∅, no edge in v off every cycle, filters first.
+    """
     check_size(p.n, max_n, "oracle")
     strict = _strict(p.rel)
     closure = _closure(strict)
-    strict_cols = strict.columns()
-    closure_cols = closure.columns()
-    omega = _omega(p, literal=True) if concept is Concept.EXTENDED else None
+    rows, cols = closure.rows, closure.columns()
+    star = [rows[x] & ~(1 << x) for x in range(p.n)]
+    one_way = [r & ~c for r, c in zip(rows, cols)]
+    restricted = (concept is Concept.SOCIALLY
+                  and interp is SociallyInterp.CLOSURE_OF_RESTRICTION)
+    if concept is Concept.EXTENDED:
+        inner = outer = [r & ~(1 << x) for x, r in enumerate(_omega(p).rows)]
+    else:
+        inner, outer = {
+            Concept.VNM: (strict.rows, strict.rows),
+            Concept.GENERALIZED: (star, star),
+            Concept.SOCIALLY: ([r & ~c for r, c in zip(strict.rows, cols)]
+                               if restricted else one_way, strict.rows),
+            Concept.M_STABLE: (one_way, cols),
+            Concept.W_STABLE: (star, [c & ~r for r, c in zip(rows, cols)]),
+        }[concept]
+    ins = _images(inner)
+    outs = ins if outer is inner else _images(outer)
     full = p.all_mask
-    out = []
-    for v in subsets(full):
-        if v and _passes(v, full, concept, interp, strict, closure,
-                         strict_cols, closure_cols, omega):
-            out.append(v)
+    if concept is Concept.M_STABLE or concept is Concept.W_STABLE:
+        out = [v for v in range(1, full + 1)
+               if not ins[v] & v and not outs[v] & ~v]
+    else:
+        out = [v for v in range(1, full + 1)
+               if not ins[v] & v and outs[v] | v == full]
+    if restricted:
+        out = [v for v in out if _cycles_inside(v, strict)]
     return out
 
 
-def _passes(v, full, concept, interp, strict, closure,
-            strict_cols, closure_cols, omega) -> bool:
-    outside = full & ~v
-    if concept is Concept.VNM:
-        if any(strict.rows[x] & v & ~(1 << x) for x in iter_bits(v)):
-            return False
-        return all(strict_cols[y] & v for y in iter_bits(outside))
-    if concept is Concept.GENERALIZED:
-        if any(closure.rows[x] & v & ~(1 << x) for x in iter_bits(v)):
-            return False
-        return all(closure_cols[y] & v for y in iter_bits(outside))
-    if concept is Concept.SOCIALLY:
-        if interp is SociallyInterp.RESTRICT_CLOSURE:
-            q_rows = [closure.rows[x] & v if v >> x & 1 else 0
-                      for x in range(full.bit_length())]
-        else:
-            sub = Relation(strict.n, tuple(strict.rows[x] & v if v >> x & 1 else 0
-                                           for x in range(strict.n)))
-            q_rows = list(_closure(sub).rows)
-        for x in iter_bits(v):
-            for y in iter_bits(q_rows[x] & v):
-                if not q_rows[y] >> x & 1:
-                    return False
-        return all(strict_cols[y] & v for y in iter_bits(outside))
-    if concept is Concept.M_STABLE:
-        for x in iter_bits(v):
-            for y in iter_bits(closure.rows[x] & v):
-                if not closure.rows[y] >> x & 1:
-                    return False
-        return all(closure_cols[x] & outside == 0 for x in iter_bits(v))
-    if concept is Concept.W_STABLE:
-        if any(closure.rows[x] & v & ~(1 << x) for x in iter_bits(v)):
-            return False
-        for x in iter_bits(v):
-            for y in iter_bits(closure_cols[x] & outside):
-                if not closure.rows[x] >> y & 1:
-                    return False
-        return True
-    # EXTENDED
-    if any(omega.rows[x] & v & ~(1 << x) for x in iter_bits(v)):
-        return False
-    omega_cols = omega.columns()
-    return all(omega_cols[y] & v for y in iter_bits(outside))
-
-
 def gocha_bruteforce(p: DecisionProblem) -> Mask:
-    """Union of all inclusion-minimal strictly-undominated non-empty subsets."""
+    """Union of all inclusion-minimal strictly-undominated non-empty subsets;
+    d is undominated iff Sᵀ[d] ⊆ d, Sᵀ being the strict part's columns."""
     check_size(p.n, SUBSET_LIMIT, "oracle")
-    strict = _strict(p.rel)
-    strict_cols = strict.columns()
-    undominated = [d for d in subsets(p.all_mask)
-                   if d and all(strict_cols[x] & ~d == 0 for x in iter_bits(d))]
+    above = _images(_strict(p.rel).columns())
+    undominated = [d for d in range(1, len(above)) if not above[d] & ~d]
     # Ascending popcount: any non-minimal set has a minimal one strictly
     # inside it, so checking against minimals found so far suffices.
     undominated.sort(key=lambda d: (d.bit_count(), d))

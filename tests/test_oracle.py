@@ -1,16 +1,141 @@
 import pytest
 
-from stableset.bitset import from_members, members
+from conftest import corpus_digraphs, corpus_tournaments
+from stableset.bitset import from_members, iter_bits, members, subsets
 from stableset.errors import LimitExceeded
 from stableset.fixtures import (CHAIN, CYCLE_WITH_TAIL, FOUR_CYCLE,
                                 SYMMETRIC_PAIR, THREE_CYCLE)
-from stableset.oracle import (cross_verify, enumerate_solutions,
-                              gocha_bruteforce, random_problem)
+from stableset.oracle import (_closure, _omega, _strict, cross_verify,
+                              enumerate_solutions, gocha_bruteforce,
+                              random_problem)
+from stableset.relations import Relation
 from stableset.solutions import Concept, SociallyInterp
+
+ROUTES = [(concept, SociallyInterp.RESTRICT_CLOSURE) for concept in Concept] \
+    + [(Concept.SOCIALLY, SociallyInterp.CLOSURE_OF_RESTRICTION)]
 
 
 def fam(masks):
     return [members(v) for v in masks]
+
+
+# The definitions transcribed member by member, quantifier by quantifier:
+# the reference the oracle's image identities must reproduce exactly.
+
+def reference_omega(p):
+    """Literal extended dominance (equipotent pairs kept)."""
+    strict = _strict(p.rel)
+    closure = _closure(strict)
+    n = p.n
+
+    def equipotent(x, y):
+        return x == y or (closure.has(x, y) and closure.has(y, x))
+
+    rows = [0] * n
+    for x in range(n):
+        for y in range(n):
+            if any(equipotent(x, z) and strict.has(z, w) and equipotent(w, y)
+                   for z in range(n) for w in range(n)):
+                rows[x] |= 1 << y
+    return Relation(n, tuple(rows))
+
+
+def reference_solutions(p, concept, interp):
+    strict = _strict(p.rel)
+    closure = _closure(strict)
+    strict_cols = strict.columns()
+    closure_cols = closure.columns()
+    omega = reference_omega(p) if concept is Concept.EXTENDED else None
+    full = p.all_mask
+    return [v for v in subsets(full)
+            if v and reference_passes(v, full, concept, interp, strict,
+                                      closure, strict_cols, closure_cols,
+                                      omega)]
+
+
+def reference_passes(v, full, concept, interp, strict, closure,
+                     strict_cols, closure_cols, omega):
+    outside = full & ~v
+    if concept is Concept.VNM:
+        if any(strict.rows[x] & v & ~(1 << x) for x in iter_bits(v)):
+            return False
+        return all(strict_cols[y] & v for y in iter_bits(outside))
+    if concept is Concept.GENERALIZED:
+        if any(closure.rows[x] & v & ~(1 << x) for x in iter_bits(v)):
+            return False
+        return all(closure_cols[y] & v for y in iter_bits(outside))
+    if concept is Concept.SOCIALLY:
+        if interp is SociallyInterp.RESTRICT_CLOSURE:
+            q_rows = [closure.rows[x] & v if v >> x & 1 else 0
+                      for x in range(full.bit_length())]
+        else:
+            sub = Relation(strict.n, tuple(strict.rows[x] & v if v >> x & 1 else 0
+                                           for x in range(strict.n)))
+            q_rows = list(_closure(sub).rows)
+        for x in iter_bits(v):
+            for y in iter_bits(q_rows[x] & v):
+                if not q_rows[y] >> x & 1:
+                    return False
+        return all(strict_cols[y] & v for y in iter_bits(outside))
+    if concept is Concept.M_STABLE:
+        for x in iter_bits(v):
+            for y in iter_bits(closure.rows[x] & v):
+                if not closure.rows[y] >> x & 1:
+                    return False
+        return all(closure_cols[x] & outside == 0 for x in iter_bits(v))
+    if concept is Concept.W_STABLE:
+        if any(closure.rows[x] & v & ~(1 << x) for x in iter_bits(v)):
+            return False
+        for x in iter_bits(v):
+            for y in iter_bits(closure_cols[x] & outside):
+                if not closure.rows[x] >> y & 1:
+                    return False
+        return True
+    # EXTENDED
+    if any(omega.rows[x] & v & ~(1 << x) for x in iter_bits(v)):
+        return False
+    omega_cols = omega.columns()
+    return all(omega_cols[y] & v for y in iter_bits(outside))
+
+
+def reference_gocha(p):
+    strict_cols = _strict(p.rel).columns()
+    undominated = [d for d in subsets(p.all_mask)
+                   if d and all(strict_cols[x] & ~d == 0 for x in iter_bits(d))]
+    undominated.sort(key=lambda d: (d.bit_count(), d))
+    minimal = []
+    out = 0
+    for d in undominated:
+        if not any(e & ~d == 0 for e in minimal):
+            minimal.append(d)
+            out |= d
+    return out
+
+
+def assert_matches_reference(p):
+    assert _omega(p) == reference_omega(p), p
+    assert gocha_bruteforce(p) == reference_gocha(p), p
+    for concept, interp in ROUTES:
+        assert enumerate_solutions(p, concept, interp=interp) == \
+            reference_solutions(p, concept, interp), (p, concept, interp)
+
+
+class TestAgainstTranscription:
+    """The image identities equal the member-by-member definitions.  The
+    benchmark's subset-search references come from these same oracle
+    functions, so this also guards what it checks answers against."""
+
+    def test_corpus(self):
+        for p in corpus_digraphs() + corpus_tournaments():
+            assert_matches_reference(p)
+
+    @pytest.mark.parametrize("density,tournament",
+                             [(0.2, False), (0.5, False), (1.0, True)])
+    @pytest.mark.parametrize("n", [11, 12])
+    def test_seeded_at_the_ceiling(self, n, density, tournament):
+        for seed in range(2):
+            assert_matches_reference(
+                random_problem(n, density, seed, tournament=tournament))
 
 
 class TestEnumeration:

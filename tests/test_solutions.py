@@ -36,7 +36,7 @@ def dominance_for(p, concept):
     if concept is Concept.EXTENDED:
         # Stability is judged against the literal relation; the acyclic
         # component-level variant would leave same-class pairs undominated.
-        return _omega(p, literal=True)
+        return _omega(p)
     return p.closure
 
 
