@@ -5,8 +5,8 @@ from .bitset import from_members, full_mask, members
 from .contraction import (Contraction, condensation_stable_set,
                           equipotence_classes, extended_dominance,
                           maximal_components)
-from .errors import (EmptyGround, EmptySolution, LimitExceeded, LoopEdge,
-                     ParseError, PosetViolation, StablesetError)
+from .errors import (EmptyGround, LimitExceeded, LoopEdge, ParseError,
+                     PosetViolation, StablesetError)
 from .io import export_dot, parse_instance, serialize_instance
 from .oracle import (VerificationReport, cross_verify, enumerate_solutions,
                      gocha_bruteforce, random_problem)
@@ -16,13 +16,12 @@ from .order_topology import (CutLattice, ExcludedSetTopology, Poset,
                              is_precontinuous, lower_bounds, nachbin_closed,
                              upper_bounds, way_below_e, weak_t1_separation)
 from .relations import (DecisionProblem, Relation, asymmetric_part,
-                        is_acyclic, iterated_maximal, maximal_set, restrict,
+                        is_acyclic, iterated_maximal, maximal_set,
                         strict_poset_order, strong_components,
                         transitive_closure, trap_relation)
 from .solutions import (Concept, FamilyForm, SchwartzMethod, SociallyInterp,
-                        SolutionFamily, StabilityReport, core, duggan_set,
-                        extended_stable_sets, generalized_stable_sets,
-                        is_stable_set, m_stable_sets, schwartz_set,
+                        SolutionFamily, core, duggan_set, extended_stable_sets,
+                        generalized_stable_sets, m_stable_sets, schwartz_set,
                         socially_stable_sets, solve, top_pairgenerators,
                         undominated_pairs, vnm_stable_sets, w_stable_sets)
 

@@ -183,16 +183,16 @@ def _cmd_solve(args) -> int:
     doc: dict = {"concept": args.concept}
     family = None
     if args.concept == "core":
-        doc["set"] = sio.set_document(core(p))
+        doc["set"] = list(members(core(p)))
     elif args.concept == "schwartz":
         if args.method == _BRUTE:
             found = gocha_bruteforce(p)
         else:
             found = schwartz_set(p, SchwartzMethod(args.method))
-        doc["set"] = sio.set_document(found)
+        doc["set"] = list(members(found))
         doc["method"] = args.method
     elif args.concept == "duggan":
-        doc["set"] = sio.set_document(duggan_set(p))
+        doc["set"] = list(members(duggan_set(p)))
     else:
         concept = _FAMILY_CONCEPTS[args.concept]
         family = solve(p, concept, interp=SociallyInterp(args.interp))

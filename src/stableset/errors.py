@@ -9,10 +9,6 @@ class EmptyGround(StablesetError):
     """An operation received an empty carrier set."""
 
 
-class EmptySolution(StablesetError):
-    """The empty set was queried as a candidate solution."""
-
-
 class PosetViolation(StablesetError):
     """A constructed order failed a poset axiom (implementation bug)."""
 

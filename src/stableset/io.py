@@ -18,7 +18,7 @@ from typing import Optional, TextIO
 from .bitset import Mask, iter_bits, members
 from .contraction import Contraction
 from .errors import LimitExceeded, LoopEdge, ParseError, check_size
-from .relations import DecisionProblem, Relation
+from .relations import DecisionProblem, Relation, has_index_ends
 from .solutions import SolutionFamily, FamilyForm
 
 PARSE_LIMIT = 2000
@@ -88,17 +88,16 @@ def _edge_relation(edges: list, n: int, text: str) -> Relation | None:
     shift.  It lets through only booleans and negative ints, and a decoded
     document can hold those only if its text contains "-", "true" or
     "false"; only then are the endpoints rescanned for their type and
-    sign, which adds about a quarter to a dense document's parse.
-    Loops show up afterwards as diagonal bits.
+    sign by `relations.has_index_ends`, which adds about a quarter to a
+    dense document's parse.  Loops show up afterwards as diagonal bits.
     """
     try:
         rel = Relation.from_checked_pairs(n, edges)
     except (TypeError, ValueError, IndexError):
         return None
-    if "-" in text or "true" in text or "false" in text:
-        ends = list(chain.from_iterable(edges))
-        if ends and not (set(map(type, ends)) == {int} and min(ends) >= 0):
-            return None
+    if ("-" in text or "true" in text or "false" in text) \
+            and not has_index_ends(edges):
+        return None
     return rel if rel.is_irreflexive() else None
 
 
@@ -133,7 +132,7 @@ def _parse_edge_list(text: str) -> DecisionProblem:
         edges.append((u, v))
     if header is None:
         raise ParseError("empty instance document")
-    return DecisionProblem.from_edges(header, edges)
+    return DecisionProblem(Relation.from_checked_pairs(header, edges))
 
 
 def _check_count(n: int, line: int | None = None):
@@ -241,10 +240,6 @@ class _MemberLines(dict):
             close = _CLOSE
             pieces = [self[low][:-2] for low in lows]
         return _OPEN + (close + _OPEN).join(pieces) + close
-
-
-def set_document(mask: Mask) -> list[int]:
-    return list(members(mask))
 
 
 def export_dot(p: DecisionProblem, c: Contraction) -> str:

@@ -159,7 +159,7 @@ def random_problem(n: int, density: float, seed: int,
             for y in range(n):
                 if x != y and rng.random() < density:
                     pairs.append((x, y))
-    return DecisionProblem.from_edges(n, pairs)
+    return DecisionProblem(Relation.from_checked_pairs(n, pairs))
 
 
 def cross_verify(p: DecisionProblem, concept: Concept,

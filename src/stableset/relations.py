@@ -1,8 +1,8 @@
 """Finite binary-relation algebra: construction, closure, maximal sets, cycles.
 
 Relations are stored densely as one int bitmask per source index
-(``rows[x]`` has bit ``y`` set iff ``x`` relates to ``y``), so closure and
-restriction reduce to row-parallel integer arithmetic.
+(``rows[x]`` has bit ``y`` set iff ``x`` relates to ``y``), so closure
+reduces to row-parallel integer arithmetic.
 
 Derived data is computed once: a relation memoises its columns, and a
 decision problem memoises its strict part, the strict part's strong
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Iterator
 
 from .bitset import Mask, full_mask, iter_bits, reach
@@ -37,10 +38,14 @@ class Relation:
 
     @classmethod
     def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Relation":
-        rows = [0] * n
-        for x, y in pairs:
-            rows[x] |= 1 << y
-        return cls(n, tuple(rows))
+        """Raises ValueError unless every end is an int in range(n)."""
+        pairs = list(pairs)
+        try:
+            if has_index_ends(pairs):
+                return cls.from_checked_pairs(n, pairs)
+        except IndexError:
+            pass
+        raise ValueError(f"pair ends must be ints in range({n})")
 
     @classmethod
     def from_checked_pairs(cls, n: int,
@@ -50,8 +55,8 @@ class Relation:
         The rows are built in one loop over a table of bits, with no shift
         per pair.  The loop raises on a pair that is not two ints or has an
         end >= n, but a negative end counts from the back of the table and
-        a boolean counts as 0 or 1, so callers rule those out; `from_pairs`
-        raises on a negative target.
+        a boolean counts as 0 or 1, so callers rule those out, as
+        `from_pairs` does with `has_index_ends`.
         """
         bits = [1 << y for y in range(n)]
         rows = [0] * n
@@ -82,9 +87,6 @@ class Relation:
     def is_irreflexive(self) -> bool:
         return all(not self.rows[x] >> x & 1 for x in range(self.n))
 
-    def is_subrelation_of(self, other: "Relation") -> bool:
-        return all(a & ~b == 0 for a, b in zip(self.rows, other.rows))
-
 
 @dataclass(frozen=True)
 class DecisionProblem:
@@ -106,8 +108,8 @@ class DecisionProblem:
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]],
                    labels: Iterable[str] | None = None) -> "DecisionProblem":
-        """Edges are pairs of ints in range(n)."""
-        return cls(Relation.from_checked_pairs(n, edges),
+        """Edges are pairs of ints in range(n); raises ValueError otherwise."""
+        return cls(Relation.from_pairs(n, edges),
                    tuple(labels) if labels else ())
 
     @property
@@ -132,6 +134,13 @@ class DecisionProblem:
     def closure(self) -> Relation:
         """Transitive closure of the strict part, derived once."""
         return transitive_closure(self.strict)
+
+
+def has_index_ends(pairs: list) -> bool:
+    """Whether every end of the pairs is an int >= 0 and not a boolean: the
+    bad ends that `Relation.from_checked_pairs` cannot refuse by itself."""
+    ends = list(chain.from_iterable(pairs))
+    return not ends or (set(map(type, ends)) == {int} and min(ends) >= 0)
 
 
 def _transpose(n: int, rows: tuple[Mask, ...]) -> tuple[Mask, ...]:
@@ -247,12 +256,6 @@ def iterated_maximal(r: Relation) -> Mask:
         chosen |= layer
         remaining &= ~(layer | dominated)
     return chosen
-
-
-def restrict(r: Relation, xs: Mask) -> Relation:
-    """Clear every pair with an endpoint outside xs; index space is kept."""
-    return Relation(r.n, tuple(r.rows[x] & xs if xs >> x & 1 else 0
-                               for x in range(r.n)))
 
 
 def is_acyclic(r: Relation) -> bool:

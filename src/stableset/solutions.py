@@ -4,9 +4,8 @@ Every concept with a product-form characterization (generalized, m-, w-,
 extended stable sets) is built from the condensation.  VNM stable sets on
 cyclic inputs and socially stable sets have none; they are found by one
 branch-and-prune search (`_stable_search`) under the subset-search ceiling.
-The stability checker lives here as well so each family can be validated
-member by member.  The brute-force routes live in `stableset.oracle`, which
-imports this module; this module never imports the oracle.
+The brute-force routes live in `stableset.oracle`, which imports this
+module; this module never imports the oracle.
 """
 
 from __future__ import annotations
@@ -15,12 +14,12 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 from .bitset import Mask, iter_bits, reach, subsets
 from .contraction import (condensation_stable_set, equipotence_classes,
                           maximal_components)
-from .errors import EmptySolution, check_size
+from .errors import check_size
 from .relations import (DecisionProblem, Relation, iterated_maximal,
                         maximal_set, trap_relation)
 
@@ -194,40 +193,6 @@ def _pool(form: FamilyForm, comp: Mask) -> tuple[Mask, ...]:
         return (0, comp)
     picks = tuple(1 << x for x in iter_bits(comp))
     return picks if form is FamilyForm.ONE_PER_COMPONENT else (0,) + picks
-
-
-@dataclass(frozen=True)
-class StabilityReport:
-    internal_ok: bool
-    external_ok: bool
-    witness: Optional[tuple[int, ...]] = None
-
-    @property
-    def ok(self) -> bool:
-        return self.internal_ok and self.external_ok
-
-
-def is_stable_set(v: Mask, q: Relation) -> StabilityReport:
-    """Internal/external stability of v under dominance q.
-
-    Internal stability quantifies over distinct pairs only, so closure loops
-    never disqualify singletons.
-    """
-    if v == 0:
-        raise EmptySolution("the empty set is never a solution")
-    cols = q.columns()
-    outside = ((1 << q.n) - 1) & ~v
-    undominated = next((y for y in iter_bits(outside) if not cols[y] & v),
-                       None)
-    external_ok = undominated is None
-    for x in iter_bits(v):
-        bad = q.rows[x] & v & ~(1 << x)
-        if bad:
-            y = bad.bit_length() - 1
-            return StabilityReport(False, external_ok, (x, y))
-    if not external_ok:
-        return StabilityReport(True, False, (undominated,))
-    return StabilityReport(True, True)
 
 
 def core(p: DecisionProblem) -> Mask:

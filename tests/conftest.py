@@ -1,15 +1,62 @@
-"""Shared corpus builders for property and acceptance tests."""
+"""Shared test support: the small named instances, the reference stability
+checker, and the seeded corpora for property and acceptance tests."""
 
 import functools
 import itertools
 import math
 import random
+from dataclasses import dataclass
+from typing import Optional
 
 from stableset.bitset import iter_bits
 from stableset.oracle import random_problem
+from stableset.relations import DecisionProblem
 from stableset.solutions import FamilyForm
 
+THREE_CYCLE = DecisionProblem.from_edges(3, [(0, 1), (1, 2), (2, 0)])
+CHAIN = DecisionProblem.from_edges(3, [(0, 1), (1, 2), (0, 2)])
+CYCLE_WITH_TAIL = DecisionProblem.from_edges(4, [(0, 1), (1, 2), (2, 0), (0, 3)])
+FOUR_CYCLE = DecisionProblem.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+SYMMETRIC_PAIR = DecisionProblem.from_edges(2, [(0, 1), (1, 0)])
+FIVE_CYCLE = DecisionProblem.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4),
+                                            (4, 0)])
+
 DENSITIES = (0.2, 0.5, 0.8)
+
+
+@dataclass(frozen=True)
+class StabilityReport:
+    internal_ok: bool
+    external_ok: bool
+    witness: Optional[tuple[int, ...]] = None
+
+    @property
+    def ok(self) -> bool:
+        return self.internal_ok and self.external_ok
+
+
+def is_stable_set(v, q):
+    """Internal/external stability of the set v under dominance q, member by
+    member: the reference the families and `condensation_stable_set` are
+    checked against.
+
+    Internal stability quantifies over distinct pairs only, so closure loops
+    never disqualify singletons.  On a non-empty ground set the empty set
+    fails external stability.
+    """
+    cols = q.columns()
+    outside = ((1 << q.n) - 1) & ~v
+    undominated = next((y for y in iter_bits(outside) if not cols[y] & v),
+                       None)
+    external_ok = undominated is None
+    for x in iter_bits(v):
+        bad = q.rows[x] & v & ~(1 << x)
+        if bad:
+            y = bad.bit_length() - 1
+            return StabilityReport(False, external_ok, (x, y))
+    if not external_ok:
+        return StabilityReport(True, False, (undominated,))
+    return StabilityReport(True, True)
 
 
 def corpus_digraphs(count=1002, max_n=10):

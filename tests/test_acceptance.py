@@ -10,11 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from conftest import corpus_digraphs, corpus_tournaments
+from conftest import (CYCLE_WITH_TAIL, FIVE_CYCLE, FOUR_CYCLE, THREE_CYCLE,
+                      corpus_digraphs, corpus_tournaments)
 from stableset.bitset import from_members, members, subsets
 from stableset.contraction import equipotence_classes, extended_dominance
-from stableset.fixtures import (CYCLE_WITH_TAIL, FIVE_CYCLE, FOUR_CYCLE,
-                                THREE_CYCLE)
 from stableset.oracle import (cross_verify, enumerate_solutions,
                               gocha_bruteforce, random_problem)
 from stableset.order_topology import (Poset, delta_closure, dm_completion,

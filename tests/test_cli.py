@@ -10,9 +10,9 @@ from pathlib import Path
 import pytest
 
 import stableset
+from conftest import CYCLE_WITH_TAIL
 from stableset.cli import _build_parser, run_cli
 from stableset.errors import LoopEdge, ParseError
-from stableset.fixtures import CYCLE_WITH_TAIL
 from stableset.io import (BYTE_LIMIT, PARSE_LIMIT, export_dot,
                           parse_instance, serialize_instance)
 from stableset.order_topology import CUT_LIMIT

@@ -1,14 +1,12 @@
-from conftest import kernel_corpus
+from conftest import (CHAIN, CYCLE_WITH_TAIL, FOUR_CYCLE, SYMMETRIC_PAIR,
+                      THREE_CYCLE, is_stable_set, kernel_corpus)
 from stableset.bitset import iter_bits, members
 from stableset.contraction import (condensation_stable_set,
                                    equipotence_classes, extended_dominance,
                                    maximal_components)
-from stableset.fixtures import (CHAIN, CYCLE_WITH_TAIL, FOUR_CYCLE,
-                                SYMMETRIC_PAIR, THREE_CYCLE)
 from stableset.oracle import _closure, _omega, _strict, random_problem
 from stableset.relations import (Relation, asymmetric_part, is_acyclic,
                                  transitive_closure)
-from stableset.solutions import is_stable_set
 
 
 class TestEquipotenceClasses:

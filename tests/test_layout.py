@@ -21,6 +21,9 @@
 - In `order_topology`, only `frink_ideals` calls `dm_completion`: the
   checks that hold on every finite poset (precontinuity, way-below) are
   closed forms and build no cuts.
+- Every module but `__init__` and `cli` is imported by another library
+  module, not counting `__init__`: code that only tests call lives in the
+  tests.
 """
 
 import ast
@@ -60,6 +63,20 @@ def test_no_function_local_imports(path):
              for node in ast.walk(fn)
              if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert found == [], f"{path.name}: function-local import on lines {found}"
+
+
+def test_every_module_is_imported_by_the_library():
+    imported = {
+        path.stem: {name.removeprefix("stableset.").split(".")[0]
+                    for node in ast.walk(tree(path))
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    for name in import_names(node)}
+        for path in MODULES if path.stem != "__init__"}
+    unused = [path.name for path in MODULES
+              if path.stem not in ("__init__", "cli")
+              and not any(path.stem in names for stem, names in imported.items()
+                          if stem != path.stem)]
+    assert unused == [], f"modules no library module imports: {unused}"
 
 
 def test_solutions_does_not_import_oracle():

@@ -1,10 +1,9 @@
 import pytest
 
-from conftest import corpus_digraphs, corpus_tournaments
+from conftest import (CHAIN, CYCLE_WITH_TAIL, FOUR_CYCLE, SYMMETRIC_PAIR,
+                      THREE_CYCLE, corpus_digraphs, corpus_tournaments)
 from stableset.bitset import from_members, iter_bits, members, subsets
 from stableset.errors import LimitExceeded
-from stableset.fixtures import (CHAIN, CYCLE_WITH_TAIL, FOUR_CYCLE,
-                                SYMMETRIC_PAIR, THREE_CYCLE)
 from stableset.oracle import (_closure, _omega, _strict, cross_verify,
                               enumerate_solutions, gocha_bruteforce,
                               random_problem)

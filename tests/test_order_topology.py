@@ -9,9 +9,9 @@ import random
 
 import pytest
 
+from conftest import CYCLE_WITH_TAIL
 from stableset.bitset import from_members, full_mask, subsets
 from stableset.errors import PosetViolation
-from stableset.fixtures import CYCLE_WITH_TAIL
 from stableset.oracle import random_problem
 from stableset.order_topology import (Poset, delta_closure, dm_completion,
                                       excluded_set_topology, frink_ideals,

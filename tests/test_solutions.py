@@ -3,13 +3,13 @@ from itertools import islice
 
 import pytest
 
-from conftest import (corpus_digraphs, corpus_tournaments, kernel_corpus,
+from conftest import (CHAIN, CYCLE_WITH_TAIL, FIVE_CYCLE, FOUR_CYCLE,
+                      SYMMETRIC_PAIR, THREE_CYCLE, corpus_digraphs,
+                      corpus_tournaments, is_stable_set, kernel_corpus,
                       product_partitions, reference_order)
 from stableset.bitset import from_members, members
 from stableset.contraction import equipotence_classes, maximal_components
-from stableset.errors import EmptySolution, LimitExceeded
-from stableset.fixtures import (CHAIN, CYCLE_WITH_TAIL, FIVE_CYCLE,
-                                FOUR_CYCLE, SYMMETRIC_PAIR, THREE_CYCLE)
+from stableset.errors import LimitExceeded
 from stableset.oracle import (_omega, enumerate_solutions, gocha_bruteforce,
                               random_problem)
 from stableset.relations import (DecisionProblem, asymmetric_part,
@@ -18,8 +18,8 @@ from stableset.solutions import (Concept, FamilyForm, SchwartzMethod,
                                  SociallyInterp, SolutionFamily, core,
                                  duggan_set,
                                  extended_stable_sets,
-                                 generalized_stable_sets, is_stable_set,
-                                 m_stable_sets, schwartz_set,
+                                 generalized_stable_sets, m_stable_sets,
+                                 schwartz_set,
                                  socially_stable_sets, solve,
                                  top_pairgenerators, undominated_pairs,
                                  vnm_stable_sets, w_stable_sets)
@@ -54,10 +54,6 @@ class TestStabilityChecker:
     def test_closure_singleton_survives_loops(self):
         closure = transitive_closure(asymmetric_part(THREE_CYCLE.rel))
         assert is_stable_set(from_members([0]), closure).ok
-
-    def test_empty_set_rejected(self):
-        with pytest.raises(EmptySolution):
-            is_stable_set(0, asymmetric_part(CHAIN.rel))
 
 
 class TestPointSolutions:
