@@ -43,19 +43,27 @@ def parse_instance(text: str) -> DecisionProblem:
 
 
 def _parse_json(text: str) -> DecisionProblem:
-    # Decoding allocates one list per edge, which triggers cycle collections
-    # that rescan the growing document; a decoded document has no cycles.
+    # A decoded document holds one list per edge and no reference cycles.
+    # The collector's allocation count keeps rising while it is off, so
+    # turning it back on while those lists live would start a collection
+    # over all of them at the next allocation.  So it stays off until
+    # `_json_problem`, whose frame owns the document, has returned.
     collecting = gc.isenabled()
     gc.disable()
+    try:
+        return _json_problem(text)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _json_problem(text: str) -> DecisionProblem:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno) from exc
     except (ValueError, RecursionError) as exc:  # huge number, deep nesting
         raise ParseError(f"invalid JSON: {exc}") from exc
-    finally:
-        if collecting:
-            gc.enable()
     if not isinstance(doc, dict) or "n" not in doc:
         raise ParseError("instance object needs an 'n' field")
     n = doc["n"]
@@ -88,8 +96,9 @@ def _edge_relation(edges: list, n: int, text: str) -> Relation | None:
     shift.  It lets through only booleans and negative ints, and a decoded
     document can hold those only if its text contains "-", "true" or
     "false"; only then are the endpoints rescanned for their type and
-    sign by `relations.has_index_ends`, which adds about a quarter to a
-    dense document's parse.  Loops show up afterwards as diagonal bits.
+    sign by `relations.has_index_ends`, which adds about a third to a
+    dense n = 1000 document's parse.  Loops show up afterwards as diagonal
+    bits.
     """
     try:
         rel = Relation.from_checked_pairs(n, edges)
@@ -150,9 +159,13 @@ def _check_edge(u: int, v: int, n: int, line: int | None = None):
 
 
 def serialize_instance(p: DecisionProblem) -> str:
-    doc = {"n": p.n, "labels": list(p.labels),
-           "edges": sorted([x, y] for x, y in p.rel.pairs())}
-    return json.dumps(doc, sort_keys=True)
+    """`json.dumps({"n", "labels", "edges"}, sort_keys=True)` with the edges
+    as ascending [u, v] pairs, written row by row: a row lists its targets
+    in ascending order, and "edges" is the first key."""
+    rows = (", ".join(map(f"[{x}, {{}}]".format, iter_bits(row)))
+            for x, row in enumerate(p.rel.rows) if row)
+    rest = json.dumps({"labels": list(p.labels), "n": p.n}, sort_keys=True)
+    return '{"edges": [' + ", ".join(rows) + "], " + rest[1:]
 
 
 def family_document(family: SolutionFamily) -> dict:

@@ -149,16 +149,13 @@ def random_problem(n: int, density: float, seed: int,
     mixed = (seed * 1_000_003 + n * 10_007
              + round(density * 1000) * 97 + int(tournament))
     rng = random.Random(mixed)
-    pairs = []
+    draw = rng.random
     if tournament:
-        for x in range(n):
-            for y in range(x + 1, n):
-                pairs.append((x, y) if rng.random() < 0.5 else (y, x))
+        pairs = ((x, y) if draw() < 0.5 else (y, x)
+                 for x in range(n) for y in range(x + 1, n))
     else:
-        for x in range(n):
-            for y in range(n):
-                if x != y and rng.random() < density:
-                    pairs.append((x, y))
+        pairs = ((x, y) for x in range(n) for y in range(n)
+                 if x != y and draw() < density)
     return DecisionProblem(Relation.from_checked_pairs(n, pairs))
 
 

@@ -1,17 +1,22 @@
-"""The JSON writer: every document the CLI prints is the text of
-`json.dumps(doc, indent=2, sort_keys=True)` plus a newline, where a solved
-family's document is `family_document(family)`."""
+"""The JSON writer and reader: every document the CLI prints is the text
+of `json.dumps(doc, indent=2, sort_keys=True)` plus a newline, where a
+solved family's document is `family_document(family)`; an instance is
+written as `json.dumps` writes it and read without a collector pass."""
 
+import gc
 import json
 from itertools import accumulate
 from types import SimpleNamespace
 
 import pytest
 
-from conftest import product_partitions
+from conftest import kernel_corpus, product_partitions
 from stableset import io as sio
 from stableset.cli import run_cli
-from stableset.io import family_document, parse_instance
+from stableset.errors import ParseError
+from stableset.io import family_document, parse_instance, serialize_instance
+from stableset.oracle import random_problem
+from stableset.relations import DecisionProblem, Relation
 from stableset.solutions import (Concept, FamilyForm, SociallyInterp,
                                  SolutionFamily, solve)
 
@@ -185,3 +190,84 @@ class TestOtherDocuments:
         doc = {"classes": [[0, 1, 2], [3]], "condensation_edges": [[0, 1]]}
         sio.write_document(SimpleNamespace(write=writes.append), doc)
         assert writes == [json.dumps(doc, indent=2, sort_keys=True) + "\n"]
+
+
+def reference_instance_text(p):
+    """An instance document as the encoder writes it from a sorted list of
+    every [u, v] edge."""
+    doc = {"n": p.n, "labels": list(p.labels),
+           "edges": sorted([x, y] for x, y in p.rel.pairs())}
+    return json.dumps(doc, sort_keys=True)
+
+
+class TestInstanceDocuments:
+    def test_corpus(self):
+        for p in kernel_corpus():
+            assert serialize_instance(p) == reference_instance_text(p)
+
+    def test_labels_the_encoder_escapes(self):
+        labels = ['say "hi"', "back\\slash", "caf\u00e9 \u2603", "bell\x07",
+                  "-1", "tab\there"]
+        p = DecisionProblem.from_edges(6, [(0, 5), (3, 1), (5, 4)], labels)
+        text = serialize_instance(p)
+        assert text == reference_instance_text(p)
+        assert parse_instance(text).labels == tuple(labels)
+
+    @pytest.mark.parametrize("p", [
+        DecisionProblem(Relation.empty(1)),
+        DecisionProblem(Relation.empty(16)),
+        DecisionProblem(Relation(200, tuple((1 << 200) - 1 - (1 << x)
+                                            for x in range(200)))),
+    ], ids=["n1", "edgeless-n16", "complete-n200"])
+    def test_extremes(self, p):
+        assert serialize_instance(p) == reference_instance_text(p)
+
+
+DENSE_TEXT = serialize_instance(random_problem(400, 1.0, 1))  # 159,600 edges
+
+
+class TestCollectorScope:
+    """A JSON parse runs no collection: the decoded document holds one list
+    per edge and no cycles, and the collector stays off until it is freed."""
+
+    def test_no_collection_starts_inside_a_parse(self):
+        starts = []
+
+        def hook(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        assert gc.isenabled()
+        gc.collect()
+        gc.callbacks.append(hook)
+        try:
+            p = parse_instance(DENSE_TEXT)
+        finally:
+            gc.callbacks.remove(hook)
+        assert starts == []
+        assert p.n == 400 and sum(r.bit_count() for r in p.rel.rows) == 159_600
+
+    @pytest.mark.parametrize("text,bad", [
+        (DENSE_TEXT, False),
+        ('{"n": 3, "edges": [[0, 1], [1, 3]]}', True),
+        ('{"n": 3, "edges": [[0, 1], [1, 1]]}', True),
+        ('{"n": 3, "edges": [[0, 1], [1, 2]', True),
+        ('{"n": 0}', True),
+    ], ids=["good", "out-of-range", "loop", "invalid-json", "bad-n"])
+    def test_collector_state_is_restored(self, text, bad):
+        def parse():
+            if bad:
+                with pytest.raises(ParseError):
+                    parse_instance(text)
+            else:
+                parse_instance(text)
+
+        assert gc.isenabled()
+        parse()
+        assert gc.isenabled()
+        gc.disable()
+        try:
+            parse()
+            assert not gc.isenabled()
+        finally:
+            gc.enable()

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from conftest import (CHAIN, CYCLE_WITH_TAIL, FOUR_CYCLE, SYMMETRIC_PAIR,
@@ -180,7 +182,41 @@ class TestGochaBruteforce:
         assert gocha_bruteforce(SYMMETRIC_PAIR) == from_members([0, 1])
 
 
+def reference_random_rows(n, density, seed, tournament=False):
+    """The rows of `random_problem` as it drew them into a list of pairs
+    before building the relation: the same seed mix and draw order."""
+    mixed = (seed * 1_000_003 + n * 10_007
+             + round(density * 1000) * 97 + int(tournament))
+    rng = random.Random(mixed)
+    pairs = []
+    if tournament:
+        for x in range(n):
+            for y in range(x + 1, n):
+                pairs.append((x, y) if rng.random() < 0.5 else (y, x))
+    else:
+        for x in range(n):
+            for y in range(n):
+                if x != y and rng.random() < density:
+                    pairs.append((x, y))
+    rows = [0] * n
+    for x, y in pairs:
+        rows[x] |= 1 << y
+    return tuple(rows)
+
+
 class TestRandomProblem:
+    @pytest.mark.parametrize("n", [*range(1, 13), 50, 200])
+    def test_matches_the_pair_list_generator(self, n):
+        densities = [0.0, 0.2, 0.5, 1.0]
+        if n > 4:  # 4 / (n - 1) is a density only from n = 5 on
+            densities.append(4 / (n - 1))
+        for seed in range(5):
+            for density in densities:
+                assert random_problem(n, density, seed).rel.rows == \
+                    reference_random_rows(n, density, seed)
+            assert random_problem(n, 1.0, seed, tournament=True).rel.rows == \
+                reference_random_rows(n, 1.0, seed, tournament=True)
+
     def test_deterministic(self):
         a = random_problem(7, 0.5, 42)
         b = random_problem(7, 0.5, 42)
