@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 Mask = int
 
@@ -26,16 +26,21 @@ def iter_bits(mask: Mask) -> Iterator[int]:
         mask ^= low
 
 
+def image(mask: Mask, rows: Sequence[Mask]) -> Mask:
+    """The union of rows[x] over the members x of mask."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        out |= rows[low.bit_length() - 1]
+    return out
+
+
 def reach(start: Mask, rel: tuple[Mask, ...], v: Mask) -> Mask:
     """start plus everything it reaches along the rows `rel` inside v."""
     seen = frontier = start
     while frontier:
-        step = 0
-        while frontier:
-            low = frontier & -frontier
-            frontier ^= low
-            step |= rel[low.bit_length() - 1]
-        frontier = step & v & ~seen
+        frontier = image(frontier, rel) & v & ~seen
         seen |= frontier
     return seen
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitset import Mask, full_mask, iter_bits
+from .bitset import Mask, full_mask, image, iter_bits
 from .relations import DecisionProblem, Relation, iterated_maximal, maximal_set
 
 
@@ -13,9 +13,11 @@ from .relations import DecisionProblem, Relation, iterated_maximal, maximal_set
 class Contraction:
     """Partition into strong components plus the induced acyclic relation.
 
-    ``classes`` is ordered topologically for ``cond`` (dominating components
-    first), which makes the output deterministic and every condensation
-    edge ``(i, j)`` point forward, ``i < j``.
+    ``classes`` is ordered topologically for ``cond``: each component comes
+    after every component dominating it, and the next is the least-indexed
+    ready one (see `_topological_order`).  That makes the output
+    deterministic and every condensation edge ``(i, j)`` point forward,
+    ``i < j``.
     """
 
     classes: tuple[Mask, ...]
@@ -47,10 +49,7 @@ def equipotence_classes(p: DecisionProblem) -> Contraction:
     k = len(raw_classes)
     raw_cond = [0] * k
     for i, cls in enumerate(raw_classes):
-        out = 0
-        for x in iter_bits(cls):
-            out |= strict.rows[x]
-        out &= ~cls
+        out = image(cls, strict.rows) & ~cls
         row = 0
         while out:
             j = idx_of[(out & -out).bit_length() - 1]
@@ -63,22 +62,19 @@ def equipotence_classes(p: DecisionProblem) -> Contraction:
     for new_i, old_i in enumerate(order):
         rank[old_i] = new_i
     classes = tuple(raw_classes[old_i] for old_i in order)
-    cond_rows = [0] * k
-    for old_i in range(k):
-        row = 0
-        for old_j in iter_bits(raw_cond[old_i]):
-            row |= 1 << rank[old_j]
-        cond_rows[rank[old_i]] = row
+    rank_bits = [1 << r for r in rank]
+    cond_rows = tuple(image(raw_cond[old_i], rank_bits) for old_i in order)
     class_of = tuple(rank[idx_of[x]] for x in range(n))
-    return Contraction(classes, class_of, Relation(k, tuple(cond_rows)))
+    return Contraction(classes, class_of, Relation(k, cond_rows))
 
 
 def _topological_order(k: int, rows: list[Mask]) -> list[int]:
-    """Kahn's algorithm; sources (undominated classes) come first.
+    """Kahn's algorithm with the least-indexed ready class next.
 
-    Ties break by ascending class index for deterministic output: the next
-    class is the lowest bit of the ready mask, and a class becomes ready
-    once every class dominating it is placed.
+    A class becomes ready once every class dominating it is placed, and the
+    next class is the lowest bit of the ready mask, for deterministic
+    output.  Undominated classes need not come first: edges {0->1} beside
+    an isolated 2 give the order [0, 1, 2].
     """
     cols = Relation(k, tuple(rows)).columns()
     placed = 0
@@ -110,15 +106,8 @@ def extended_dominance(p: DecisionProblem) -> Relation:
     Equipotent pairs are excluded, which is what makes the relation acyclic.
     """
     c = equipotence_classes(p)
-    n = p.n
-    rows = [0] * n
-    for x in range(n):
-        i = c.class_of[x]
-        row = 0
-        for j in iter_bits(c.cond.rows[i]):
-            row |= c.classes[j]
-        rows[x] = row
-    return Relation(n, tuple(rows))
+    class_rows = [image(row, c.classes) for row in c.cond.rows]
+    return Relation(p.n, tuple(class_rows[i] for i in c.class_of))
 
 
 def condensation_stable_set(c: Contraction) -> Mask:

@@ -10,7 +10,7 @@ class EmptyGround(StablesetError):
 
 
 class PosetViolation(StablesetError):
-    """A constructed order failed a poset axiom (implementation bug)."""
+    """A relation given as a partial order failed a poset axiom."""
 
 
 class LimitExceeded(StablesetError):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitset import Mask, full_mask, iter_bits
+from .bitset import Mask, full_mask, image, iter_bits
 from .errors import PosetViolation, check_size
 from .relations import Relation, transitive_closure
 
@@ -88,7 +88,6 @@ class ExcludedSetTopology:
 class CutLattice:
     """All closure-stable sets of a poset, ordered by inclusion."""
 
-    n: int
     cuts: tuple[Mask, ...]
 
 
@@ -124,7 +123,7 @@ def dm_completion(p: Poset) -> CutLattice:
     for down in p.leq.columns():
         cuts |= {c & down for c in cuts}
         check_size(len(cuts), CUT_LIMIT, "cut-completion", "cuts")
-    return CutLattice(p.n, tuple(sorted(cuts)))
+    return CutLattice(tuple(sorted(cuts)))
 
 
 def frink_ideals(p: Poset) -> list[Mask]:
@@ -173,10 +172,7 @@ def weak_t1_separation(top: ExcludedSetTopology, strict: Relation) -> bool:
     open around an excluded x is the full set: the check holds iff no
     excluded point is dominated.
     """
-    dominated = 0
-    for row in strict.rows:
-        dominated |= row
-    return dominated & top.excluded == 0
+    return image(full_mask(strict.n), strict.rows) & top.excluded == 0
 
 
 def nachbin_closed(top: ExcludedSetTopology, order: Relation) -> bool:

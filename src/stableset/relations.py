@@ -18,7 +18,7 @@ from functools import cached_property
 from itertools import chain
 from typing import Iterable, Iterator
 
-from .bitset import Mask, full_mask, iter_bits, reach
+from .bitset import Mask, full_mask, image, iter_bits, reach
 from .errors import EmptyGround
 
 
@@ -40,10 +40,10 @@ class Relation:
     def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Relation":
         """Raises ValueError unless every end is an int in range(n)."""
         pairs = list(pairs)
-        try:
+        try:  # has_index_ends raises TypeError on a pair it cannot unpack
             if has_index_ends(pairs):
                 return cls.from_checked_pairs(n, pairs)
-        except IndexError:
+        except (IndexError, TypeError):
             pass
         raise ValueError(f"pair ends must be ints in range({n})")
 
@@ -250,11 +250,8 @@ def iterated_maximal(r: Relation) -> Mask:
     chosen = 0
     while remaining:
         layer = maximal_set(remaining, r)
-        dominated = 0
-        for x in iter_bits(layer):
-            dominated |= r.rows[x]
         chosen |= layer
-        remaining &= ~(layer | dominated)
+        remaining &= ~(layer | image(layer, r.rows))
     return chosen
 
 

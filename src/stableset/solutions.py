@@ -66,7 +66,6 @@ class SolutionFamily:
     """
 
     form: FamilyForm
-    n: int
     components: tuple[Mask, ...] = ()
     explicit: tuple[Mask, ...] = ()
 
@@ -222,7 +221,7 @@ def vnm_stable_sets(p: DecisionProblem) -> SolutionFamily:
     """
     strict = p.strict
     if len(p.components) == p.n:
-        return SolutionFamily(FamilyForm.EXPLICIT, p.n,
+        return SolutionFamily(FamilyForm.EXPLICIT,
                               explicit=(iterated_maximal(strict),))
     check_size(p.n, SUBSET_LIMIT, "subset-search")
     return _stable_search(p, strict, p.all_mask)
@@ -236,7 +235,7 @@ def _maximal_classes(p: DecisionProblem) -> tuple[Mask, ...]:
 
 def generalized_stable_sets(p: DecisionProblem) -> SolutionFamily:
     """One representative from each undominated component."""
-    return SolutionFamily(FamilyForm.ONE_PER_COMPONENT, p.n,
+    return SolutionFamily(FamilyForm.ONE_PER_COMPONENT,
                           components=_maximal_classes(p))
 
 
@@ -311,7 +310,7 @@ def _stable_search(p: DecisionProblem, conflict: Relation, free: Mask,
         stack.append((chosen | bit, undecided & ~adjacent[x] & ~bit,
                       covered | rows[x]))
     found.sort()
-    return SolutionFamily(FamilyForm.EXPLICIT, p.n, explicit=tuple(found))
+    return SolutionFamily(FamilyForm.EXPLICIT, explicit=tuple(found))
 
 
 def _cycle_degrees_ok(chosen: Mask, live: Mask, rows: tuple[Mask, ...],
@@ -345,13 +344,13 @@ def _closed_inside(v: Mask, rows: tuple[Mask, ...],
 
 def m_stable_sets(p: DecisionProblem) -> SolutionFamily:
     """Non-empty unions of whole undominated components."""
-    return SolutionFamily(FamilyForm.UNIONS_OF_COMPONENTS, p.n,
+    return SolutionFamily(FamilyForm.UNIONS_OF_COMPONENTS,
                           components=_maximal_classes(p))
 
 
 def w_stable_sets(p: DecisionProblem) -> SolutionFamily:
     """At most one representative per undominated component, none elsewhere."""
-    return SolutionFamily(FamilyForm.SUBSET_OF_REPRESENTATIVES, p.n,
+    return SolutionFamily(FamilyForm.SUBSET_OF_REPRESENTATIVES,
                           components=_maximal_classes(p))
 
 
@@ -360,7 +359,7 @@ def extended_stable_sets(p: DecisionProblem) -> SolutionFamily:
     c = equipotence_classes(p)
     chosen = condensation_stable_set(c)
     comps = tuple(c.classes[i] for i in iter_bits(chosen))
-    return SolutionFamily(FamilyForm.ONE_PER_COMPONENT, p.n, components=comps)
+    return SolutionFamily(FamilyForm.ONE_PER_COMPONENT, components=comps)
 
 
 @dataclass(frozen=True)

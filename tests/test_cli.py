@@ -10,15 +10,19 @@ from pathlib import Path
 import pytest
 
 import stableset
-from conftest import CYCLE_WITH_TAIL
-from stableset.cli import _build_parser, run_cli
+from conftest import CYCLE_WITH_TAIL, kernel_corpus
+from stableset import cli, relations
+from stableset.bitset import image
+from stableset.cli import _build_parser, _generator_set, run_cli
 from stableset.errors import LoopEdge, ParseError
 from stableset.io import (BYTE_LIMIT, PARSE_LIMIT, export_dot,
                           parse_instance, serialize_instance)
-from stableset.order_topology import CUT_LIMIT
-from stableset.relations import DecisionProblem, Relation
+from stableset.order_topology import (CUT_LIMIT, excluded_set_topology,
+                                      weak_t1_separation)
+from stableset.relations import (DecisionProblem, Relation, asymmetric_part,
+                                 transitive_closure, trap_relation)
 from stableset.oracle import random_problem
-from stableset.contraction import equipotence_classes
+from stableset.contraction import equipotence_classes, extended_dominance
 
 TAIL_EDGES = "4\n0 1\n1 2\n2 0\n0 3\n"
 
@@ -34,6 +38,18 @@ def run(capsys, *argv):
     code = run_cli(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+GENERATORS = ("schwartz", "duggan", "wss", "mss")
+
+
+def closure_strict_for_generator(p, generator):
+    """The closure-based relation `topology --check t1` once passed: the
+    closure of the trap relation for duggan, else the strict part of the
+    closure."""
+    if generator == "duggan":
+        return transitive_closure(trap_relation(p))
+    return asymmetric_part(p.closure)
 
 
 class TestParsing:
@@ -324,6 +340,40 @@ class TestTopologyCommand:
                             "--input", tail_file, "--generator", generator)
             assert code == 0
             assert json.loads(out)["separated"] is True
+
+    def test_t1_one_step_relations_answer_as_their_closures(self):
+        # Each generator's own set always separates, so seeded excluded
+        # sets are checked too, to see both answers.
+        rng = random.Random(15)
+        answers = set()
+        for p in kernel_corpus():
+            for generator in GENERATORS:
+                one_step = (trap_relation(p) if generator == "duggan"
+                            else extended_dominance(p))
+                closed = closure_strict_for_generator(p, generator)
+                assert (image(p.all_mask, one_step.rows)
+                        == image(p.all_mask, closed.rows))
+                for excluded in (_generator_set(p, generator),
+                                 rng.getrandbits(p.n)):
+                    top = excluded_set_topology(p.n, excluded)
+                    answer = weak_t1_separation(top, one_step)
+                    assert answer == weak_t1_separation(top, closed)
+                    answers.add(answer)
+        assert answers == {False, True}
+
+    def test_t1_builds_no_closure(self, capsys, monkeypatch, tmp_path):
+        def refuse(r):
+            raise AssertionError("t1 built a transitive closure")
+
+        path = tmp_path / "p.json"
+        path.write_text(serialize_instance(random_problem(40, 0.1, 3)))
+        monkeypatch.setattr(relations, "transitive_closure", refuse)
+        # Also the CLI's own name for it, should it ever import one again.
+        monkeypatch.setattr(cli, "transitive_closure", refuse, raising=False)
+        for generator in GENERATORS:
+            code, out = run(capsys, "topology", "--check", "t1",
+                            "--input", str(path), "--generator", generator)
+            assert code == 0 and json.loads(out)["separated"] is True
 
     def test_excluded_explicit(self, capsys, tail_file):
         code, out = run(capsys, "topology", "--check", "excluded",

@@ -5,8 +5,8 @@ from stableset.contraction import (condensation_stable_set,
                                    equipotence_classes, extended_dominance,
                                    maximal_components)
 from stableset.oracle import _closure, _omega, _strict, random_problem
-from stableset.relations import (Relation, asymmetric_part, is_acyclic,
-                                 transitive_closure)
+from stableset.relations import (DecisionProblem, Relation, asymmetric_part,
+                                 is_acyclic, transitive_closure)
 
 
 class TestEquipotenceClasses:
@@ -39,6 +39,13 @@ class TestEquipotenceClasses:
                     same = c.class_of[x] == c.class_of[y]
                     mutual = x == y or (closure.has(x, y) and closure.has(y, x))
                     assert same == mutual
+
+    def test_order_takes_the_least_indexed_ready_class(self):
+        # Not sources first: {1} is ready once {0} is placed, and it comes
+        # before the undominated {2}.
+        c = equipotence_classes(DecisionProblem.from_edges(3, [(0, 1)]))
+        assert [members(cls) for cls in c.classes] == [(0,), (1,), (2,)]
+        assert list(c.cond.pairs()) == [(0, 1)]
 
     def test_condensation_always_acyclic_irreflexive(self):
         for seed in range(300):

@@ -166,12 +166,12 @@ class TestFamilyDocuments:
             for form in (FamilyForm.UNIONS_OF_COMPONENTS,
                          FamilyForm.SUBSET_OF_REPRESENTATIVES,
                          FamilyForm.ONE_PER_COMPONENT):
-                family = SolutionFamily(form, n, components=comps)
+                family = SolutionFamily(form, components=comps)
                 if family.count() > 5000:
                     continue
                 self.check_bytes(family)
                 self.check_bytes(SolutionFamily(
-                    FamilyForm.EXPLICIT, n, explicit=tuple(family)[::3]))
+                    FamilyForm.EXPLICIT, explicit=tuple(family)[::3]))
 
     @staticmethod
     def check_bytes(family):

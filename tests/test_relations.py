@@ -1,8 +1,12 @@
+import random
+from functools import reduce
+from operator import or_
+
 import pytest
 
 from conftest import (CHAIN, CYCLE_WITH_TAIL, SYMMETRIC_PAIR, THREE_CYCLE,
                       kernel_corpus)
-from stableset.bitset import from_members, full_mask, members
+from stableset.bitset import from_members, full_mask, image, members
 from stableset.errors import EmptyGround
 from stableset.oracle import random_problem
 from stableset.order_topology import Poset
@@ -27,6 +31,12 @@ class TestFromPairs:
                       lambda: Poset.from_pairs(3, [(-1, 0)])):
             with pytest.raises(ValueError):
                 build()
+        # A pair that is not iterable is refused the same way.
+        for pairs in ([5], [None]):
+            for build in (Relation.from_pairs, DecisionProblem.from_edges,
+                          Poset.from_pairs):
+                with pytest.raises(ValueError):
+                    build(3, pairs)
 
     def test_checked_pairs_give_the_same_relation(self):
         for seed in range(100):
@@ -39,6 +49,17 @@ class TestFromPairs:
         for pair in ((0, 2), (2, 0)):
             with pytest.raises(IndexError):
                 Relation.from_checked_pairs(2, [pair])
+
+
+class TestImage:
+    def test_image_is_the_union_of_the_members_rows(self):
+        rng = random.Random(15)
+        for trial in range(300):
+            n = 1 + trial % 70
+            rows = [rng.getrandbits(n) for _ in range(n)]
+            for mask in (0, full_mask(n), rng.getrandbits(n)):
+                expected = reduce(or_, (rows[x] for x in members(mask)), 0)
+                assert image(mask, rows) == expected
 
 
 class TestAsymmetricPart:

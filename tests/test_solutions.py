@@ -235,12 +235,12 @@ class TestFamilies:
 class TestFamilyRepresentation:
     def test_counts(self):
         comps = (from_members([0, 1, 2]), from_members([3, 4]))
-        one = SolutionFamily(FamilyForm.ONE_PER_COMPONENT, 5, components=comps)
+        one = SolutionFamily(FamilyForm.ONE_PER_COMPONENT, components=comps)
         assert one.count() == 6 == len(list(one))
-        reps = SolutionFamily(FamilyForm.SUBSET_OF_REPRESENTATIVES, 5,
+        reps = SolutionFamily(FamilyForm.SUBSET_OF_REPRESENTATIVES,
                               components=comps)
         assert reps.count() == 11 == len(list(reps))
-        unions = SolutionFamily(FamilyForm.UNIONS_OF_COMPONENTS, 5,
+        unions = SolutionFamily(FamilyForm.UNIONS_OF_COMPONENTS,
                                 components=comps)
         assert unions.count() == 3 == len(list(unions))
 
@@ -253,7 +253,7 @@ class TestFamilyRepresentation:
             FamilyForm.UNIONS_OF_COMPONENTS: [6, 9, 15],
         }
         for form, expected in order.items():
-            assert list(SolutionFamily(form, 4, components=comps)) == expected
+            assert list(SolutionFamily(form, components=comps)) == expected
 
     def test_first_member_without_enumeration(self):
         comps = (from_members([1, 2]), from_members([0, 3]))
@@ -261,9 +261,9 @@ class TestFamilyRepresentation:
                  FamilyForm.SUBSET_OF_REPRESENTATIVES: 1,
                  FamilyForm.UNIONS_OF_COMPONENTS: 6}
         for form, expected in first.items():
-            family = SolutionFamily(form, 4, components=comps)
+            family = SolutionFamily(form, components=comps)
             assert next(iter(family), 0) == expected
-        assert next(iter(SolutionFamily(FamilyForm.EXPLICIT, 4)), 0) == 0
+        assert next(iter(SolutionFamily(FamilyForm.EXPLICIT)), 0) == 0
         for p in corpus_digraphs(count=100):
             for concept in Concept:
                 family = solve(p, concept)
@@ -273,16 +273,15 @@ class TestFamilyRepresentation:
         # without the others.
         for form in (FamilyForm.SUBSET_OF_REPRESENTATIVES,
                      FamilyForm.UNIONS_OF_COMPONENTS):
-            edgeless = SolutionFamily(form, 2000,
-                                      components=tuple(1 << x
-                                                       for x in range(2000)))
+            edgeless = SolutionFamily(
+                form, components=tuple(1 << x for x in range(2000)))
             assert next(iter(edgeless), 0) == 1
 
     @pytest.mark.parametrize("form", [FamilyForm.UNIONS_OF_COMPONENTS,
                                       FamilyForm.SUBSET_OF_REPRESENTATIVES])
     def test_ascending_members_come_without_the_whole_product(self, form):
         # 2^20 - 1 members; building and sorting them all takes about 59 MiB.
-        family = SolutionFamily(form, 20,
+        family = SolutionFamily(form,
                                 components=tuple(1 << x for x in range(20)))
         tracemalloc.start()
         try:
@@ -295,16 +294,16 @@ class TestFamilyRepresentation:
 
     def test_contains_without_enumeration(self):
         comps = (from_members([0, 1]), from_members([2]))
-        one = SolutionFamily(FamilyForm.ONE_PER_COMPONENT, 4, components=comps)
+        one = SolutionFamily(FamilyForm.ONE_PER_COMPONENT, components=comps)
         assert one.contains(from_members([0, 2]))
         assert not one.contains(from_members([0, 1, 2]))
         assert not one.contains(from_members([0, 3]))
         assert not one.contains(0)
-        reps = SolutionFamily(FamilyForm.SUBSET_OF_REPRESENTATIVES, 4,
+        reps = SolutionFamily(FamilyForm.SUBSET_OF_REPRESENTATIVES,
                               components=comps)
         assert reps.contains(from_members([1]))
         assert not reps.contains(from_members([0, 1]))
-        unions = SolutionFamily(FamilyForm.UNIONS_OF_COMPONENTS, 4,
+        unions = SolutionFamily(FamilyForm.UNIONS_OF_COMPONENTS,
                                 components=comps)
         assert unions.contains(from_members([0, 1]))
         assert not unions.contains(from_members([0]))
@@ -357,7 +356,7 @@ class TestBlocks:
         assert sum(gapped(comps) for _, comps in partitions) >= 100
         for n, comps in partitions:
             for form in self.FORMS:
-                self.check(SolutionFamily(form, n, components=comps))
+                self.check(SolutionFamily(form, components=comps))
 
     @pytest.mark.parametrize("form", FORMS)
     def test_untouched_bytes_add_no_level(self, form):
@@ -365,7 +364,7 @@ class TestBlocks:
         # recursion limit.
         n = 8010
         comps = (1 << n - 3, 1 << n - 5, (1 << n - 1) | 1)
-        self.check(SolutionFamily(form, n, components=comps))
+        self.check(SolutionFamily(form, components=comps))
 
     @pytest.mark.parametrize("form", FORMS)
     def test_straddling_components(self, form):
@@ -373,14 +372,14 @@ class TestBlocks:
         # {9} has a high part that touches no straddling component, like
         # the empty high part.
         comps = (2050, 192, 327968, 512, 1024)
-        family = SolutionFamily(form, 19, components=comps)
+        family = SolutionFamily(form, components=comps)
         self.check(family)
         if form is not FamilyForm.ONE_PER_COMPONENT:
             assert family.contains(512) and 512 in list(family)
 
     def test_explicit_runs(self):
         explicit = (3, 5, 256, 300, 257, 1 << 40, (1 << 40) | 7)
-        family = SolutionFamily(FamilyForm.EXPLICIT, 41, explicit=explicit)
+        family = SolutionFamily(FamilyForm.EXPLICIT, explicit=explicit)
         self.check(family)
         assert list(family.blocks()) == [(0, (3, 5)), (256, (0, 1, 44)),
                                          (1 << 40, (0, 7))]
