@@ -5,6 +5,14 @@ Two instance formats are accepted: a JSON object {"n": ..., "labels": ...,
 alternative count.  Loops are rejected; duplicate edges collapse.  The
 alternative count may not exceed `PARSE_LIMIT`: relation work grows with
 n^2, so a few bytes of document must not ask for unbounded time or memory.
+
+A JSON document takes one of two routes.  One in the layout
+`serialize_instance` writes, longer than `EDGE_PIECE` characters and with
+no string, sign, boolean or exponent among its edges, is decoded in pieces
+(`_json_problem_in_pieces`), so no more than one piece's edge lists are
+alive at once.  Every other document, and every document that route
+refuses, is decoded whole by `_json_problem`, which gives every error
+message.
 """
 
 from __future__ import annotations
@@ -33,6 +41,9 @@ BYTE_LIMIT = (2 * len(str(PARSE_LIMIT)) + 8) * PARSE_LIMIT ** 2
 # RSS of the benchmark's subset-search workload by 7 % at some seeds; one
 # write per block was 0.3 MiB above this value.
 SET_BATCH = 512
+# Characters of JSON edge text decoded at once on the piecewise route.
+# Its lists take about 150 bytes an edge, some 4 MB at n = 1,000.
+EDGE_PIECE = 1 << 18
 
 
 def parse_instance(text: str) -> DecisionProblem:
@@ -51,10 +62,70 @@ def _parse_json(text: str) -> DecisionProblem:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return _json_problem(text)
+        p = _json_problem_in_pieces(text)
+        return _json_problem(text) if p is None else p
     finally:
         if collecting:
             gc.enable()
+
+
+# How `serialize_instance` opens a document; the first edge starts at the
+# last bracket.
+_CANONICAL_HEAD = '{"edges": [['
+# Edge text without '"' or these holds no string, negative number, boolean,
+# float with an exponent, NaN or Infinity.
+_NOT_IN_INDEX_EDGES = "-eENI"
+
+
+def _json_problem_in_pieces(text: str) -> DecisionProblem | None:
+    """The problem a long document in `serialize_instance`'s layout states,
+    or None for any other document, a bad one included.
+
+    The edge slice runs from the first edge to the last "]]" before the
+    first '"', the next key's.  Cut out, it leaves a head document whose
+    "edges" is [], and which must decode with no repeated key.  The slice
+    is decoded in pieces cut at "], [".  If the head and every piece
+    decode, so does the whole document, to the head with the pieces'
+    elements as its edges, wherever the cuts fell.  With no '-' or 'e' in
+    the slice, no end is negative or a boolean, so the row loop refuses
+    every bad edge but a loop, and `DecisionProblem` a loop.
+    """
+    if len(text) <= EDGE_PIECE or not text.startswith(_CANONICAL_HEAD):
+        return None
+    start = len(_CANONICAL_HEAD) - 1
+    end = text.rfind("]]", start, text.find('"', start)) + 1
+    if end < start or any(text.find(c, start, end) >= 0
+                          for c in _NOT_IN_INDEX_EDGES):
+        return None
+    try:
+        doc = json.loads(text[:start] + text[end:],
+                         object_pairs_hook=_dict_of_unique_keys)
+        n, labels = doc.get("n"), doc.get("labels")
+        if (type(n) is not int or not 0 < n <= PARSE_LIMIT
+                or labels is not None
+                and (not isinstance(labels, list) or len(labels) != n)):
+            return None
+        rel = Relation.from_checked_pairs(n, chain.from_iterable(
+            map(json.loads, _edge_pieces(text, start, end))))
+        return DecisionProblem(rel, tuple(map(str, labels)) if labels else ())
+    except (TypeError, ValueError, IndexError, RecursionError):
+        return None
+
+
+def _dict_of_unique_keys(pairs: list) -> dict:
+    doc = dict(pairs)
+    if len(doc) != len(pairs):
+        raise ValueError("repeated key")
+    return doc
+
+
+def _edge_pieces(text: str, start: int, stop: int):
+    """text[start:stop], a run of edges, as JSON lists of whole edges, each
+    cut at the first "], [" at least `EDGE_PIECE` characters on."""
+    while (cut := text.find("], [", start + EDGE_PIECE, stop)) >= 0:
+        yield "[" + text[start:cut + 1] + "]"
+        start = cut + 3
+    yield "[" + text[start:stop] + "]"
 
 
 def _json_problem(text: str) -> DecisionProblem:

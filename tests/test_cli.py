@@ -12,6 +12,7 @@ import pytest
 import stableset
 from conftest import CYCLE_WITH_TAIL, kernel_corpus
 from stableset import cli, relations
+from stableset import io as sio
 from stableset.bitset import image
 from stableset.cli import _build_parser, _generator_set, run_cli
 from stableset.errors import LoopEdge, ParseError
@@ -226,6 +227,116 @@ class TestJsonParserEquivalence:
             assert p.rel == per_edge_parse(text)
             assert p.labels == tuple(f"{word}{x}" for x in range(n))
 
+    @pytest.mark.parametrize("labels", [
+        [f"]]{x}" for x in range(300)],
+        ["edges"] + [f'"edges"{x}' for x in range(1, 300)],
+        [f"a-{x}" for x in range(300)],
+    ], ids=["brackets", "edges", "minus"])
+    def test_piecewise_route_reads_labels_like_the_whole_document(self,
+                                                                 labels):
+        assert_parses_like_whole_document(
+            piecewise_document(labels=tuple(labels)), piecewise=True)
+
+    def test_piecewise_route_reads_several_pieces(self):
+        text = piecewise_document(n=600)
+        end = text.index("]]") + 1
+        pieces = list(sio._edge_pieces(text, 11, end))
+        # Each piece is a list of whole edges, all but the last at least
+        # EDGE_PIECE characters long, and they list the edges in order.
+        assert len(pieces) == 8
+        assert all(sio.EDGE_PIECE < len(piece) < sio.EDGE_PIECE + 16
+                   for piece in pieces[:-1])
+        assert ", ".join(piece[1:-1] for piece in pieces) == text[11:end]
+        assert_parses_like_whole_document(text, piecewise=True)
+
+    # Edits of the end of `piecewise_document()`, which is
+    # '"labels": [...], "n": 300}'.
+    HEAD_EDITS = {
+        "edges-again-empty": ('"n": 300}', '"n": 300, "edges": []}'),
+        "edges-again": ('"n": 300}', '"n": 300, "edges": [[1, 0]]}'),
+        "edges-escaped-again": ('"n": 300}', '"n": 300, "\\u0065dges": []}'),
+        "n-again": ('"n": 300}', '"n": 300, "n": 300}'),
+        "trailing-comma": ('"n": 300}', '"n": 300, }'),
+        "trailing-comma-line-3": (', "n": 300}', ',\n"n": 300,\n}'),
+        "n-over-ceiling": ('"n": 300}', '"n": 2001}'),
+        "n-boolean": ('"n": 300}', '"n": true}'),
+        "n-missing": (', "n": 300}', '}'),
+        "labels-short": ('"0", ', ''),
+        "labels-empty": ('"labels": [', '"labels": [], "x": ['),
+        "labels-string": ('"labels": [', '"labels": "0", "x": ['),
+    }
+
+    @pytest.mark.parametrize("edit", HEAD_EDITS.values(), ids=HEAD_EDITS.keys())
+    def test_repeated_or_bad_head_fields_take_the_whole_route(self, edit):
+        good = piecewise_document()
+        old, new = edit
+        assert good.count(old) == 1
+        assert_parses_like_whole_document(good.replace(old, new),
+                                          piecewise=False)
+
+    def test_n_over_the_ceiling_takes_the_whole_route(self):
+        good = piecewise_document()
+        text = good[:good.index(', "labels"')] + ', "n": %d}' % (PARSE_LIMIT + 1)
+        assert_parses_like_whole_document(text, piecewise=False)
+
+    def test_empty_edges_take_the_whole_route(self):
+        text = json.dumps({"edges": [], "labels": [f"{x:0>200}"
+                                                   for x in range(2000)],
+                           "n": 2000}, sort_keys=True)
+        assert len(text) > sio.EDGE_PIECE
+        assert_parses_like_whole_document(text, piecewise=False)
+
+    def test_non_canonical_layout(self):
+        text = piecewise_document()
+        # No "], [" to cut at: one piece.
+        assert_parses_like_whole_document(text.replace("], [", "],["),
+                                          piecewise=True)
+        assert_parses_like_whole_document(text.replace("], [", "],\n["),
+                                          piecewise=True)
+        assert_parses_like_whole_document(" " + text, piecewise=False)
+        # Shorter than one piece: the whole route, as before.
+        assert_parses_like_whole_document(piecewise_document(n=40),
+                                          piecewise=False)
+        assert_parses_like_whole_document(
+            '{"n": 300, ' + text[1:].replace(', "n": 300', ""),
+            piecewise=False)
+
+    BAD_PIECE_EDGES = {
+        "float": "[0, 1.0]", "exponent": "[1e0, 0]", "triple": "[0, 1, 2]",
+        "nested-end": "[0, [1]]", "nested-start": "[[0], 1]", "loop": "[7, 7]",
+        "out-of-range": "[0, 300]", "null": "[0, null]", "negative": "[0, -1]",
+        "boolean": "[true, 0]", "string": '[0, "1"]', "empty": "[]",
+        "5001-digits": "[0, 1" + "0" * 5000 + "]",
+        "deep": "[" * 5000 + "]" * 5000}
+
+    @pytest.mark.parametrize("edge", BAD_PIECE_EDGES.values(),
+                             ids=BAD_PIECE_EDGES.keys())
+    def test_bad_edge_at_a_piece_boundary(self, edge):
+        good = piecewise_document()
+        cut = good.index("], [", 11 + sio.EDGE_PIECE)
+        # The last edge of the first piece, the first of the second.
+        for at in (good.rindex("[", 0, cut), cut + 3):
+            text, planted = plant(good, at, edge)
+            pieces = list(sio._edge_pieces(text, 11, text.index("]]") + 1))
+            if "]]" not in edge and "[[" not in edge:
+                assert len(pieces) == 2
+                assert (pieces[0].endswith(planted + "]") if at < cut
+                        else pieces[1].startswith("[" + planted))
+            assert_parses_like_whole_document(text, piecewise=False)
+
+    def test_seeded_bad_documents_in_small_pieces(self, monkeypatch):
+        """With pieces of a few edges, the piecewise route refuses every
+        document of planted bad edges and reads valid ones as whole."""
+        monkeypatch.setattr(sio, "EDGE_PIECE", 12)
+        for seed in range(400):
+            doc = json.loads(self.documents(seed))
+            text = json.dumps({"edges": doc["edges"], "n": doc["n"]})
+            assert_parses_like_whole_document(text, piecewise=False)
+            assert_raises_like_per_edge_check(text)
+        for seed in range(100):
+            text = piecewise_document(n=40, seed=seed)
+            assert_parses_like_whole_document(text, piecewise=True)
+
     def test_negative_zero_endpoint(self):
         text = '{"n": 3, "edges": [[-0, 1], [2, -0]]}'
         assert parse_instance(text).rel == per_edge_parse(text) == \
@@ -244,6 +355,40 @@ class TestJsonParserEquivalence:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+def piecewise_document(n=300, seed=0, labels=()):
+    """`serialize_instance`'s text of a seeded instance with about half of
+    all edges: some 450 KB at n = 300, two pieces on the piecewise route."""
+    rng = random.Random(seed)
+    rows = tuple(rng.getrandbits(n) & ~(1 << x) for x in range(n))
+    return serialize_instance(DecisionProblem(Relation(n, rows), labels))
+
+
+def assert_parses_like_whole_document(text, piecewise):
+    """`parse_instance` answers as `io._json_problem` does: the same rows
+    and labels, or a ParseError of the same class, text and line.  The
+    piecewise route takes the document iff `piecewise`."""
+    assert (sio._json_problem_in_pieces(text) is not None) == piecewise
+    try:
+        expected = sio._json_problem(text)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as actual:
+            parse_instance(text)
+        assert type(actual.value) is type(exc)
+        assert (str(actual.value), actual.value.line) == (str(exc), exc.line)
+        return
+    p = parse_instance(text)
+    assert (p.rel, p.labels) == (expected.rel, expected.labels)
+
+
+def plant(text, at, edge):
+    """text with the edge that starts at index `at` replaced by `edge`,
+    padded after its opening bracket to at least the old edge's width, and
+    the padded edge."""
+    stop = text.index("]", at) + 1
+    edge = "[" + edge[1:].rjust(stop - at - 1)
+    return text[:at] + edge + text[stop:], edge
 
 
 def assert_raises_like_per_edge_check(text):
@@ -398,6 +543,22 @@ class TestTopologyCommand:
         code, out = run(capsys, "topology", "--check", "precont",
                         "--input", str(path))
         assert code == 0 and json.loads(out)["precontinuous"] is True
+
+    def test_precont_builds_no_order(self, capsys, monkeypatch, tmp_path):
+        """Every finite poset is precontinuous, so `precont` derives no
+        order and closes no relation."""
+        def refuse(*args):
+            raise AssertionError("precont built an order")
+
+        path = tmp_path / "p.json"
+        path.write_text(serialize_instance(random_problem(40, 0.1, 3)))
+        monkeypatch.setattr(relations, "transitive_closure", refuse)
+        monkeypatch.setattr(cli, "strict_poset_order", refuse)
+        monkeypatch.setattr(cli, "Poset", refuse)
+        code, out = run(capsys, "topology", "--check", "precont",
+                        "--input", str(path))
+        assert code == 0 and out == \
+            '{\n  "check": "precont",\n  "precontinuous": true\n}\n'
 
 
 class TestRandomCommand:

@@ -5,6 +5,8 @@ written as `json.dumps` writes it and read without a collector pass."""
 
 import gc
 import json
+import random
+import tracemalloc
 from itertools import accumulate
 from types import SimpleNamespace
 
@@ -224,6 +226,23 @@ class TestInstanceDocuments:
 
 
 DENSE_TEXT = serialize_instance(random_problem(400, 1.0, 1))  # 159,600 edges
+
+
+class TestPiecewiseDecode:
+    def test_dense_document_peaks_under_three_times_its_text(self):
+        """The edges are decoded a piece at a time: whole, a dense n = 1000
+        document's edge lists took about 12 times its text."""
+        rng = random.Random(1)
+        rows = tuple(rng.getrandbits(1000) & ~(1 << x) for x in range(1000))
+        text = serialize_instance(DecisionProblem(Relation(1000, rows)))
+        tracemalloc.start()
+        try:
+            p = parse_instance(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert p.rel.rows == rows
+        assert peak < 3 * len(text)
 
 
 class TestCollectorScope:
