@@ -22,7 +22,7 @@ from .errors import LimitExceeded, ParseError, StablesetError, check_size
 from .oracle import cross_verify, gocha_bruteforce, random_problem
 from .order_topology import (Poset, dm_completion, excluded_set_topology,
                              frink_ideals, nachbin_closed, weak_t1_separation)
-from .relations import DecisionProblem, strict_poset_order, trap_relation
+from .relations import DecisionProblem, strict_poset_order
 from .solutions import (SUBSET_LIMIT, Concept, SchwartzMethod, SociallyInterp,
                         core, duggan_set, m_stable_sets, schwartz_set, solve,
                         w_stable_sets)
@@ -144,8 +144,10 @@ def _build_parser() -> argparse.ArgumentParser:
     generating = p_topo.add_mutually_exclusive_group()
     generating.add_argument("--excluded", type=_indices,
                             help="comma-separated excluded indices")
-    generating.add_argument("--generator", help="default: schwartz",
-                            choices=["schwartz", "duggan", "wss", "mss"])
+    generating.add_argument(
+        "--generator", choices=["schwartz", "duggan", "wss", "mss"],
+        help="default: schwartz. Each generator's set is undominated by the "
+             "relation t1 checks it against, so t1 always separates it")
 
     p_random = sub.add_parser("random")
     p_random.add_argument("--n", type=_alternative_count, required=True)
@@ -254,15 +256,15 @@ def _generator_set(p: DecisionProblem, generator: str) -> int:
     return next(iter(family), 0)
 
 
-# The options each topology check reads; giving it another is a usage error.
-_TOPOLOGY_OPTIONS = {"excluded": ("excluded", "generator"),
-                     "t1": ("generator",), "nachbin": ("excluded", "generator")}
+# The checks that read --excluded and --generator; giving either option to
+# another check is a usage error.
+_TOPOLOGY_OPTIONS = ("excluded", "t1", "nachbin")
 
 
 def _cmd_topology(args) -> int:
     for option in ("excluded", "generator"):
         if (getattr(args, option) is not None
-                and option not in _TOPOLOGY_OPTIONS.get(args.check, ())):
+                and args.check not in _TOPOLOGY_OPTIONS):
             sys.stderr.write(f"usage error: --{option} does not apply to "
                              f"--check {args.check}\n")
             return EXIT_USAGE
@@ -275,7 +277,7 @@ def _cmd_topology(args) -> int:
     doc: dict = {"check": args.check}
     if args.check in ("dm", "frink", "nachbin"):
         poset = Poset(strict_poset_order(p))
-    if args.check in ("excluded", "t1", "nachbin"):
+    if args.check in ("excluded", "nachbin") or args.excluded is not None:
         excluded = (_generator_set(p, generator) if args.excluded is None
                     else from_members(args.excluded))
         top = excluded_set_topology(p.n, excluded)
@@ -292,16 +294,19 @@ def _cmd_topology(args) -> int:
         doc["open_count"] = top.open_count
         # A finite space is compact: the full set covers any open cover.
         doc["compact_subcover"] = [list(range(p.n))]
-    elif args.check == "t1":
-        doc["generator"] = generator
-        # The check reads only which points the relation dominates, and a
-        # relation dominates the same points as its transitive closure, so
-        # these one-step relations stand in for the closures.
-        dominance = (trap_relation(p) if generator == "duggan"
-                     else extended_dominance(p))
-        doc["separated"] = weak_t1_separation(top, dominance)
-    else:  # nachbin
+    elif args.check == "nachbin":
         doc["nachbin_closed"] = nachbin_closed(top, poset.leq)
+    elif args.excluded is not None:  # t1
+        # Extended dominance dominates the same points as the strict part
+        # of the closure, the relation the check is defined with.
+        doc["excluded"] = list(members(excluded))
+        doc["separated"] = weak_t1_separation(top, extended_dominance(p))
+    else:  # t1 with a generator
+        # Schwartz, wss and mss sets lie in undominated components, and the
+        # Duggan set is undominated by the asymmetric trap relation: each
+        # separates, so none is built.
+        doc["generator"] = generator
+        doc["separated"] = True
     sio.write_document(sys.stdout, doc)
     return EXIT_OK
 

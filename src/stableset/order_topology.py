@@ -2,12 +2,13 @@
 precontinuity, excluded-set topologies and the separation checks built on
 them.
 
-No check enumerates subsets.  The cuts come from closing the full set under
-intersection with each principal down-set, so their cost grows with the
-number of cuts, which `CUT_LIMIT` bounds; precontinuity, which holds on
-every finite poset, builds none.  An excluded-set topology is held
-as its excluded set, and its checks read the smallest open around each
-point: the point alone when it is free, the full set when it is excluded.
+No check enumerates subsets, and validating a poset builds no closure.  The
+cuts come from closing the full set under intersection with each principal
+down-set, so their cost grows with the number of cuts, which `CUT_LIMIT`
+bounds; precontinuity, which holds on every finite poset, builds none.  An
+excluded-set topology is held as its excluded set, and its checks read the
+smallest open around each point: the point alone when it is free, the full
+set when it is excluded.
 """
 
 from __future__ import annotations
@@ -31,7 +32,11 @@ class Poset:
 
     def __post_init__(self):
         """Reflexivity and antisymmetry take one test per element, and
-        transitivity one closure; only a failure looks for its pair."""
+        transitivity no closure: row x tests its least untested member y for
+        rows[y] ⊆ rows[x], then skips all of rows[y].  Antisymmetry makes
+        rows[y] strictly smaller, so the smallest row that breaks
+        transitivity fails at a tested member.  Only a failure looks for
+        its pair."""
         rows, cols = self.leq.rows, self.leq.columns()
         for x in range(self.leq.n):
             if not rows[x] >> x & 1:
@@ -39,10 +44,15 @@ class Poset:
             if rows[x] & cols[x] != 1 << x:
                 y = next(iter_bits(rows[x] & cols[x] & ~(1 << x)))
                 raise PosetViolation(f"not antisymmetric on ({x},{y})")
-        if transitive_closure(self.leq).rows != rows:
-            x, y = next((x, y) for x, y in self.leq.pairs()
-                        if rows[y] & ~rows[x])
-            raise PosetViolation(f"not transitive through ({x},{y})")
+        for x, row in enumerate(rows):
+            rest = row ^ 1 << x
+            while rest:
+                up = rows[(rest & -rest).bit_length() - 1]
+                if up & ~row:
+                    x, y = next((x, y) for x, y in self.leq.pairs()
+                                if rows[y] & ~rows[x])
+                    raise PosetViolation(f"not transitive through ({x},{y})")
+                rest &= ~up
 
     @classmethod
     def from_pairs(cls, n: int, pairs) -> "Poset":

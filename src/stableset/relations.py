@@ -278,6 +278,11 @@ def trap_relation(p: DecisionProblem) -> Relation:
 
 def strict_poset_order(p: DecisionProblem) -> Relation:
     """Partial order induced by the strict closure: its strict part plus the
-    diagonal.  `order_topology.Poset` checks the axioms when it wraps it."""
+    diagonal.  The strict part comes with its columns, so the order keeps
+    them and is never transposed again.  `order_topology.Poset` checks the
+    axioms when it wraps it."""
     strict = asymmetric_part(p.closure)
-    return Relation(p.n, tuple(strict.rows[x] | (1 << x) for x in range(p.n)))
+    diagonal = [1 << x for x in range(p.n)]
+    return _with_columns(
+        p.n, tuple(row | bit for row, bit in zip(strict.rows, diagonal)),
+        tuple(col | bit for col, bit in zip(strict.columns(), diagonal)))

@@ -11,7 +11,7 @@ import pytest
 
 import stableset
 from conftest import CYCLE_WITH_TAIL, kernel_corpus
-from stableset import cli, relations
+from stableset import cli, order_topology, relations
 from stableset import io as sio
 from stableset.bitset import image
 from stableset.cli import _build_parser, _generator_set, run_cli
@@ -479,16 +479,24 @@ class TestContractCommand:
 
 
 class TestTopologyCommand:
-    def test_t1_generators(self, capsys, tail_file):
-        for generator in ("schwartz", "duggan", "wss", "mss"):
+    def test_t1_generators(self, capsys, monkeypatch, tail_file):
+        # A theorem settles `t1` with a generator, so no set is built.
+        def refuse(*args):
+            raise AssertionError("t1 built a generator set")
+
+        monkeypatch.setattr(cli, "_generator_set", refuse)
+        for generator in (None,) + GENERATORS:
+            options = ["--generator", generator] if generator else []
             code, out = run(capsys, "topology", "--check", "t1",
-                            "--input", tail_file, "--generator", generator)
-            assert code == 0
-            assert json.loads(out)["separated"] is True
+                            "--input", tail_file, *options)
+            assert code == 0 and json.loads(out) == {
+                "check": "t1", "generator": generator or "schwartz",
+                "separated": True}
 
     def test_t1_one_step_relations_answer_as_their_closures(self):
-        # Each generator's own set always separates, so seeded excluded
-        # sets are checked too, to see both answers.
+        # Each generator's own set separates under the relation the check is
+        # defined with, the theorem `t1` answers by; seeded excluded sets
+        # are checked too, to see both answers.
         rng = random.Random(15)
         answers = set()
         for p in kernel_corpus():
@@ -498,8 +506,10 @@ class TestTopologyCommand:
                 closed = closure_strict_for_generator(p, generator)
                 assert (image(p.all_mask, one_step.rows)
                         == image(p.all_mask, closed.rows))
-                for excluded in (_generator_set(p, generator),
-                                 rng.getrandbits(p.n)):
+                own = _generator_set(p, generator)
+                assert weak_t1_separation(excluded_set_topology(p.n, own),
+                                          closed), generator
+                for excluded in (own, rng.getrandbits(p.n)):
                     top = excluded_set_topology(p.n, excluded)
                     answer = weak_t1_separation(top, one_step)
                     assert answer == weak_t1_separation(top, closed)
@@ -519,6 +529,41 @@ class TestTopologyCommand:
             code, out = run(capsys, "topology", "--check", "t1",
                             "--input", str(path), "--generator", generator)
             assert code == 0 and json.loads(out)["separated"] is True
+
+    def test_t1_excluded_can_fail(self, capsys, tail_file):
+        # 0 dominates 3 from outside 3's component, so excluding 3 fails.
+        for excluded, separated in (([3], False), ([0, 1, 2], True)):
+            code, out = run(capsys, "topology", "--check", "t1",
+                            "--input", tail_file, "--excluded",
+                            ",".join(map(str, excluded)))
+            assert code == 0 and json.loads(out) == {
+                "check": "t1", "excluded": excluded, "separated": separated}
+
+    def test_each_route_closes_at_most_once(self, capsys, monkeypatch,
+                                           tmp_path):
+        """`dm`, `frink` and `nachbin` close the dominance relation once to
+        derive the order, and validating it closes nothing; the other
+        routes close nothing."""
+        closures = []
+
+        def counted(r):
+            closures.append(r.n)
+            return closure(r)
+
+        closure = relations.transitive_closure
+        monkeypatch.setattr(relations, "transitive_closure", counted)
+        monkeypatch.setattr(order_topology, "transitive_closure", counted)
+        path = tmp_path / "p.json"
+        path.write_text(serialize_instance(random_problem(12, 0.2, 3)))
+        for check, options, expected in (
+                ("dm", [], 1), ("frink", [], 1), ("nachbin", [], 1),
+                ("nachbin", ["--excluded", "0"], 1), ("excluded", [], 0),
+                ("precont", [], 0), ("t1", [], 0),
+                ("t1", ["--excluded", "0"], 0)):
+            closures.clear()
+            code, _ = run(capsys, "topology", "--check", check,
+                          "--input", str(path), *options)
+            assert (code, len(closures)) == (0, expected), (check, options)
 
     def test_excluded_explicit(self, capsys, tail_file):
         code, out = run(capsys, "topology", "--check", "excluded",
@@ -601,6 +646,8 @@ class TestParserReuse:
             ["topology", "--check", "nachbin", "--input", str(path),
              "--excluded", "0"],
             ["topology", "--check", "t1", "--input", str(path)],
+            ["topology", "--check", "t1", "--input", str(path),
+             "--excluded", "3"],
             ["solve", "--concept", "core"],
             ["--help"],
             ["--help"],
@@ -613,7 +660,7 @@ class TestParserReuse:
             alone = run_module(*argv, COLUMNS="80")
             assert (codes[-1], captured.out, captured.err) == \
                 (alone.returncode, alone.stdout, alone.stderr), argv
-        assert codes == [0, 0, 64, 0, 0, 0]
+        assert codes == [0, 0, 0, 64, 0, 0, 0]
 
     def test_no_value_carries_over(self):
         parser = _build_parser()
@@ -682,7 +729,6 @@ UNREAD_TOPOLOGY_OPTIONS = [
     for check in ("dm", "frink", "precont")
     for options in (["--excluded", "0"], ["--generator", "duggan"])
 ] + [
-    ("t1", ["--excluded", "0"]),
     ("excluded", ["--excluded", "0", "--generator", "duggan"]),
     ("nachbin", ["--excluded", "0", "--generator", "schwartz"]),
     ("t1", ["--excluded", "0", "--generator", "wss"]),
@@ -934,11 +980,13 @@ class TestCliFuzz:
             # Only the options the check reads, never both: the refusals of
             # the others are pinned in BAD_ARGUMENTS.
             draw = rng.random()
-            if draw < 0.6 and check in ("excluded", "nachbin"):
+            if check not in ("excluded", "t1", "nachbin"):
+                return argv
+            if draw < 0.6:
                 argv += ["--excluded", rng.choice((
                     "0", "1,2", "100000000000", str(10 ** 20), "-1", "", "x",
                     "0,,1", f"{10 ** 23},0", "1" * 5000))]
-            elif draw >= 0.7 and check in ("excluded", "t1", "nachbin"):
+            elif draw >= 0.7:
                 argv += ["--generator", rng.choice(("duggan", "wss", "x"))]
             return argv
         if command == "verify":

@@ -47,6 +47,17 @@ def ref_is_poset(leq):
             and all(rows[y] & ~rows[x] == 0 for x, y in leq.pairs()))
 
 
+def ref_transitivity_violation(leq):
+    """For a reflexive, antisymmetric leq: None when it equals its closure,
+    else the message naming its first pair x <= y with rows[y] not inside
+    rows[x]."""
+    rows = leq.rows
+    if transitive_closure(leq).rows == rows:
+        return None
+    x, y = next((x, y) for x, y in leq.pairs() if rows[y] & ~rows[x])
+    return f"not transitive through ({x},{y})"
+
+
 def ref_dm_completion(p):
     """The image of the delta-closure over all 2^n subsets."""
     return tuple(sorted({delta_closure(p, a) for a in subsets(p.all_mask)}))
@@ -124,22 +135,46 @@ class TestPoset:
     def test_validation_matches_the_axioms(self):
         # Raw relations with and without the diagonal, their closures, and
         # induced orders: posets and each kind of violation all occur.
+        # Reflexive antisymmetric relations (the strict part plus the
+        # diagonal, and induced orders less or plus one pair) are also
+        # checked against the closure comparison, message and all.
+        rng = random.Random(17)
         outcomes = set()
+        transitive = []
         for seed in range(600):
             p = random_problem(1 + seed % 8, (0.1, 0.3, 0.6)[seed % 3], seed)
+            diagonal = [1 << x for x in range(p.n)]
             reflexive = Relation(p.n, tuple(
-                row | 1 << x for x, row in enumerate(p.rel.rows)))
+                row | bit for row, bit in zip(p.rel.rows, diagonal)))
             closed = transitive_closure(reflexive)
-            for leq in (p.rel, reflexive, closed, strict_poset_order(p)):
+            order = strict_poset_order(p)
+            strict = asymmetric_part(p.rel)
+            antisymmetric = [Relation(p.n, tuple(
+                row | bit for row, bit in zip(strict.rows, diagonal)))]
+            x, y = rng.randrange(p.n), rng.randrange(p.n)
+            if x != y:
+                rows = list(order.rows)
+                if order.has(x, y):
+                    rows[x] ^= 1 << y
+                elif not order.has(y, x):
+                    rows[x] |= 1 << y
+                antisymmetric.append(Relation(p.n, tuple(rows)))
+            for leq in [p.rel, reflexive, closed, order] + antisymmetric:
                 try:
                     Poset(leq)
-                    outcome = "poset"
+                    message = None
                 except PosetViolation as exc:
-                    outcome = str(exc).split(" ")[1]
+                    message = str(exc)
+                outcome = message.split(" ")[1] if message else "poset"
                 assert (outcome == "poset") == ref_is_poset(leq), (seed, leq)
                 outcomes.add(outcome)
+                if leq in antisymmetric:
+                    assert message == ref_transitivity_violation(leq), \
+                        (seed, leq)
+                    transitive.append(message is None)
         assert outcomes == {"poset", "reflexive", "antisymmetric",
                             "transitive"}
+        assert 200 < sum(transitive) < len(transitive) - 200
 
 
 class TestBounds:

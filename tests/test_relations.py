@@ -182,12 +182,14 @@ class TestStrictPosetOrder:
         assert set(leq.pairs()) == self.diagonal(4) | {(0, 3), (1, 3), (2, 3)}
 
     def test_poset_axioms_on_random(self):
-        # Poset checks the axioms on build; it must never raise here.
+        # Poset checks the axioms on build; it must never raise here.  The
+        # order comes with its columns, which must be its transpose.
         count = 0
         for seed in range(1000):
             p = random_problem(1 + seed % 10, (0.2, 0.5, 0.8)[seed % 3], seed)
             leq = Poset(strict_poset_order(p)).leq
             assert all(leq.has(x, x) for x in range(p.n))
+            assert leq.columns() == pair_columns(leq)
             count += 1
         assert count == 1000
 
