@@ -36,6 +36,16 @@ def image(mask: Mask, rows: Sequence[Mask]) -> Mask:
     return out
 
 
+def image_table(rows: Sequence[Mask]) -> list[Mask]:
+    """``table[m] == image(m, rows)`` for every m below ``2 ** len(rows)``,
+    built by doubling: the entries with bit k set are those without it,
+    each joined with rows[k]."""
+    table = [0]
+    for row in rows:
+        table += [img | row for img in table]
+    return table
+
+
 def reach(start: Mask, rel: tuple[Mask, ...], v: Mask) -> Mask:
     """start plus everything it reaches along the rows `rel` inside v."""
     seen = frontier = start

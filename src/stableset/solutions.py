@@ -4,6 +4,9 @@ Every concept with a product-form characterization (generalized, m-, w-,
 extended stable sets) is built from the condensation.  VNM stable sets on
 cyclic inputs and socially stable sets have none; they are found by one
 branch-and-prune search (`_stable_search`) under the subset-search ceiling.
+The closure-of-restriction reading adds a node and a leaf test that read
+every set image from tables split at half the alternatives
+(`_cycle_tests`); the other routes build none.
 The brute-force routes live in `stableset.oracle`, which imports this
 module; this module never imports the oracle.
 """
@@ -14,9 +17,9 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
-from .bitset import Mask, iter_bits, reach, subsets
+from .bitset import Mask, image_table, iter_bits, subsets
 from .contraction import (condensation_stable_set, equipotence_classes,
                           maximal_components)
 from .errors import check_size
@@ -24,7 +27,9 @@ from .relations import (DecisionProblem, Relation, iterated_maximal,
                         maximal_set, trap_relation)
 
 # Largest n for the VNM and socially stable searches (exponential in the
-# worst case) and for the oracle's 2^n definitional checks.
+# worst case) and for the oracle's 2^n definitional checks.  The
+# closure-of-restriction search's image tables hold 2 * 2^ceil(n/2) entries
+# per relation, so lifting this ceiling means splitting them further.
 SUBSET_LIMIT = 12
 # Largest n for the pair enumeration, which scans subsets of subsets.
 PAIR_LIMIT = 8
@@ -276,6 +281,8 @@ def _stable_search(p: DecisionProblem, conflict: Relation, free: Mask,
     full, rows, cols = p.all_mask, p.strict.rows, p.strict.columns()
     adjacent = tuple(row | col
                      for row, col in zip(conflict.rows, conflict.columns()))
+    if cyclic:
+        degrees_ok, closed_inside = _cycle_tests(rows, cols)
     found = []
     # (chosen, undecided, everything the chosen dominate)
     stack = [(0, free, 0)]
@@ -294,12 +301,11 @@ def _stable_search(p: DecisionProblem, conflict: Relation, free: Mask,
                     break
         if fewest == 0:
             continue
-        if cyclic and not _cycle_degrees_ok(chosen, chosen | undecided,
-                                            rows, cols):
+        if cyclic and not degrees_ok(chosen, covered, chosen | undecided):
             continue
         if not pick:
             if not undecided:
-                if not cyclic or _closed_inside(chosen, rows, cols):
+                if not cyclic or closed_inside(chosen):
                     found.append(chosen)
                 continue
             pick, fewest = undecided, 2
@@ -313,33 +319,53 @@ def _stable_search(p: DecisionProblem, conflict: Relation, free: Mask,
     return SolutionFamily(FamilyForm.EXPLICIT, explicit=tuple(found))
 
 
-def _cycle_degrees_ok(chosen: Mask, live: Mask, rows: tuple[Mask, ...],
-                      cols: tuple[Mask, ...]) -> bool:
-    """A chosen alternative with an edge in from the chosen ones needs one
-    out to a live (chosen or undecided) one, and the reverse."""
-    rest = chosen
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        x = low.bit_length() - 1
-        if (cols[x] & chosen and not rows[x] & live
-                or rows[x] & chosen and not cols[x] & live):
-            return False
-    return True
+def _cycle_tests(rows: tuple[Mask, ...], cols: tuple[Mask, ...]
+                 ) -> tuple[Callable[[Mask, Mask, Mask], bool],
+                            Callable[[Mask], bool]]:
+    """The closure-of-restriction search's node and leaf tests, with every
+    set image read from tables.
 
+    ``succ(m)``, the union of `rows` over m, is one lookup in a table for
+    the low ``h = ceil(n / 2)`` alternatives joined with one for the rest
+    (see `bitset.image_table`); ``pred(m)`` is the same over `cols`.  Each
+    relation's two tables hold at most 2 * 2^h entries.
+    """
+    h = (len(rows) + 1) // 2
+    low = (1 << h) - 1
+    succ_lo, succ_hi = image_table(rows[:h]), image_table(rows[h:])
+    pred_lo, pred_hi = image_table(cols[:h]), image_table(cols[h:])
 
-def _closed_inside(v: Mask, rows: tuple[Mask, ...],
-                   cols: tuple[Mask, ...]) -> bool:
-    """Every edge inside v lies on a cycle inside v: inside v, each weak
-    component's least member reaches exactly what reaches it."""
-    rest = v
-    while rest:
-        start = rest & -rest
-        ahead = reach(start, rows, v)
-        if reach(start, cols, v) != ahead:
-            return False
-        rest &= ~ahead
-    return True
+    def degrees_ok(chosen: Mask, covered: Mask, live: Mask) -> bool:
+        """A chosen alternative with an edge in from the chosen ones (it
+        lies in `covered`, their successors) needs one out to a live one
+        (chosen or undecided), and the reverse."""
+        return not chosen & (
+            covered & ~(pred_lo[live & low] | pred_hi[live >> h])
+            | (pred_lo[chosen & low] | pred_hi[chosen >> h])
+            & ~(succ_lo[live & low] | succ_hi[live >> h]))
+
+    def closed_inside(v: Mask) -> bool:
+        """Every edge inside v lies on a cycle inside v: inside v, each
+        weak component's least member reaches exactly what reaches it."""
+        rest = v
+        while rest:
+            start = rest & -rest
+            ahead = frontier = start
+            while frontier:
+                frontier = ((succ_lo[frontier & low] | succ_hi[frontier >> h])
+                            & v & ~ahead)
+                ahead |= frontier
+            behind = frontier = start
+            while frontier:
+                frontier = ((pred_lo[frontier & low] | pred_hi[frontier >> h])
+                            & v & ~behind)
+                behind |= frontier
+            if behind != ahead:
+                return False
+            rest &= ~ahead
+        return True
+
+    return degrees_ok, closed_inside
 
 
 def m_stable_sets(p: DecisionProblem) -> SolutionFamily:

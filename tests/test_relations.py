@@ -6,7 +6,8 @@ import pytest
 
 from conftest import (CHAIN, CYCLE_WITH_TAIL, SYMMETRIC_PAIR, THREE_CYCLE,
                       kernel_corpus)
-from stableset.bitset import from_members, full_mask, image, members
+from stableset.bitset import (from_members, full_mask, image, image_table,
+                              members)
 from stableset.errors import EmptyGround
 from stableset.oracle import random_problem
 from stableset.order_topology import Poset
@@ -60,6 +61,16 @@ class TestImage:
             for mask in (0, full_mask(n), rng.getrandbits(n)):
                 expected = reduce(or_, (rows[x] for x in members(mask)), 0)
                 assert image(mask, rows) == expected
+
+    def test_image_table_holds_every_masks_image(self):
+        assert image_table([]) == [0]
+        rng = random.Random(18)
+        for trial in range(64):
+            width = trial % 8
+            n = 1 + trial % 13
+            rows = [rng.getrandbits(n) for _ in range(width)]
+            table = image_table(rows)
+            assert table == [image(m, rows) for m in range(1 << width)]
 
 
 class TestAsymmetricPart:

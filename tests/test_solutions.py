@@ -7,7 +7,7 @@ from conftest import (CHAIN, CYCLE_WITH_TAIL, FIVE_CYCLE, FOUR_CYCLE,
                       SYMMETRIC_PAIR, THREE_CYCLE, corpus_digraphs,
                       corpus_tournaments, is_stable_set, kernel_corpus,
                       product_partitions, reference_order)
-from stableset.bitset import from_members, members
+from stableset.bitset import from_members, image, members, reach, subsets
 from stableset.contraction import equipotence_classes, maximal_components
 from stableset.errors import LimitExceeded
 from stableset.oracle import (_omega, enumerate_solutions, gocha_bruteforce,
@@ -15,8 +15,8 @@ from stableset.oracle import (_omega, enumerate_solutions, gocha_bruteforce,
 from stableset.relations import (DecisionProblem, asymmetric_part,
                                  transitive_closure)
 from stableset.solutions import (Concept, FamilyForm, SchwartzMethod,
-                                 SociallyInterp, SolutionFamily, core,
-                                 duggan_set,
+                                 SociallyInterp, SolutionFamily,
+                                 _cycle_tests, core, duggan_set,
                                  extended_stable_sets,
                                  generalized_stable_sets, m_stable_sets,
                                  schwartz_set,
@@ -146,6 +146,16 @@ class TestSearchAgainstOracle:
             assert list(solve(p, concept, interp=interp)) == \
                 enumerate_solutions(p, concept, interp=interp)
 
+    @pytest.mark.parametrize("n", [10, 11, 12])
+    @pytest.mark.parametrize("seed", [2, 3, 4])
+    def test_cyclic_tournaments_closure_of_restriction(self, n, seed):
+        # The reading's worst case: a tournament's trap relation is empty,
+        # and nearly every leaf of the search is a member.
+        p = cyclic_problem(n, 0.5, seed, tournament=True)
+        interp = SociallyInterp.CLOSURE_OF_RESTRICTION
+        assert list(socially_stable_sets(p, interp)) == \
+            enumerate_solutions(p, Concept.SOCIALLY, interp=interp)
+
     def test_restrict_closure_members_lie_in_the_schwartz_set(
             self, searched_corpus):
         # The restrict-closure search runs over the Schwartz set only.
@@ -178,6 +188,67 @@ class TestSearchAgainstOracle:
                 socially_stable_sets(
                     path, SociallyInterp.CLOSURE_OF_RESTRICTION)):
             assert fam(family) == [(0, 2)]
+
+
+# The closure-of-restriction search's two tests transcribed member by
+# member: the reference its table lookups must reproduce exactly.
+
+def reference_cycle_degrees_ok(chosen, live, rows, cols):
+    """A chosen alternative with an edge in from the chosen ones needs one
+    out to a live (chosen or undecided) one, and the reverse."""
+    for x in members(chosen):
+        if (cols[x] & chosen and not rows[x] & live
+                or rows[x] & chosen and not cols[x] & live):
+            return False
+    return True
+
+
+def reference_closed_inside(v, rows, cols):
+    """Every edge inside v lies on a cycle inside v: inside v, each weak
+    component's least member reaches exactly what reaches it."""
+    rest = v
+    while rest:
+        start = rest & -rest
+        ahead = reach(start, rows, v)
+        if reach(start, cols, v) != ahead:
+            return False
+        rest &= ~ahead
+    return True
+
+
+class TestCycleTests:
+    def test_node_test_matches_the_reference(self):
+        for p in kernel_corpus():
+            if p.n > 5:
+                continue
+            rows, cols = p.strict.rows, p.strict.columns()
+            degrees_ok, _ = _cycle_tests(rows, cols)
+            for live in subsets(p.all_mask):
+                for chosen in subsets(live):
+                    assert degrees_ok(chosen, image(chosen, rows), live) == \
+                        reference_cycle_degrees_ok(chosen, live, rows, cols), \
+                        (p, chosen, live)
+
+    def test_leaf_test_matches_the_reference(self):
+        for p in kernel_corpus():
+            if p.n > 8:
+                continue
+            rows, cols = p.strict.rows, p.strict.columns()
+            _, closed_inside = _cycle_tests(rows, cols)
+            for v in subsets(p.all_mask):
+                assert closed_inside(v) == \
+                    reference_closed_inside(v, rows, cols), (p, v)
+
+    def test_only_the_cyclic_route_builds_tables(self, monkeypatch):
+        def refuse(rows, cols):
+            raise AssertionError("tables built")
+
+        monkeypatch.setattr("stableset.solutions._cycle_tests", refuse)
+        p = cyclic_problem(8, 0.5, 0)
+        vnm_stable_sets(p)
+        socially_stable_sets(p, SociallyInterp.RESTRICT_CLOSURE)
+        with pytest.raises(AssertionError, match="tables built"):
+            socially_stable_sets(p, SociallyInterp.CLOSURE_OF_RESTRICTION)
 
 
 class TestFamilies:
