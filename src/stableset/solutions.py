@@ -1,7 +1,8 @@
 """Solution concepts over abstract decision problems.
 
-Every concept with a product-form characterization (generalized, m-, w-,
-extended stable sets) is built from the condensation.  VNM stable sets on
+Every concept with a product-form characterization is built from the
+strong components: generalized, m- and w-stable sets from the undominated
+ones, extended stable sets from the condensation.  VNM stable sets on
 cyclic inputs and socially stable sets have none; they are found by one
 branch-and-prune search (`_stable_search`) under the subset-search ceiling.
 The closure-of-restriction reading adds a node and a leaf test that read
@@ -19,9 +20,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
-from .bitset import Mask, image_table, iter_bits, subsets
-from .contraction import (condensation_stable_set, equipotence_classes,
-                          maximal_components)
+from .bitset import Mask, image, image_table, iter_bits, subsets
+from .contraction import condensation_stable_set, equipotence_classes
 from .errors import check_size
 from .relations import (DecisionProblem, Relation, iterated_maximal,
                         maximal_set, trap_relation)
@@ -110,15 +110,15 @@ class SolutionFamily:
         Yields ``(high, lows)``: ``high`` has a zero low byte, ``lows`` is
         an ascending tuple of low bytes, and the members are ``high | low``
         for each low in turn.  The ascending forms never hold the whole
-        family: their runs come from the same construction on the bits
-        above the low byte (see `_ascending_runs`).
+        family: an in/out walk decides the bits above the low byte from
+        the top down, one block per high part (see `_ascending_blocks`).
         """
         if self.form is FamilyForm.EXPLICIT:
             return _runs(sorted(self.explicit))
         if self.form is FamilyForm.ONE_PER_COMPONENT:
             return _runs(filter(None, map(
                 sum, itertools.product(*self._pools()))))
-        runs = _ascending_runs(self.form, self.components)
+        runs = _ascending_blocks(self.form, self.components)
         high, lows = next(runs)  # the empty pick comes first; drop it
         return itertools.chain(((high, lows[1:]),) if len(lows) > 1 else (),
                                runs)
@@ -139,56 +139,42 @@ def _runs(masks: Iterable[Mask]) -> Iterator[tuple[Mask, tuple[int, ...]]]:
         yield high, tuple(lows)
 
 
-def _ascending_runs(form: FamilyForm, components: tuple[Mask, ...]
-                    ) -> Iterator[tuple[Mask, tuple[int, ...]]]:
+def _ascending_blocks(form: FamilyForm, components: tuple[Mask, ...]
+                      ) -> Iterator[tuple[Mask, tuple[int, ...]]]:
     """`SolutionFamily.blocks` of an ascending form over `components`, the
-    empty member included: it comes first, in the run ``(0, (0, ...))``.
+    empty member included: it comes first, in the block ``(0, (0, ...))``.
 
-    A member's high part is a member of the same form over the components'
-    bits above the low byte, so the high parts come in ascending order
-    from the level above.  That level starts at the next byte a component
-    touches and is built only when this level needs a second high part,
-    so the depth grows with the log of the members taken, not with n.  A
-    member's low byte depends on its high part only through the
-    components that straddle the byte boundary: a straddling union is in
-    or out as a whole, and a straddling representative lies above the
-    boundary or is free below it.  One table of low bytes is built per set
-    of straddling components the high part touches.
+    An in/out walk on an explicit stack that branches on the highest
+    undecided alternative.  Members without it are smaller than members
+    with it, so the out-branch runs first.  Taking it decides its whole
+    component: a union takes the component whole, and a representative is
+    its component's only one.  Once nothing undecided lies above the low
+    byte, the high part is fixed, and the block's low bytes come from one
+    table per pair of undecided and already taken low bits.
     """
     unions = form is FamilyForm.UNIONS_OF_COMPONENTS
-    below = [comp for comp in components if comp < 256]
-    straddling = [comp for comp in components if comp & 255 and comp >> 8]
-    above = sum(comp >> 8 for comp in components)
-    # The next level starts at the next byte any component touches.
-    shift = 8 + ((above & -above).bit_length() - 1) // 8 * 8 if above else 8
-    upper = tuple(comp >> shift for comp in components if comp >> shift)
-    tables: dict[tuple[bool, ...], tuple[int, ...]] = {}
-
-    def table(high: Mask) -> tuple[int, ...]:
-        touched = tuple(bool(high & comp) for comp in straddling)
-        lows = tables.get(touched)
+    component_of = {x: comp for comp in components for x in iter_bits(comp)}
+    low_parts = [comp & 255 for comp in components if comp & 255]
+    tables: dict[tuple[Mask, Mask], tuple[int, ...]] = {}
+    # (undecided alternatives, high part so far, low byte so far)
+    stack = [(sum(components), 0, 0)]
+    while stack:
+        undecided, high, low = stack.pop()
+        if undecided >> 8:
+            top = undecided.bit_length() - 1
+            comp = component_of[top]
+            taken = comp if unions else 1 << top
+            stack.append((undecided & ~comp, high | taken & ~255,
+                          low | taken & 255))
+            stack.append((undecided & ~taken, high, low))
+            continue
+        lows = tables.get((undecided, low))
         if lows is None:
-            pools = [_pool(form, comp) for comp in below]
-            for comp, hit in zip(straddling, touched):
-                if unions:
-                    pools.append((comp & 255 if hit else 0,))
-                else:
-                    pools.append((0,) if hit else _pool(form, comp & 255))
-            lows = tables[touched] = tuple(sorted(
-                map(sum, itertools.product(*pools))))
-        return lows
-
-    yield 0, table(0)
-    if not upper:
-        return
-    # High part 0, the level above's empty member, was just yielded, so
-    # the level above is built only when a second run is asked for.
-    runs = _ascending_runs(form, upper)
-    _, lows = next(runs)
-    for high, lows in itertools.chain(((0, lows[1:]),), runs):
-        for low in lows:
-            mask = (high | low) << shift
-            yield mask, table(mask)
+            pools = [_pool(form, part & undecided)
+                     for part in low_parts if part & undecided]
+            rests = sorted(map(sum, itertools.product(*pools)))
+            lows = tables[undecided, low] = tuple(low | r for r in rests)
+        yield high, lows
 
 
 def _pool(form: FamilyForm, comp: Mask) -> tuple[Mask, ...]:
@@ -233,9 +219,13 @@ def vnm_stable_sets(p: DecisionProblem) -> SolutionFamily:
 
 
 def _maximal_classes(p: DecisionProblem) -> tuple[Mask, ...]:
-    """The undominated strong components, in the contraction's order."""
-    c = equipotence_classes(p)
-    return tuple(c.classes[i] for i in iter_bits(maximal_components(c)))
+    """The undominated strong components, the ones no outsider strictly
+    dominates, by least member.  That is also their order in the
+    contraction, whose topological sort places the classes ready from the
+    start in index order."""
+    cols = p.strict.columns()
+    return tuple(comp for comp in p.components
+                 if image(comp, cols) & ~comp == 0)
 
 
 def generalized_stable_sets(p: DecisionProblem) -> SolutionFamily:

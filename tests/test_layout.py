@@ -24,6 +24,8 @@
 - Every module but `__init__` and `cli` is imported by another library
   module, not counting `__init__`: code that only tests call lives in the
   tests.
+- No module-level function calls itself by name: every walk keeps an
+  explicit stack, so the interpreter's recursion limit bounds no family.
 """
 
 import ast
@@ -126,6 +128,16 @@ def test_indented_json_only_in_io(path):
              and node.func.attr in ("dump", "dumps")
              and any(k.arg == "indent" for k in node.keywords)]
     assert found == [], f"{path.name}: indented JSON on lines {found}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_self_calling_functions(path):
+    found = [fn.name for fn in tree(path).body
+             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+             and any(isinstance(node, ast.Call)
+                     and isinstance(node.func, ast.Name)
+                     and node.func.id == fn.name for node in ast.walk(fn))]
+    assert found == [], f"{path.name}: functions calling themselves: {found}"
 
 
 def test_solutions_scan_subsets_only_for_pairs():

@@ -16,8 +16,8 @@ from stableset.relations import (DecisionProblem, asymmetric_part,
                                  transitive_closure)
 from stableset.solutions import (Concept, FamilyForm, SchwartzMethod,
                                  SociallyInterp, SolutionFamily,
-                                 _cycle_tests, core, duggan_set,
-                                 extended_stable_sets,
+                                 _cycle_tests, _maximal_classes, core,
+                                 duggan_set, extended_stable_sets,
                                  generalized_stable_sets, m_stable_sets,
                                  schwartz_set,
                                  socially_stable_sets, solve,
@@ -276,6 +276,16 @@ class TestFamilies:
                 for v in socially_stable_sets(p, interp):
                     assert all(v & comp for comp in top), (p, interp, v)
 
+    def test_maximal_classes_match_the_contraction(self):
+        # The reference derivation: the classes with no incoming edge in
+        # the condensation, in its topological order.  The kernel corpus
+        # holds the digraph and tournament corpora.
+        for p in kernel_corpus():
+            c = equipotence_classes(p)
+            expected = tuple(c.classes[i]
+                             for i in members(maximal_components(c)))
+            assert _maximal_classes(p) == expected, p
+
     def test_m_stable(self):
         assert fam(m_stable_sets(CYCLE_WITH_TAIL)) == [(0, 1, 2)]
         assert fam(m_stable_sets(SYMMETRIC_PAIR)) == [(0,), (1,), (0, 1)]
@@ -410,10 +420,16 @@ class TestBlocks:
     @staticmethod
     def check(family):
         assert list(family) == reference_order(family)
+        highs = []
         for high, lows in family.blocks():
             assert high & 255 == 0
             assert lows and list(lows) == sorted(set(lows))
             assert 0 <= lows[0] and lows[-1] < 256
+            highs.append(high)
+        if family.form is not FamilyForm.ONE_PER_COMPONENT:
+            # One block per high part, in ascending order: the whole-block
+            # writes of `io.write_document` rest on it.
+            assert highs == sorted(set(highs))
 
     def test_seeded_partitions(self):
         partitions = product_partitions()
@@ -431,11 +447,17 @@ class TestBlocks:
 
     @pytest.mark.parametrize("form", FORMS)
     def test_untouched_bytes_add_no_level(self, form):
-        # A level per byte would nest 1,000 generators here, past the
-        # recursion limit.
+        # Three components spread over 1,000 bytes: the walk branches on
+        # the alternatives above the low byte, never once per byte.
         n = 8010
         comps = (1 << n - 3, 1 << n - 5, (1 << n - 1) | 1)
         self.check(SolutionFamily(form, components=comps))
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_one_large_component(self, form):
+        # 2,000 members, all but eight above the low byte, where each
+        # representative is a block of its own.
+        self.check(SolutionFamily(form, components=((1 << 2000) - 1,)))
 
     @pytest.mark.parametrize("form", FORMS)
     def test_straddling_components(self, form):
