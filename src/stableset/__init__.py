@@ -16,9 +16,8 @@ from .order_topology import (CutLattice, ExcludedSetTopology, Poset,
                              is_precontinuous, lower_bounds, nachbin_closed,
                              upper_bounds, way_below_e, weak_t1_separation)
 from .relations import (DecisionProblem, Relation, asymmetric_part,
-                        is_acyclic, iterated_maximal, maximal_set,
-                        strict_poset_order, strong_components,
-                        transitive_closure, trap_relation)
+                        is_acyclic, maximal_set, strict_poset_order,
+                        strong_components, transitive_closure, trap_relation)
 from .solutions import (Concept, FamilyForm, SchwartzMethod, SociallyInterp,
                         SolutionFamily, core, duggan_set, extended_stable_sets,
                         generalized_stable_sets, m_stable_sets, schwartz_set,

@@ -17,15 +17,14 @@ import time
 
 from . import io as sio
 from .bitset import from_members, members
-from .contraction import equipotence_classes, extended_dominance
+from .contraction import equipotence_classes
 from .errors import LimitExceeded, ParseError, StablesetError, check_size
 from .oracle import cross_verify, gocha_bruteforce, random_problem
 from .order_topology import (Poset, dm_completion, excluded_set_topology,
-                             frink_ideals, nachbin_closed, weak_t1_separation)
+                             frink_ideals)
 from .relations import DecisionProblem, strict_poset_order
 from .solutions import (SUBSET_LIMIT, Concept, SchwartzMethod, SociallyInterp,
-                        core, duggan_set, m_stable_sets, schwartz_set, solve,
-                        w_stable_sets)
+                        core, duggan_set, m_stable_sets, schwartz_set, solve)
 
 EXIT_OK = 0
 EXIT_SOLVER_ERROR = 1
@@ -241,19 +240,21 @@ def _cmd_contract(args) -> int:
         return EXIT_OK
     doc = {
         "classes": [list(members(cls)) for cls in c.classes],
-        "condensation_edges": sorted([i, j] for i, j in c.cond.pairs()),
+        "condensation_edges": [[i, j] for i, j in c.cond.pairs()],
     }
     sio.write_document(sys.stdout, doc)
     return EXIT_OK
 
 
 def _generator_set(p: DecisionProblem, generator: str) -> int:
-    if generator == "schwartz":
-        return schwartz_set(p)
+    """The generator's set; for wss and mss, the first member of the family,
+    the least Schwartz alternative or the least undominated component."""
     if generator == "duggan":
         return duggan_set(p)
-    family = w_stable_sets(p) if generator == "wss" else m_stable_sets(p)
-    return next(iter(family), 0)
+    if generator == "mss":
+        return min(m_stable_sets(p).components)
+    top = schwartz_set(p)
+    return top if generator == "schwartz" else top & -top
 
 
 # The checks that read --excluded and --generator; giving either option to
@@ -275,32 +276,31 @@ def _cmd_topology(args) -> int:
                          f"for n={p.n}\n")
         return EXIT_USAGE
     doc: dict = {"check": args.check}
-    if args.check in ("dm", "frink", "nachbin"):
-        poset = Poset(strict_poset_order(p))
-    if args.check in ("excluded", "nachbin") or args.excluded is not None:
-        excluded = (_generator_set(p, generator) if args.excluded is None
-                    else from_members(args.excluded))
-        top = excluded_set_topology(p.n, excluded)
     if args.check == "dm":
+        poset = Poset(strict_poset_order(p))
         doc["cuts"] = [list(members(c)) for c in dm_completion(poset).cuts]
     elif args.check == "frink":
-        doc["ideals"] = [list(members(i)) for i in frink_ideals(poset)]
+        ideals = frink_ideals(Poset(strict_poset_order(p)))
+        doc["ideals"] = [list(members(i)) for i in ideals]
     elif args.check == "precont":
         # Every finite poset is precontinuous (`is_precontinuous`), so the
         # order is neither derived nor validated.
         doc["precontinuous"] = True
     elif args.check == "excluded":
+        excluded = (_generator_set(p, generator) if args.excluded is None
+                    else from_members(args.excluded))
         doc["excluded"] = list(members(excluded))
-        doc["open_count"] = top.open_count
+        doc["open_count"] = excluded_set_topology(p.n, excluded).open_count
         # A finite space is compact: the full set covers any open cover.
         doc["compact_subcover"] = [list(range(p.n))]
     elif args.check == "nachbin":
-        doc["nachbin_closed"] = nachbin_closed(top, poset.leq)
+        # n >= 2 fails: no generator or --excluded set is empty (`nachbin_closed`).
+        doc["nachbin_closed"] = p.n == 1
     elif args.excluded is not None:  # t1
-        # Extended dominance dominates the same points as the strict part
-        # of the closure, the relation the check is defined with.
+        # Only points outside the Schwartz set are dominated (`weak_t1_separation`).
+        excluded = from_members(args.excluded)
         doc["excluded"] = list(members(excluded))
-        doc["separated"] = weak_t1_separation(top, extended_dominance(p))
+        doc["separated"] = excluded & ~schwartz_set(p) == 0
     else:  # t1 with a generator
         # Schwartz, wss and mss sets lie in undominated components, and the
         # Duggan set is undominated by the asymmetric trap relation: each

@@ -6,7 +6,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bitset import Mask, full_mask, image, iter_bits
-from .relations import DecisionProblem, Relation, iterated_maximal, maximal_set
+from .relations import (DecisionProblem, Relation, acyclic_stable_set,
+                        maximal_set)
 
 
 @dataclass(frozen=True)
@@ -33,11 +34,11 @@ def equipotence_classes(p: DecisionProblem) -> Contraction:
     """Group alternatives that reach each other through the strict closure.
 
     Symmetric R-edges vanish in the strict part, so they never merge classes.
-    The classes are the problem's strong components, ordered by least member
-    before the topological sort.
+    The classes are the problem's strong components, sorted by least member
+    for the least-ready tie-break of the topological sort.
     """
     strict = p.strict
-    raw_classes = p.components
+    raw_classes = sorted(p.components, key=lambda comp: comp & -comp)
     n = p.n
 
     # Condensation edges from one-step strict dominance across classes: one
@@ -111,5 +112,6 @@ def extended_dominance(p: DecisionProblem) -> Relation:
 
 
 def condensation_stable_set(c: Contraction) -> Mask:
-    """The unique stable set of the acyclic condensation, as class indices."""
-    return iterated_maximal(c.cond)
+    """The unique stable set of the acyclic condensation, as class indices;
+    every condensation edge points forward, so index order is topological."""
+    return acyclic_stable_set(c.cond, range(c.k))

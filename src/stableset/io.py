@@ -341,9 +341,9 @@ def export_dot(p: DecisionProblem, c: Contraction) -> str:
             for x in xs:
                 lines.append(f'    a{x} [label={labels[x]}];')
             lines.append("  }")
-    for x, y in sorted(p.rel.pairs()):
+    for x, y in p.rel.pairs():
         lines.append(f"  a{x} -> a{y};")
-    for i, j in sorted(c.cond.pairs()):
+    for i, j in c.cond.pairs():
         src = members(c.classes[i])[0]
         dst = members(c.classes[j])[0]
         lines.append(f"  a{src} -> a{dst} [style=bold, color=red, "

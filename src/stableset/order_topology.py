@@ -180,7 +180,9 @@ def weak_t1_separation(top: ExcludedSetTopology, strict: Relation) -> bool:
 
     `strict` is irreflexive, so the open {x} serves a free x, and the only
     open around an excluded x is the full set: the check holds iff no
-    excluded point is dominated.
+    excluded point is dominated.  Under extended dominance, as under the
+    strict part of the closure, that means the excluded set lies in the
+    Schwartz set.
     """
     return image(full_mask(strict.n), strict.rows) & top.excluded == 0
 
@@ -192,7 +194,8 @@ def nachbin_closed(top: ExcludedSetTopology, order: Relation) -> bool:
     The smallest opens give the best rectangle: {x} x {y} when both are
     free.  `order` is reflexive, so a full-set side meets the order's graph
     and the pair fails; the check holds iff every pair x ≰ y has both x and
-    y free.
+    y free.  On a poset with n ≥ 2 every point is in such a pair, so it
+    holds iff nothing is excluded.
     """
     full = full_mask(order.n)
     unrelated = 0

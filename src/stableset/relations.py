@@ -18,7 +18,7 @@ from functools import cached_property
 from itertools import chain
 from typing import Iterable, Iterator
 
-from .bitset import Mask, full_mask, image, iter_bits, reach
+from .bitset import Mask, full_mask, iter_bits, reach
 from .errors import EmptyGround
 
 
@@ -127,7 +127,7 @@ class DecisionProblem:
 
     @cached_property
     def components(self) -> tuple[Mask, ...]:
-        """Strong components of the strict part, ordered by least member."""
+        """Strong components of the strict part, in topological order."""
         return strong_components(self.strict)
 
     @cached_property
@@ -192,12 +192,13 @@ def transitive_closure(r: Relation) -> Relation:
 
 
 def strong_components(r: Relation) -> tuple[Mask, ...]:
-    """Strong components of r (mutual reachability), ordered by least member.
+    """Strong components of r (mutual reachability), in topological order:
+    each comes before every component it reaches.
 
     Kosaraju's two passes over bit rows: a depth-first pass along the rows
     records finishing order, then a breadth-first pass along the columns, in
-    reverse finishing order, collects each component.  Each pass takes O(n)
-    steps of a few big-int operations each.
+    reverse finishing order, collects each component, in that order (Sharir
+    1981).  Each pass takes O(n) steps of a few big-int operations each.
     """
     rows = r.rows
     unvisited = full_mask(r.n)
@@ -222,7 +223,6 @@ def strong_components(r: Relation) -> tuple[Mask, ...]:
             comp = reach(1 << x, cols, unassigned)
             unassigned ^= comp
             comps.append(comp)
-    comps.sort(key=lambda comp: comp & -comp)
     return tuple(comps)
 
 
@@ -239,19 +239,15 @@ def maximal_set(xs: Mask, r: Relation) -> Mask:
     return out
 
 
-def iterated_maximal(r: Relation) -> Mask:
-    """The unique stable set of an acyclic relation.
-
-    Keep the undominated members, drop everything they dominate in one step,
-    repeat on the remainder.  A layer is the remainder's `maximal_set`: r is
-    acyclic, so its weakly maximal members are its undominated ones.
-    """
-    remaining = full_mask(r.n)
-    chosen = 0
-    while remaining:
-        layer = maximal_set(remaining, r)
-        chosen |= layer
-        remaining &= ~(layer | image(layer, r.rows))
+def acyclic_stable_set(r: Relation, order: Iterable[int]) -> Mask:
+    """The unique stable set of an acyclic relation, from its nodes in a
+    topological order: take each node that no node taken before it
+    dominates.  All its dominators are decided by then."""
+    chosen = covered = 0
+    for x in order:
+        if not covered >> x & 1:
+            chosen |= 1 << x
+            covered |= r.rows[x]
     return chosen
 
 

@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Iterator
 from .bitset import Mask, image, image_table, iter_bits, subsets
 from .contraction import condensation_stable_set, equipotence_classes
 from .errors import check_size
-from .relations import (DecisionProblem, Relation, iterated_maximal,
+from .relations import (DecisionProblem, Relation, acyclic_stable_set,
                         maximal_set, trap_relation)
 
 # Largest n for the VNM and socially stable searches (exponential in the
@@ -206,26 +206,25 @@ def duggan_set(p: DecisionProblem) -> Mask:
 def vnm_stable_sets(p: DecisionProblem) -> SolutionFamily:
     """All stable sets under one-step strict dominance.
 
-    Acyclic strict parts (every strong component a single alternative) take
-    the constructive route (iterated maximal set, unique and core-inclusive);
-    anything else is a search for the kernels of the strict digraph.
+    Acyclic strict parts (every strong component a single alternative) get
+    their unique stable set in one pass over the components, which come in
+    topological order; anything else is a search for the strict kernels.
     """
-    strict = p.strict
     if len(p.components) == p.n:
+        order = (comp.bit_length() - 1 for comp in p.components)
         return SolutionFamily(FamilyForm.EXPLICIT,
-                              explicit=(iterated_maximal(strict),))
+                              explicit=(acyclic_stable_set(p.strict, order),))
     check_size(p.n, SUBSET_LIMIT, "subset-search")
-    return _stable_search(p, strict, p.all_mask)
+    return _stable_search(p, p.strict, p.all_mask)
 
 
 def _maximal_classes(p: DecisionProblem) -> tuple[Mask, ...]:
-    """The undominated strong components, the ones no outsider strictly
-    dominates, by least member.  That is also their order in the
-    contraction, whose topological sort places the classes ready from the
-    start in index order."""
+    """The undominated strong components (no outsider strictly dominates
+    them) by least member, their order in the contraction, whose topological
+    sort places the classes ready from the start in index order."""
     cols = p.strict.columns()
-    return tuple(comp for comp in p.components
-                 if image(comp, cols) & ~comp == 0)
+    tops = [comp for comp in p.components if image(comp, cols) & ~comp == 0]
+    return tuple(sorted(tops, key=lambda comp: comp & -comp))
 
 
 def generalized_stable_sets(p: DecisionProblem) -> SolutionFamily:

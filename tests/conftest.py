@@ -8,9 +8,9 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from stableset.bitset import iter_bits
+from stableset.bitset import full_mask, image, iter_bits
 from stableset.oracle import random_problem
-from stableset.relations import DecisionProblem
+from stableset.relations import DecisionProblem, Relation, maximal_set
 from stableset.solutions import FamilyForm
 
 THREE_CYCLE = DecisionProblem.from_edges(3, [(0, 1), (1, 2), (2, 0)])
@@ -89,6 +89,31 @@ def kernel_corpus():
             out.append(random_problem(n, 0.5, seed))
             out.append(random_problem(n, 0.5, seed, tournament=True))
     return tuple(out)
+
+
+def long_acyclic_problems():
+    """The worst cases of a layer-by-layer stable set: the 2,000-chain, a
+    directed path with n / 2 layers, and the complete bipartite
+    1,000 x 1,000 order, whose 10^6 edges all join two singleton classes."""
+    chain = DecisionProblem.from_edges(2000, [(x, x + 1) for x in range(1999)])
+    tops = full_mask(2000) >> 1000 << 1000
+    bipartite = DecisionProblem(Relation(2000, (tops,) * 1000 + (0,) * 1000))
+    return chain, bipartite
+
+
+def layered_stable_set(r):
+    """The unique stable set of an acyclic relation, layer by layer: keep
+    the undominated members, drop everything they dominate, repeat on the
+    remainder.  r is acyclic, so a layer is the remainder's `maximal_set`.
+    The reference the one-pass `relations.acyclic_stable_set` is checked
+    against."""
+    remaining = full_mask(r.n)
+    chosen = 0
+    while remaining:
+        layer = maximal_set(remaining, r)
+        chosen |= layer
+        remaining &= ~(layer | image(layer, r.rows))
+    return chosen
 
 
 def reference_order(family):

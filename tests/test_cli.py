@@ -11,19 +11,21 @@ import pytest
 
 import stableset
 from conftest import CYCLE_WITH_TAIL, kernel_corpus
-from stableset import cli, order_topology, relations
+from stableset import cli, contraction, order_topology, relations
 from stableset import io as sio
-from stableset.bitset import image
+from stableset.bitset import image, members
 from stableset.cli import _build_parser, _generator_set, run_cli
 from stableset.errors import LoopEdge, ParseError
 from stableset.io import (BYTE_LIMIT, PARSE_LIMIT, export_dot,
                           parse_instance, serialize_instance)
 from stableset.order_topology import (CUT_LIMIT, excluded_set_topology,
-                                      weak_t1_separation)
+                                      nachbin_closed, weak_t1_separation)
 from stableset.relations import (DecisionProblem, Relation, asymmetric_part,
-                                 transitive_closure, trap_relation)
+                                 strict_poset_order, transitive_closure,
+                                 trap_relation)
 from stableset.oracle import random_problem
 from stableset.contraction import equipotence_classes, extended_dominance
+from stableset.solutions import m_stable_sets, schwartz_set, w_stable_sets
 
 TAIL_EDGES = "4\n0 1\n1 2\n2 0\n0 3\n"
 
@@ -541,23 +543,28 @@ class TestTopologyCommand:
 
     def test_each_route_closes_at_most_once(self, capsys, monkeypatch,
                                            tmp_path):
-        """`dm`, `frink` and `nachbin` close the dominance relation once to
-        derive the order, and validating it closes nothing; the other
-        routes close nothing."""
+        """`dm` and `frink` close the dominance relation once to derive the
+        order, and validating it closes nothing; the other routes close
+        nothing.  No route builds a contraction."""
         closures = []
 
         def counted(r):
             closures.append(r.n)
             return closure(r)
 
+        def refuse(p):
+            raise AssertionError("a topology check built a contraction")
+
         closure = relations.transitive_closure
         monkeypatch.setattr(relations, "transitive_closure", counted)
         monkeypatch.setattr(order_topology, "transitive_closure", counted)
+        monkeypatch.setattr(contraction, "equipotence_classes", refuse)
+        monkeypatch.setattr(cli, "equipotence_classes", refuse)
         path = tmp_path / "p.json"
         path.write_text(serialize_instance(random_problem(12, 0.2, 3)))
         for check, options, expected in (
-                ("dm", [], 1), ("frink", [], 1), ("nachbin", [], 1),
-                ("nachbin", ["--excluded", "0"], 1), ("excluded", [], 0),
+                ("dm", [], 1), ("frink", [], 1), ("nachbin", [], 0),
+                ("nachbin", ["--excluded", "0"], 0), ("excluded", [], 0),
                 ("precont", [], 0), ("t1", [], 0),
                 ("t1", ["--excluded", "0"], 0)):
             closures.clear()
@@ -590,10 +597,10 @@ class TestTopologyCommand:
         assert code == 0 and json.loads(out)["precontinuous"] is True
 
     def test_precont_builds_no_order(self, capsys, monkeypatch, tmp_path):
-        """Every finite poset is precontinuous, so `precont` derives no
-        order and closes no relation."""
+        """Every finite poset is precontinuous, and `nachbin` is settled by
+        n alone, so neither derives an order or closes a relation."""
         def refuse(*args):
-            raise AssertionError("precont built an order")
+            raise AssertionError("precont or nachbin built an order")
 
         path = tmp_path / "p.json"
         path.write_text(serialize_instance(random_problem(40, 0.1, 3)))
@@ -604,6 +611,52 @@ class TestTopologyCommand:
                         "--input", str(path))
         assert code == 0 and out == \
             '{\n  "check": "precont",\n  "precontinuous": true\n}\n'
+        for generating in ([], ["--excluded", "0"], ["--generator", "mss"]):
+            code, out = run(capsys, "topology", "--check", "nachbin",
+                            "--input", str(path), *generating)
+            assert code == 0 and json.loads(out)["nachbin_closed"] is False
+
+    def test_nachbin_and_t1_excluded_answer_by_theorem(self, capsys,
+                                                      tmp_path):
+        """`nachbin` holds iff n = 1, and `t1 --excluded I` iff I lies in
+        the Schwartz set: on every corpus problem, with four non-empty
+        excluded sets each, both answers equal the definitions on the
+        relations the checks are defined with."""
+        rng = random.Random(21)
+        path = tmp_path / "p.json"
+        cases = 0
+        answers = {"nachbin": set(), "t1": set()}
+        for p in kernel_corpus():
+            path.write_text(serialize_instance(p))
+            order = strict_poset_order(p)
+            dominance = extended_dominance(p)
+            top_set = schwartz_set(p)
+            inside = top_set & rng.getrandbits(p.n) or top_set & -top_set
+            anywhere = rng.getrandbits(p.n) or 1
+            single = 1 << rng.randrange(p.n)
+            for excluded in (top_set, inside, anywhere, single):
+                top = excluded_set_topology(p.n, excluded)
+                option = ",".join(map(str, members(excluded)))
+                for check, key, expected in (
+                        ("nachbin", "nachbin_closed",
+                         nachbin_closed(top, order)),
+                        ("t1", "separated",
+                         weak_t1_separation(top, dominance))):
+                    code, out = run(capsys, "topology", "--check", check,
+                                    "--input", str(path),
+                                    "--excluded", option)
+                    assert (code, json.loads(out)[key]) == (0, expected)
+                    answers[check].add(expected)
+                cases += 1
+        assert cases == 4876
+        assert answers == {"nachbin": {False, True}, "t1": {False, True}}
+
+    def test_first_generator_members_match_the_families(self):
+        # wss and mss read their first member off the components.
+        edgeless = DecisionProblem.from_edges(2000, [])
+        for p in kernel_corpus() + (edgeless,):
+            assert _generator_set(p, "wss") == next(iter(w_stable_sets(p)))
+            assert _generator_set(p, "mss") == next(iter(m_stable_sets(p)))
 
 
 class TestRandomCommand:

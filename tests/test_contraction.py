@@ -1,5 +1,6 @@
 from conftest import (CHAIN, CYCLE_WITH_TAIL, FOUR_CYCLE, SYMMETRIC_PAIR,
-                      THREE_CYCLE, is_stable_set, kernel_corpus)
+                      THREE_CYCLE, is_stable_set, kernel_corpus,
+                      layered_stable_set, long_acyclic_problems)
 from stableset.bitset import iter_bits, members
 from stableset.contraction import (condensation_stable_set,
                                    equipotence_classes, extended_dominance,
@@ -161,6 +162,11 @@ class TestCondensationStableSet:
             stable = [v for v in subsets((1 << c.k) - 1)
                       if v and is_stable_set(v, c.cond).ok]
             assert stable == [chosen]
+
+    def test_one_pass_matches_the_layered_reference(self):
+        for p in kernel_corpus() + long_acyclic_problems():
+            c = equipotence_classes(p)
+            assert condensation_stable_set(c) == layered_stable_set(c.cond)
 
 
 def kahn_order(k, rows):

@@ -8,6 +8,7 @@ from conftest import (CHAIN, CYCLE_WITH_TAIL, SYMMETRIC_PAIR, THREE_CYCLE,
                       kernel_corpus)
 from stableset.bitset import (from_members, full_mask, image, image_table,
                               members)
+from stableset.contraction import equipotence_classes
 from stableset.errors import EmptyGround
 from stableset.oracle import random_problem
 from stableset.order_topology import Poset
@@ -236,14 +237,24 @@ class TestDeriveOnceKernels:
             assert comps is p.components
             assert comps == strong_components(p.strict)
             assert sum(comps) == p.all_mask
-            least = [members(c)[0] for c in comps]
-            assert least == sorted(least)
+            # Topological order: no later component strictly dominates an
+            # earlier one.
+            earlier = 0
+            for comp in comps:
+                assert image(comp, p.strict.rows) & earlier == 0
+                earlier |= comp
             for comp in comps:
                 for x in members(comp):
                     mutual = from_members(
                         y for y in range(p.n)
                         if y == x or (closure.has(x, y) and closure.has(y, x)))
                     assert comp == mutual
+
+    def test_pairs_ascend(self):
+        # `contract` and `contract --dot` write pairs in this order unsorted.
+        for p in kernel_corpus():
+            for r in (p.rel, equipotence_classes(p).cond):
+                assert list(r.pairs()) == sorted(r.pairs())
 
     def test_trap_relation_drops_what_reaches_back(self):
         for p in kernel_corpus():

@@ -6,6 +6,7 @@ import pytest
 from conftest import (CHAIN, CYCLE_WITH_TAIL, FIVE_CYCLE, FOUR_CYCLE,
                       SYMMETRIC_PAIR, THREE_CYCLE, corpus_digraphs,
                       corpus_tournaments, is_stable_set, kernel_corpus,
+                      layered_stable_set, long_acyclic_problems,
                       product_partitions, reference_order)
 from stableset.bitset import from_members, image, members, reach, subsets
 from stableset.contraction import equipotence_classes, maximal_components
@@ -91,6 +92,14 @@ class TestVnm:
     def test_acyclic_constructive_route(self):
         family = vnm_stable_sets(CHAIN)
         assert fam(family) == [(0,)]
+
+    def test_acyclic_route_matches_the_layered_reference(self):
+        acyclic = [p for p in kernel_corpus() + long_acyclic_problems()
+                   if len(p.components) == p.n]
+        assert len(acyclic) > 100
+        for p in acyclic:
+            assert vnm_stable_sets(p).explicit == \
+                (layered_stable_set(p.strict),)
 
     def test_limit(self):
         """The search answers a 12-cycle and refuses a 13-cycle at the
