@@ -6,10 +6,10 @@ Run with `python3 demos/demo_contraction.py`.
 from stableset import DecisionProblem
 from stableset.bitset import members
 from stableset.contraction import (condensation_stable_set,
-                                   equipotence_classes, extended_dominance,
-                                   maximal_components)
+                                   equipotence_classes, extended_dominance)
 from stableset.io import export_dot
 from stableset.relations import is_acyclic
+from stableset.solutions import generalized_stable_sets
 
 # Two interlocking cycles feeding a chain of two losers.
 p = DecisionProblem.from_edges(
@@ -23,9 +23,9 @@ print("condensation edges:", sorted(c.cond.pairs()))
 print("condensation acyclic:", is_acyclic(c.cond))
 print()
 
-# The maximal classes survive every challenge; the condensation's unique
-# stable set may reach deeper than that.
-top = [set(members(c.classes[i])) for i in members(maximal_components(c))]
+# The undominated components survive every challenge; the condensation's
+# unique stable set may reach deeper than that.
+top = [set(members(comp)) for comp in generalized_stable_sets(p).components]
 print("maximal components:", top)
 kernel = condensation_stable_set(c)
 print("condensation stable set (class indices):", set(members(kernel)))

@@ -3,8 +3,7 @@ brute-force oracle and a finite order-topology lab."""
 
 from .bitset import from_members, full_mask, members
 from .contraction import (Contraction, condensation_stable_set,
-                          equipotence_classes, extended_dominance,
-                          maximal_components)
+                          equipotence_classes, extended_dominance)
 from .errors import (EmptyGround, LimitExceeded, LoopEdge, ParseError,
                      PosetViolation, StablesetError)
 from .io import export_dot, parse_instance, serialize_instance

@@ -1,13 +1,13 @@
-"""Strong components of the strict closure, their condensation, and the
-component-mediated dominance relation built on top of them."""
+"""Strong components of the strict part, their condensation, built in one
+least-ready walk over the components, and the component-mediated dominance
+relation built on top of them."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitset import Mask, full_mask, image, iter_bits
-from .relations import (DecisionProblem, Relation, acyclic_stable_set,
-                        maximal_set)
+from .bitset import Mask, image, iter_bits
+from .relations import DecisionProblem, Relation, acyclic_stable_set
 
 
 @dataclass(frozen=True)
@@ -15,10 +15,11 @@ class Contraction:
     """Partition into strong components plus the induced acyclic relation.
 
     ``classes`` is ordered topologically for ``cond``: each component comes
-    after every component dominating it, and the next is the least-indexed
-    ready one (see `_topological_order`).  That makes the output
+    after every component dominating it, and of the ready components the one
+    with the least member comes next (Kahn 1962).  That makes the output
     deterministic and every condensation edge ``(i, j)`` point forward,
-    ``i < j``.
+    ``i < j``.  Undominated components need not come first: edges {0->1}
+    beside an isolated 2 give the order [0, 1, 2].
     """
 
     classes: tuple[Mask, ...]
@@ -31,74 +32,64 @@ class Contraction:
 
 
 def equipotence_classes(p: DecisionProblem) -> Contraction:
-    """Group alternatives that reach each other through the strict closure.
+    """Group alternatives that reach each other along the strict part.
 
     Symmetric R-edges vanish in the strict part, so they never merge classes.
-    The classes are the problem's strong components, sorted by least member
-    for the least-ready tie-break of the topological sort.
+    Each component is keyed by its least member, and its outside dominators
+    are read off the strict columns once.  ``ready`` holds the least members
+    of the components whose dominators are all placed, so its lowest bit
+    names the next class.  Placing a component records its out-edges and
+    tests each target component once, since a hit drops the whole target; a
+    last pass turns the recorded out-edges into rows.
     """
-    strict = p.strict
-    raw_classes = sorted(p.components, key=lambda comp: comp & -comp)
-    n = p.n
+    rows, cols = p.strict.rows, p.strict.columns()
+    lead = [0] * p.n      # the least member of each alternative's component
+    comp_at = [0] * p.n   # a component, at its least member
+    doms = [0] * p.n      # its outside dominators, at its least member
+    ready = 0
+    for comp in p.components:
+        low = comp & -comp
+        x = low.bit_length() - 1
+        for y in iter_bits(comp):
+            lead[y] = x
+        comp_at[x] = comp
+        doms[x] = image(comp, cols) & ~comp
+        if not doms[x]:
+            ready |= low
 
-    # Condensation edges from one-step strict dominance across classes: one
-    # step per class edge, since a hit drops the whole target class.
-    idx_of = [0] * n
-    for i, cls in enumerate(raw_classes):
-        for x in iter_bits(cls):
-            idx_of[x] = i
-    k = len(raw_classes)
-    raw_cond = [0] * k
-    for i, cls in enumerate(raw_classes):
-        out = image(cls, strict.rows) & ~cls
-        row = 0
-        while out:
-            j = idx_of[(out & -out).bit_length() - 1]
-            row |= 1 << j
-            out &= ~raw_classes[j]
-        raw_cond[i] = row
-
-    order = _topological_order(k, raw_cond)
-    rank = [0] * k
-    for new_i, old_i in enumerate(order):
-        rank[old_i] = new_i
-    classes = tuple(raw_classes[old_i] for old_i in order)
-    rank_bits = [1 << r for r in rank]
-    cond_rows = tuple(image(raw_cond[old_i], rank_bits) for old_i in order)
-    class_of = tuple(rank[idx_of[x]] for x in range(n))
-    return Contraction(classes, class_of, Relation(k, cond_rows))
-
-
-def _topological_order(k: int, rows: list[Mask]) -> list[int]:
-    """Kahn's algorithm with the least-indexed ready class next.
-
-    A class becomes ready once every class dominating it is placed, and the
-    next class is the lowest bit of the ready mask, for deterministic
-    output.  Undominated classes need not come first: edges {0->1} beside
-    an isolated 2 give the order [0, 1, 2].
-    """
-    cols = Relation(k, tuple(rows)).columns()
-    placed = 0
-    ready = sum(1 << i for i in range(k) if not cols[i])
-    out: list[int] = []
+    classes: list[Mask] = []
+    outs: list[Mask] = []
+    position = [0] * p.n  # a component's class index, at its least member
+    unplaced = p.all_mask
     while ready:
         low = ready & -ready
-        i = low.bit_length() - 1
-        out.append(i)
-        placed |= low
         ready ^= low
-        for j in iter_bits(rows[i]):
-            if not cols[j] & ~placed:
-                ready |= 1 << j
-    if len(out) != k:
+        x = low.bit_length() - 1
+        comp = comp_at[x]
+        position[x] = len(classes)
+        classes.append(comp)
+        unplaced ^= comp
+        out = targets = image(comp, rows) & ~comp
+        outs.append(out)
+        while targets:
+            t = lead[(targets & -targets).bit_length() - 1]
+            targets ^= targets & comp_at[t]
+            if not doms[t] & unplaced:
+                ready |= 1 << t
+    if len(classes) != len(p.components):
         raise AssertionError("condensation relation is cyclic")
-    return out
 
-
-def maximal_components(c: Contraction) -> Mask:
-    """Class indices with no incoming condensation edge; never empty.  The
-    condensation is acyclic, so these are its weakly maximal classes."""
-    return maximal_set(full_mask(c.k), c.cond)
+    class_of = tuple(position[x] for x in lead)
+    cond_rows = []
+    for out in outs:
+        row = 0
+        while out:
+            j = class_of[(out & -out).bit_length() - 1]
+            row |= 1 << j
+            out ^= out & classes[j]
+        cond_rows.append(row)
+    return Contraction(tuple(classes), class_of,
+                       Relation(len(classes), tuple(cond_rows)))
 
 
 def extended_dominance(p: DecisionProblem) -> Relation:

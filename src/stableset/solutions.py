@@ -220,8 +220,8 @@ def vnm_stable_sets(p: DecisionProblem) -> SolutionFamily:
 
 def _maximal_classes(p: DecisionProblem) -> tuple[Mask, ...]:
     """The undominated strong components (no outsider strictly dominates
-    them) by least member, their order in the contraction, whose topological
-    sort places the classes ready from the start in index order."""
+    them) by least member, their order in the contraction, whose least-ready
+    walk places the components ready from the start by least member."""
     cols = p.strict.columns()
     tops = [comp for comp in p.components if image(comp, cols) & ~comp == 0]
     return tuple(sorted(tops, key=lambda comp: comp & -comp))

@@ -116,6 +116,63 @@ def layered_stable_set(r):
     return chosen
 
 
+def kahn_contraction(p):
+    """Classes, class_of and condensation rows in three passes: the
+    condensation of the components in order of least member, one step per
+    class edge; Kahn's sort with the least-indexed ready class next; and a
+    renumbering of classes and rows in that order.  The reference the
+    one-walk `contraction.equipotence_classes` is checked against."""
+    raw_classes = sorted(p.components, key=lambda comp: comp & -comp)
+    idx_of = [0] * p.n
+    for i, cls in enumerate(raw_classes):
+        for x in iter_bits(cls):
+            idx_of[x] = i
+    k = len(raw_classes)
+    raw_cond = [0] * k
+    for i, cls in enumerate(raw_classes):
+        out = image(cls, p.strict.rows) & ~cls
+        while out:
+            j = idx_of[(out & -out).bit_length() - 1]
+            raw_cond[i] |= 1 << j
+            out &= ~raw_classes[j]
+    order = least_ready_order(k, raw_cond)
+    rank = [0] * k
+    for new_i, old_i in enumerate(order):
+        rank[old_i] = new_i
+    rank_bits = [1 << r for r in rank]
+    return (tuple(raw_classes[old_i] for old_i in order),
+            tuple(rank[idx_of[x]] for x in range(p.n)),
+            tuple(image(raw_cond[old_i], rank_bits) for old_i in order))
+
+
+def least_ready_order(k, rows):
+    """Kahn's algorithm on the class relation `rows`: a class becomes ready
+    once every class dominating it is placed, and the lowest bit of the
+    ready mask is placed next."""
+    cols = Relation(k, tuple(rows)).columns()
+    placed = 0
+    ready = sum(1 << i for i in range(k) if not cols[i])
+    out = []
+    while ready:
+        low = ready & -ready
+        i = low.bit_length() - 1
+        out.append(i)
+        placed |= low
+        ready ^= low
+        for j in iter_bits(rows[i]):
+            if not cols[j] & ~placed:
+                ready |= 1 << j
+    assert len(out) == k, "condensation relation is cyclic"
+    return out
+
+
+def maximal_classes(c):
+    """Indices of the contraction's classes with no incoming condensation
+    edge; the condensation is acyclic, so these are its weakly maximal
+    classes, and there is at least one."""
+    return maximal_set(full_mask(c.k), c.cond)
+
+
 def reference_order(family):
     """A family's members in order, from the whole product of its pools:
     ascending for the forms that may skip a component, product order (last

@@ -1,13 +1,14 @@
 from conftest import (CHAIN, CYCLE_WITH_TAIL, FOUR_CYCLE, SYMMETRIC_PAIR,
-                      THREE_CYCLE, is_stable_set, kernel_corpus,
-                      layered_stable_set, long_acyclic_problems)
+                      THREE_CYCLE, is_stable_set, kahn_contraction,
+                      kernel_corpus, layered_stable_set, long_acyclic_problems,
+                      maximal_classes)
 from stableset.bitset import iter_bits, members
 from stableset.contraction import (condensation_stable_set,
-                                   equipotence_classes, extended_dominance,
-                                   maximal_components)
+                                   equipotence_classes, extended_dominance)
 from stableset.oracle import _closure, _omega, _strict, random_problem
 from stableset.relations import (DecisionProblem, Relation, asymmetric_part,
                                  is_acyclic, transitive_closure)
+from stableset.solutions import extended_stable_sets, generalized_stable_sets
 
 
 class TestEquipotenceClasses:
@@ -47,6 +48,14 @@ class TestEquipotenceClasses:
         c = equipotence_classes(DecisionProblem.from_edges(3, [(0, 1)]))
         assert [members(cls) for cls in c.classes] == [(0,), (1,), (2,)]
         assert list(c.cond.pairs()) == [(0, 1)]
+        # Not least member first: {0} waits for its dominator {3}, so the
+        # extended stable set lists {3} before {1}.
+        p = DecisionProblem.from_edges(4, [(3, 0), (0, 1)])
+        c = equipotence_classes(p)
+        assert [members(cls) for cls in c.classes] == [(2,), (3,), (0,), (1,)]
+        assert list(c.cond.pairs()) == [(1, 2), (2, 3)]
+        assert [members(comp) for comp in
+                extended_stable_sets(p).components] == [(2,), (3,), (1,)]
 
     def test_condensation_always_acyclic_irreflexive(self):
         for seed in range(300):
@@ -57,21 +66,23 @@ class TestEquipotenceClasses:
 
 
 class TestMaximalComponents:
+    # The undominated components, read off the condensation by the tests'
+    # reference and off the components by the generalized stable sets.
     def test_examples(self):
-        c3 = equipotence_classes(CYCLE_WITH_TAIL)
-        assert [members(c3.classes[i])
-                for i in members(maximal_components(c3))] == [(0, 1, 2)]
-        c5 = equipotence_classes(SYMMETRIC_PAIR)
-        assert maximal_components(c5).bit_count() == 2
-        c2 = equipotence_classes(CHAIN)
-        picked = [members(c2.classes[i])
-                  for i in members(maximal_components(c2))]
-        assert picked == [(0,)]
+        for p, expected in ((CYCLE_WITH_TAIL, [(0, 1, 2)]),
+                            (SYMMETRIC_PAIR, [(0,), (1,)]),
+                            (CHAIN, [(0,)])):
+            c = equipotence_classes(p)
+            assert [members(c.classes[i])
+                    for i in members(maximal_classes(c))] == expected
+            assert [members(comp) for comp in
+                    generalized_stable_sets(p).components] == expected
 
     def test_never_empty(self):
         for seed in range(500):
             p = random_problem(1 + seed % 10, (0.2, 0.5, 0.8)[seed % 3], seed)
-            assert maximal_components(equipotence_classes(p)) != 0
+            assert maximal_classes(equipotence_classes(p)) != 0
+            assert generalized_stable_sets(p).components
 
 
 class TestExtendedDominance:
@@ -228,3 +239,8 @@ class TestComponentKernel:
             c = equipotence_classes(p)
             assert (c.classes, c.class_of, c.cond) == \
                 closure_equipotence_classes(p)
+
+    def test_one_walk_matches_the_three_pass_reference(self):
+        for p in kernel_corpus() + long_acyclic_problems():
+            c = equipotence_classes(p)
+            assert (c.classes, c.class_of, c.cond.rows) == kahn_contraction(p)

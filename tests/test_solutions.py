@@ -7,9 +7,9 @@ from conftest import (CHAIN, CYCLE_WITH_TAIL, FIVE_CYCLE, FOUR_CYCLE,
                       SYMMETRIC_PAIR, THREE_CYCLE, corpus_digraphs,
                       corpus_tournaments, is_stable_set, kernel_corpus,
                       layered_stable_set, long_acyclic_problems,
-                      product_partitions, reference_order)
+                      maximal_classes, product_partitions, reference_order)
 from stableset.bitset import from_members, image, members, reach, subsets
-from stableset.contraction import equipotence_classes, maximal_components
+from stableset.contraction import equipotence_classes
 from stableset.errors import LimitExceeded
 from stableset.oracle import (_omega, enumerate_solutions, gocha_bruteforce,
                               random_problem)
@@ -280,7 +280,7 @@ class TestFamilies:
             if p.n > 8:
                 continue
             c = equipotence_classes(p)
-            top = [c.classes[i] for i in members(maximal_components(c))]
+            top = [c.classes[i] for i in members(maximal_classes(c))]
             for interp in SociallyInterp:
                 for v in socially_stable_sets(p, interp):
                     assert all(v & comp for comp in top), (p, interp, v)
@@ -292,7 +292,7 @@ class TestFamilies:
         for p in kernel_corpus():
             c = equipotence_classes(p)
             expected = tuple(c.classes[i]
-                             for i in members(maximal_components(c)))
+                             for i in members(maximal_classes(c)))
             assert _maximal_classes(p) == expected, p
 
     def test_m_stable(self):
