@@ -38,9 +38,9 @@ def equipotence_classes(p: DecisionProblem) -> Contraction:
     Each component is keyed by its least member, and its outside dominators
     are read off the strict columns once.  ``ready`` holds the least members
     of the components whose dominators are all placed, so its lowest bit
-    names the next class.  Placing a component records its out-edges and
-    tests each target component once, since a hit drops the whole target; a
-    last pass turns the recorded out-edges into rows.
+    names the next class.  Placing a component writes its bit into the row
+    of each dominator class, all already placed, and tests each target
+    component once, since a hit drops the whole target.
     """
     rows, cols = p.strict.rows, p.strict.columns()
     lead = [0] * p.n      # the least member of each alternative's component
@@ -58,19 +58,24 @@ def equipotence_classes(p: DecisionProblem) -> Contraction:
             ready |= low
 
     classes: list[Mask] = []
-    outs: list[Mask] = []
+    cond_rows: list[Mask] = []
     position = [0] * p.n  # a component's class index, at its least member
     unplaced = p.all_mask
     while ready:
         low = ready & -ready
         ready ^= low
         x = low.bit_length() - 1
-        comp = comp_at[x]
+        comp, d = comp_at[x], doms[x]
+        bit = 1 << len(classes)
+        while d:
+            i = position[lead[(d & -d).bit_length() - 1]]
+            cond_rows[i] |= bit
+            d ^= d & classes[i]
         position[x] = len(classes)
         classes.append(comp)
+        cond_rows.append(0)
         unplaced ^= comp
-        out = targets = image(comp, rows) & ~comp
-        outs.append(out)
+        targets = image(comp, rows) & ~comp
         while targets:
             t = lead[(targets & -targets).bit_length() - 1]
             targets ^= targets & comp_at[t]
@@ -78,17 +83,7 @@ def equipotence_classes(p: DecisionProblem) -> Contraction:
                 ready |= 1 << t
     if len(classes) != len(p.components):
         raise AssertionError("condensation relation is cyclic")
-
-    class_of = tuple(position[x] for x in lead)
-    cond_rows = []
-    for out in outs:
-        row = 0
-        while out:
-            j = class_of[(out & -out).bit_length() - 1]
-            row |= 1 << j
-            out ^= out & classes[j]
-        cond_rows.append(row)
-    return Contraction(tuple(classes), class_of,
+    return Contraction(tuple(classes), tuple(position[x] for x in lead),
                        Relation(len(classes), tuple(cond_rows)))
 
 

@@ -66,7 +66,7 @@ class Relation:
 
     @classmethod
     def empty(cls, n: int) -> "Relation":
-        return cls(n, (0,) * n)
+        return _with_columns(n, (0,) * n, (0,) * n)
 
     def has(self, x: int, y: int) -> bool:
         return bool(self.rows[x] >> y & 1)
@@ -144,15 +144,15 @@ def has_index_ends(pairs: list) -> bool:
 
 
 def _transpose(n: int, rows: tuple[Mask, ...]) -> tuple[Mask, ...]:
-    """Bit-matrix transpose through binary strings.
+    """Bit-matrix transpose through one binary string.
 
-    Rows are written most significant bit first in reverse row order, so
-    string position j of every row holds bit n-1-j; zipping the strings
-    yields column n-1-j with row x at bit x.
+    The rows are joined most significant bit first in reverse row order, so
+    bit y of row x sits at index (n-1-x)*n + n-1-y; every n-th character from
+    index n-1-y reads column y with row x at bit x.
     """
     fmt = f"0{n}b"
-    strings = [format(row, fmt) for row in reversed(rows)]
-    return tuple(int("".join(col), 2) for col in zip(*strings))[::-1]
+    text = "".join([format(row, fmt) for row in reversed(rows)])
+    return tuple(int(text[n - 1 - y::n], 2) for y in range(n))
 
 
 def _with_columns(n: int, rows: tuple[Mask, ...],

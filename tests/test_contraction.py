@@ -241,6 +241,11 @@ class TestComponentKernel:
                 closure_equipotence_classes(p)
 
     def test_one_walk_matches_the_three_pass_reference(self):
-        for p in kernel_corpus() + long_acyclic_problems():
+        n = 1000  # mean out-degree 1 and 4, density 0.5, a tournament
+        seeded = (random_problem(n, 1 / (n - 1), 0),
+                  random_problem(n, 4 / (n - 1), 0),
+                  random_problem(n, 0.5, 0),
+                  random_problem(n, 0.5, 0, tournament=True))
+        for p in kernel_corpus() + long_acyclic_problems() + seeded:
             c = equipotence_classes(p)
             assert (c.classes, c.class_of, c.cond.rows) == kahn_contraction(p)

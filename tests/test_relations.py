@@ -5,7 +5,7 @@ from operator import or_
 import pytest
 
 from conftest import (CHAIN, CYCLE_WITH_TAIL, SYMMETRIC_PAIR, THREE_CYCLE,
-                      kernel_corpus)
+                      kernel_corpus, long_acyclic_problems)
 from stableset.bitset import (from_members, full_mask, image, image_table,
                               members)
 from stableset.contraction import equipotence_classes
@@ -217,10 +217,16 @@ class TestDeriveOnceKernels:
     on the shared corpus plus seeded n = 50 and n = 200 instances."""
 
     def test_columns_match_per_pair_transpose(self):
-        for p in kernel_corpus():
-            for r in (p.rel, p.strict):
-                assert r.columns() == pair_columns(r)
-                assert r.columns() is r.columns()
+        edge_cases = [r for n in (0, 1, 7, 8, 9, 64, 65)
+                      for r in (Relation.empty(n),
+                                Relation(n, (full_mask(n),) * n))]
+        for r in edge_cases + [r for p in kernel_corpus()
+                               for r in (p.rel, p.strict)]:
+            assert r.columns() == pair_columns(r)
+            assert r.columns() is r.columns()
+        # Column y of the 2,000-chain holds only its predecessor y - 1.
+        chain = long_acyclic_problems()[0].rel
+        assert chain.columns() == (0,) + tuple(1 << y for y in range(1999))
 
     def test_strict_part_memoised_and_matches_definition(self):
         for p in kernel_corpus():
