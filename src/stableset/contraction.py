@@ -35,17 +35,21 @@ def equipotence_classes(p: DecisionProblem) -> Contraction:
     """Group alternatives that reach each other along the strict part.
 
     Symmetric R-edges vanish in the strict part, so they never merge classes.
-    Each component is keyed by its least member, and its outside dominators
-    are read off the strict columns once.  ``ready`` holds the least members
-    of the components whose dominators are all placed, so its lowest bit
-    names the next class.  Placing a component writes its bit into the row
-    of each dominator class, all already placed, and tests each target
-    component once, since a hit drops the whole target.
+    Each component is keyed by its least member.  ``p.components`` lists
+    every component after all its dominators, so a component has an outside
+    dominator iff it meets the out-edges of the components before it; only
+    then are its dominators read off the strict columns.  ``ready`` holds
+    the least members of the components whose dominators are all placed,
+    so its lowest bit names the next class.  Placing a component writes its
+    bit into the row of each dominator class, all already placed, and tests
+    each target component once, since a hit drops the whole target.
     """
     rows, cols = p.strict.rows, p.strict.columns()
     lead = [0] * p.n      # the least member of each alternative's component
     comp_at = [0] * p.n   # a component, at its least member
     doms = [0] * p.n      # its outside dominators, at its least member
+    outs = [0] * p.n      # its outside targets, at its least member
+    hit = 0               # the outside targets of the components so far
     ready = 0
     for comp in p.components:
         low = comp & -comp
@@ -53,9 +57,12 @@ def equipotence_classes(p: DecisionProblem) -> Contraction:
         for y in iter_bits(comp):
             lead[y] = x
         comp_at[x] = comp
-        doms[x] = image(comp, cols) & ~comp
-        if not doms[x]:
+        if comp & hit:
+            doms[x] = image(comp, cols) & ~comp
+        else:
             ready |= low
+        outs[x] = image(comp, rows) & ~comp
+        hit |= outs[x]
 
     classes: list[Mask] = []
     cond_rows: list[Mask] = []
@@ -75,7 +82,7 @@ def equipotence_classes(p: DecisionProblem) -> Contraction:
         classes.append(comp)
         cond_rows.append(0)
         unplaced ^= comp
-        targets = image(comp, rows) & ~comp
+        targets = outs[x]
         while targets:
             t = lead[(targets & -targets).bit_length() - 1]
             targets ^= targets & comp_at[t]

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -357,6 +358,179 @@ class TestJsonParserEquivalence:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+class TestSourceRuns:
+    """The piecewise route decodes each long run of edges that share a
+    source as one flat list, and hands the rest of the edge text to
+    `io._edge_pieces` at the first run it cannot take.  Documents of
+    n = 120 are made long enough for that route by shortening
+    `EDGE_PIECE`."""
+
+    N = 120
+    BAD_PIECE_EDGES = TestJsonParserEquivalence.BAD_PIECE_EDGES
+
+    @pytest.fixture(autouse=True)
+    def log(self, monkeypatch):
+        """Counts JSON decodes, and records each hand-back to
+        `_edge_pieces` as (start, stop, decodes made before it)."""
+        monkeypatch.setattr(sio, "EDGE_PIECE", 1 << 12)
+        log = {"decodes": 0, "handed_back": []}
+        loads, pieces = json.loads, sio._edge_pieces
+
+        def counted(*args, **kwargs):
+            log["decodes"] += 1
+            return loads(*args, **kwargs)
+
+        def handed_back(text, start, stop):
+            log["handed_back"].append((start, stop, log["decodes"]))
+            return pieces(text, start, stop)
+
+        monkeypatch.setattr(json, "loads", counted)
+        monkeypatch.setattr(sio, "_edge_pieces", handed_back)
+        return log
+
+    def rows(self, seed=0):
+        """Seeded rows of about 95 targets each."""
+        rng = random.Random(seed)
+        return [[y for y in range(self.N) if y != x and rng.random() < 0.8]
+                for x in range(self.N)]
+
+    def document(self, edges, sep=", "):
+        tail = json.dumps({"labels": [str(x) for x in range(self.N)],
+                           "n": self.N}, sort_keys=True)
+        return '{"edges": [' + sep.join(edges) + "], " + tail[1:]
+
+    def runs_taken(self, text, log):
+        """The runs the piecewise route decoded before it handed back, and
+        whether it handed back any edge text."""
+        assert sio._json_problem_in_pieces(text) is not None
+        start, stop, decodes = log["handed_back"][0]
+        return decodes - 1, start < stop  # the first decode is the head's
+
+    def assert_all_runs(self, runs, log):
+        text = self.document(edges_of(runs))
+        assert self.runs_taken(text, log) == (len(runs), False)
+        assert_parses_like_whole_document(text, piecewise=True)
+
+    def test_rows_longer_than_the_search_window(self, log):
+        # Each full row follows one of RUN_EDGES + 5 targets, more than
+        # twice as short: the search for its end widens past the window.
+        short = sio.RUN_EDGES + 5
+        rows = [[y for y in range(self.N) if y != x][:short if x % 2 else None]
+                for x in range(self.N)]
+        self.assert_all_runs(list(enumerate(rows)), log)
+
+    def test_duplicate_edges_and_a_source_over_non_adjacent_runs(self, log):
+        rows = self.rows()
+        runs = list(enumerate(rows))
+        runs[5] = (5, [y for y in rows[5] for _ in (0, 1)])
+        # Row 9 in two runs, far apart, that share ten targets.
+        runs[9] = (9, rows[9][:50])
+        runs.append((9, rows[9][40:]))
+        self.assert_all_runs(runs, log)
+
+    def test_sources_whose_text_prefixes_or_suffixes_another(self, log):
+        rows = self.rows()
+        # Row 1 in two runs that share targets, between sources whose text
+        # starts or ends with its own.
+        order = (11, 111, 21, 1, 12, 112, 2, 119)
+        runs = [(1, rows[1][:60])] + [(x, rows[x]) for x in order]
+        runs[4] = (1, rows[1][-60:])
+        runs += [(x, row) for x, row in enumerate(rows) if x not in order]
+        self.assert_all_runs(runs, log)
+
+    @pytest.mark.parametrize("last", [True, False],
+                             ids=["last-row", "no-last-row"])
+    def test_empty_rows_between_runs(self, log, last):
+        rows = self.rows()
+        for x in (0, 1, 2, 50, 51, 52, 53, self.N - 2):
+            rows[x] = []
+        if not last:
+            rows[-1] = []
+        self.assert_all_runs([(x, row) for x, row in enumerate(rows) if row],
+                             log)
+
+    @pytest.mark.parametrize("edge", BAD_PIECE_EDGES.values(),
+                             ids=BAD_PIECE_EDGES.keys())
+    def test_bad_edge_in_a_run_or_at_its_ends(self, edge):
+        rows = self.rows()
+        good = edges_of(enumerate(rows))
+        s = 60
+        first = sum(map(len, rows[:s]))
+        for at in (first, first + len(rows[s]) // 2, first + len(rows[s]) - 1):
+            for bad in bad_in_both_positions(edge, s):
+                text = self.document(good[:at] + [bad] + good[at + 1:])
+                assert_parses_like_whole_document(text, piecewise=False)
+
+    def test_a_source_holding_a_bracket_is_no_run(self):
+        # Were "0]" a source, each "], [0], " here would pass for the
+        # separator of its run, and the text for a run of pairs.
+        rows = self.rows()
+        bad = "[0" + "".join(f"], [0], {y}" for y in rows[0]) + ", 1]"
+        text = self.document([bad] + edges_of(
+            (x, rows[x]) for x in range(1, self.N)))
+        assert_parses_like_whole_document(text, piecewise=False)
+
+    @pytest.mark.parametrize("sep", ["],[", "],\n["], ids=["tight", "newline"])
+    def test_other_separators_are_handed_back_whole(self, log, sep):
+        text = self.document(edges_of(enumerate(self.rows())))
+        text = text.replace("], [", sep)
+        assert self.runs_taken(text, log) == (0, True)
+        assert log["handed_back"][0][0] == len(sio._CANONICAL_HEAD) - 1
+
+    @pytest.mark.parametrize("sep", ["],[", "],\n[", "] , ["],
+                             ids=["tight", "newline", "spaced"])
+    def test_a_run_before_another_separator_is_handed_back(self, log, sep):
+        text = self.document(edges_of(enumerate(self.rows())))
+        cut = text.index("], [31, ")
+        text = text[:cut] + sep + text[cut + 4:]
+        assert self.runs_taken(text, log) == (30, True)
+        assert log["handed_back"][0][0] == text.index("[30, ")
+        assert_parses_like_whole_document(text, piecewise=True)
+
+    def test_column_major_order_is_handed_back_at_once(self, log):
+        rows = self.rows()
+        edges = [f"[{x}, {y}]" for y in range(self.N)
+                 for x in range(self.N) if y in rows[x]]
+        text = self.document(edges)
+        assert self.runs_taken(text, log) == (0, True)
+        assert_parses_like_whole_document(text, piecewise=True)
+
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4])
+    def test_sparse_rows_decode_no_more_often_than_in_pieces(
+            self, log, monkeypatch, degree):
+        rng = random.Random(degree)
+        rows = [sorted(rng.sample([y for y in range(self.N) if y != x],
+                                  rng.randint(1, degree)))
+                for x in range(self.N)]
+        text = self.document(edges_of(enumerate(rows)))
+        monkeypatch.setattr(sio, "EDGE_PIECE", 1 << 9)
+        end = text.index("]]") + 1
+        pieces = len(list(sio._edge_pieces(text, 11, end)))
+        assert pieces > 1
+        log["decodes"] = 0
+        assert sio._json_problem_in_pieces(text) is not None
+        assert log["decodes"] <= 1 + pieces
+        assert_parses_like_whole_document(text, piecewise=True)
+
+
+def edges_of(runs):
+    """Edge texts of (source, targets) runs, in order."""
+    return [f"[{x}, {y}]" for x, ys in runs for y in ys]
+
+
+def bad_in_both_positions(edge, s):
+    """`edge`, and for an edge "[a, b]", its bad end beside source `s` as
+    target and as source; a loop becomes [s, s]."""
+    found = re.fullmatch(r"\[(\[0\]|[^,\[]*), (.*)\]", edge, re.S)
+    if found is None:
+        return [edge]
+    a, b = found.groups()
+    if a == b:
+        return [edge, f"[{s}, {s}]"]
+    bad = b if a == "0" else a
+    return [edge, f"[{s}, {bad}]", f"[{bad}, {s}]"]
 
 
 def piecewise_document(n=300, seed=0, labels=()):
