@@ -7,17 +7,18 @@ alternative count may not exceed `PARSE_LIMIT`: relation work grows with
 n^2, so a few bytes of document must not ask for unbounded time or memory.
 
 A JSON document takes one of two routes.  One in the layout
-`serialize_instance` writes, longer than `EDGE_PIECE` characters and with
-no string, sign, boolean or exponent among its edges, is decoded piecewise
+`serialize_instance` writes, of any length and with no string, sign,
+boolean or exponent among its edges, is decoded piecewise
 (`_json_problem_in_pieces`).  That layout lists the edges row by row, so
-each row is a run of edges that open with the same source; a run of at
-least `RUN_EDGES` edges decodes as one flat list of ints, its source then
-its targets.  At the first run it cannot take so (a short row, another
-edge order, another separator or a bad edge), the route hands the rest of
-the edge text to the piece decoder, which decodes one piece of whole edge
-lists at a time.  Every other document, and every document that route
-refuses, is decoded whole by `_json_problem`, which gives every error
-message.
+each row is a run of edges that open with the same source.  A run of at
+least `RUN_EDGES` edges is split on its separator, and each target's text
+is looked up in a table of the exact decimal text of every index, which
+sets a flag in a string of n flags read as the row.  Where no such run
+opens the text (a short row, another edge order, another separator, text
+the table lacks or a bad edge), the route decodes one piece of whole edge
+lists and tries runs again after it.  Every other document, and every
+document that route refuses, is decoded whole by `_json_problem`, which
+gives every error message.
 """
 
 from __future__ import annotations
@@ -47,13 +48,16 @@ BYTE_LIMIT = (2 * len(str(PARSE_LIMIT)) + 8) * PARSE_LIMIT ** 2
 # write per block was 0.3 MiB above this value.
 SET_BATCH = 512
 # Characters of JSON edge text decoded at once on the piecewise route.
-# Its lists take about 150 bytes an edge, some 4 MB at n = 1,000.
+# Its lists take about 150 bytes an edge, some 4 MB at n = 1,000.  The
+# window searched for a source run's end stops widening at this length.
 EDGE_PIECE = 1 << 18
-# Fewest edges in a source run decoded as one flat list (`_edge_rows`).  A
-# run costs about 5 us more than its edges in pieces, and each edge about
-# 0.12 us less: rows of 24 edges decoded 6-12 % slower as runs, rows of 32
-# broke even and rows of 40 and 48 were 2-3 % and 8-10 % faster (n = 1,000
-# and 2,000, Python 3.11.7 on a shared 2-CPU x86-64 machine).
+# Fewest edges in a source run read by table lookup (`_edge_rows`).  A run
+# costs about 4 us more than its edges in pieces at n = 1,000 and 6 us at
+# n = 2,000, about half of it reading its n flags as one int, and each edge
+# about 0.13 us less.  Rows of 32 edges broke even at n = 1,000 and were 16 %
+# slower as runs at n = 2,000; rows of 40 were 9 % faster and 2 % slower,
+# rows of 48 16 % and 7 % faster (Python 3.11.7 on a shared 2-CPU x86-64
+# machine).
 RUN_EDGES = 40
 
 
@@ -89,19 +93,20 @@ _NOT_IN_INDEX_EDGES = "-eENI"
 
 
 def _json_problem_in_pieces(text: str) -> DecisionProblem | None:
-    """The problem a long document in `serialize_instance`'s layout states,
-    or None for any other document, a bad one included.
+    """The problem a document in `serialize_instance`'s layout states, or
+    None for any other document, a bad one included.
 
     The edge slice runs from the first edge to the last "]]" before the
     first '"', the next key's.  Cut out, it leaves a head document whose
     "edges" is [], and which must decode with no repeated key.  The slice
-    is decoded by `_edge_rows`, in source runs and then in pieces.  If the
-    head, every run and every piece decode, so does the whole document, to
-    the head with their edges as its edges.  With no '-' or 'e' in the
-    slice, no end is negative or a boolean, so the row loops refuse every
-    bad edge but a loop, and `DecisionProblem` a loop.
+    is decoded by `_edge_rows`, in source runs and pieces.  If the head,
+    every run and every piece decode, so does the whole document, to the
+    head with their edges as its edges.  With no '-' or 'e' in the slice,
+    no end is negative or a boolean, so the runs' table and the pieces'
+    row loop refuse every bad edge but a loop, and `DecisionProblem` a
+    loop.
     """
-    if len(text) <= EDGE_PIECE or not text.startswith(_CANONICAL_HEAD):
+    if not text.startswith(_CANONICAL_HEAD):
         return None
     start = len(_CANONICAL_HEAD) - 1
     end = text.rfind("]]", start, text.find('"', start)) + 1
@@ -134,66 +139,78 @@ def _edge_rows(text: str, start: int, stop: int, n: int) -> tuple[Mask, ...]:
     ValueError, IndexError or RecursionError unless it lists pairs of ints
     in range(n), loops aside.
 
-    A source run is the edges "[x, y1], [x, y2], ..., [x, yk]" that open
-    with the same "[x, ", x in digits.  With each "], [x, " in it made
-    ", ", it decodes to [x, y1, ..., yk]: one int per edge, no list per
-    edge.  Its ints must outnumber those separators by two, so each comma
-    in it is the one after "[x" or in a separator, and each edge is a
-    pair.  A run's end is searched back from a window twice the last run's
-    length, widened while the run goes on.  At the first run shorter than
-    `RUN_EDGES` edges, not decoding so or not followed by ", [", the rest
-    of the text goes to `_edge_pieces`.
+    The text is read as source runs (`_source_run`) and, where none of at
+    least `RUN_EDGES` edges opens it, one piece of whole edges at a time
+    (`_edge_piece`); after each piece, runs are tried again.  A run's
+    source and each target must be the exact decimal text of an index in
+    range(n), which a table maps to its flag in a string of n "0"s, read
+    as one int; a run with any other text is decoded as a piece instead.
     """
+    place: dict[str, int] = {}  # filled at the first run taken
     bits = [1 << y for y in range(n)]
     rows = [0] * n
     at = start
-    width = 2 * (stop - start) // n
+    width = 2 * (stop - start) // n + 16  # no shorter than a separator
     while at < stop:
-        comma = text.find(", ", at, at + 8)
-        if comma < 0 or not (head := text[at + 1:comma]).isdigit():
-            break
-        sep = "], [" + head + ", "
-        k = text.rfind(sep, at, min(at + width, stop))
-        if k < 0:
-            break
-        end = text.find("]", k + len(sep), stop)
-        while text.startswith(sep, end, stop):  # the run outruns the window
-            width *= 2
-            k = text.rfind(sep, end, min(end + width, stop))
-            end = text.find("]", k + len(sep), stop)
-        run = text[at:end + 1]
-        packed = run.replace(sep, ", ")
-        seps = (len(run) - len(packed)) // (len(sep) - 2)
-        if seps + 1 < RUN_EDGES or end + 1 < stop \
-                and not text.startswith(", [", end + 1):
-            break
-        try:
-            vals = json.loads(packed)
-        except ValueError:
-            break
-        if len(vals) != seps + 2:
-            break
-        targets = iter(vals)
-        x = next(targets)
-        row = rows[x]
-        for y in targets:
-            row |= bits[y]
-        rows[x] = row
-        width = 2 * len(run)
-        at = end + 3
-    for x, y in chain.from_iterable(map(json.loads,
-                                        _edge_pieces(text, at, stop))):
-        rows[x] |= bits[y]
+        head, targets, end = _source_run(text, at, stop, width)
+        if len(targets) >= RUN_EDGES:
+            if not place:
+                # ~y is y's flag counted from the end, its least significant.
+                place.update((str(y), ~y) for y in range(n))
+            flags = bytearray(b"0" * n)
+            try:
+                x = ~place[head]
+                for i in map(place.__getitem__, targets):
+                    flags[i] = 49  # "1"
+            except KeyError:
+                pass
+            else:
+                rows[x] |= int(flags, 2)
+                width = 2 * (end - at)
+                at = end + 3
+                continue
+        piece = _edge_piece(text, at, stop)
+        for x, y in json.loads(piece):
+            rows[x] |= bits[y]
+        at += len(piece)
     return tuple(rows)
 
 
-def _edge_pieces(text: str, start: int, stop: int):
-    """text[start:stop], a span of edges, as JSON lists of whole edges, each
-    cut at the first "], [" at least `EDGE_PIECE` characters on."""
-    while (cut := text.find("], [", start + EDGE_PIECE, stop)) >= 0:
-        yield "[" + text[start:cut + 1] + "]"
-        start = cut + 3
-    yield "[" + text[start:stop] + "]"
+def _source_run(text: str, at: int, stop: int,
+                width: int) -> tuple[str, list[str], int]:
+    """The source text, target texts and closing bracket of the run of
+    edges "[x, y1], [x, y2], ..., [x, yk]" that text[at:stop] opens with,
+    if the run is followed by ", [" or ends at stop; else no targets.
+
+    Split on "], [x, ", the text after "[x, " and before the last "]"
+    leaves y1, ..., yk.  The run's end is searched back from at + width,
+    width at most `EDGE_PIECE`, and the window doubled while the run goes
+    on and the window is shorter than `EDGE_PIECE`; a run that outruns it
+    is cut at its last separator in the window.
+    """
+    width = min(width, EDGE_PIECE)
+    comma = text.find(", ", at, at + 8)
+    if comma < 0:
+        return "", [], at
+    head = text[at + 1:comma]
+    sep = "], [" + head + ", "
+    k = text.rfind(sep, at, min(at + width, stop))
+    end = text.find("]", comma if k < 0 else k + len(sep), stop)
+    while width < EDGE_PIECE and text.startswith(sep, end, stop):
+        width *= 2
+        k = text.rfind(sep, end, min(end + width, stop))
+        end = text.find("]", k + len(sep), stop)
+    if end + 1 < stop and not text.startswith(", [", end + 1):
+        return "", [], at
+    return head, text[comma + 2:end].split(sep), end
+
+
+def _edge_piece(text: str, start: int, stop: int) -> str:
+    """The edges of text[start:stop] up to the first "], [" at least
+    `EDGE_PIECE` characters on, or all of them, as a JSON list; the next
+    piece starts len(piece) characters on."""
+    cut = text.find("], [", start + EDGE_PIECE, stop)
+    return "[" + text[start:stop if cut < 0 else cut + 1] + "]"
 
 
 def _json_problem(text: str) -> DecisionProblem:

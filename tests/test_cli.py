@@ -243,7 +243,7 @@ class TestJsonParserEquivalence:
     def test_piecewise_route_reads_several_pieces(self):
         text = piecewise_document(n=600)
         end = text.index("]]") + 1
-        pieces = list(sio._edge_pieces(text, 11, end))
+        pieces = edge_pieces(text, 11, end)
         # Each piece is a list of whole edges, all but the last at least
         # EDGE_PIECE characters long, and they list the edges in order.
         assert len(pieces) == 8
@@ -297,9 +297,9 @@ class TestJsonParserEquivalence:
         assert_parses_like_whole_document(text.replace("], [", "],\n["),
                                           piecewise=True)
         assert_parses_like_whole_document(" " + text, piecewise=False)
-        # Shorter than one piece: the whole route, as before.
+        # Shorter than one piece: the piecewise route all the same.
         assert_parses_like_whole_document(piecewise_document(n=40),
-                                          piecewise=False)
+                                          piecewise=True)
         assert_parses_like_whole_document(
             '{"n": 300, ' + text[1:].replace(', "n": 300', ""),
             piecewise=False)
@@ -320,7 +320,7 @@ class TestJsonParserEquivalence:
         # The last edge of the first piece, the first of the second.
         for at in (good.rindex("[", 0, cut), cut + 3):
             text, planted = plant(good, at, edge)
-            pieces = list(sio._edge_pieces(text, 11, text.index("]]") + 1))
+            pieces = edge_pieces(text, 11, text.index("]]") + 1)
             if "]]" not in edge and "[[" not in edge:
                 assert len(pieces) == 2
                 assert (pieces[0].endswith(planted + "]") if at < cut
@@ -362,32 +362,36 @@ class TestJsonParserEquivalence:
 
 class TestSourceRuns:
     """The piecewise route decodes each long run of edges that share a
-    source as one flat list, and hands the rest of the edge text to
-    `io._edge_pieces` at the first run it cannot take.  Documents of
-    n = 120 are made long enough for that route by shortening
-    `EDGE_PIECE`."""
+    source by table lookup, and where it cannot take a run, decodes one
+    piece of edges with `io._edge_piece` and tries runs again after it.
+    `EDGE_PIECE` is shortened so that documents of n = 120 span several
+    pieces."""
 
     N = 120
     BAD_PIECE_EDGES = TestJsonParserEquivalence.BAD_PIECE_EDGES
 
     @pytest.fixture(autouse=True)
     def log(self, monkeypatch):
-        """Counts JSON decodes, and records each hand-back to
-        `_edge_pieces` as (start, stop, decodes made before it)."""
+        """Records, in order, each run `io._source_run` finds as ("run",
+        start, source text) and each piece decoded as ("piece", start,
+        stop)."""
         monkeypatch.setattr(sio, "EDGE_PIECE", 1 << 12)
-        log = {"decodes": 0, "handed_back": []}
-        loads, pieces = json.loads, sio._edge_pieces
+        log = []
+        source_run, edge_piece = sio._source_run, sio._edge_piece
 
-        def counted(*args, **kwargs):
-            log["decodes"] += 1
-            return loads(*args, **kwargs)
+        def run_found(text, at, stop, width):
+            found = source_run(text, at, stop, width)
+            if found[1]:
+                log.append(("run", at, found[0]))
+            return found
 
-        def handed_back(text, start, stop):
-            log["handed_back"].append((start, stop, log["decodes"]))
-            return pieces(text, start, stop)
+        def piece_decoded(text, start, stop):
+            piece = edge_piece(text, start, stop)
+            log.append(("piece", start, start + len(piece) - 2))
+            return piece
 
-        monkeypatch.setattr(json, "loads", counted)
-        monkeypatch.setattr(sio, "_edge_pieces", handed_back)
+        monkeypatch.setattr(sio, "_source_run", run_found)
+        monkeypatch.setattr(sio, "_edge_piece", piece_decoded)
         return log
 
     def rows(self, seed=0):
@@ -401,16 +405,22 @@ class TestSourceRuns:
                            "n": self.N}, sort_keys=True)
         return '{"edges": [' + sep.join(edges) + "], " + tail[1:]
 
-    def runs_taken(self, text, log):
-        """The runs the piecewise route decoded before it handed back, and
-        whether it handed back any edge text."""
+    def taken(self, text, log):
+        """The sources of the runs the piecewise route took, in order, and
+        the (start, stop) of each piece it decoded instead.  A run found
+        is taken unless a piece that starts where it does comes next."""
         assert sio._json_problem_in_pieces(text) is not None
-        start, stop, decodes = log["handed_back"][0]
-        return decodes - 1, start < stop  # the first decode is the head's
+        runs, pieces = [], []
+        for (kind, at, what), after in zip(log, log[1:] + [None]):
+            if kind == "piece":
+                pieces.append((at, what))
+            elif after is None or after[:2] != ("piece", at):
+                runs.append(int(what))
+        return runs, pieces
 
     def assert_all_runs(self, runs, log):
         text = self.document(edges_of(runs))
-        assert self.runs_taken(text, log) == (len(runs), False)
+        assert self.taken(text, log) == ([x for x, _ in runs], [])
         assert_parses_like_whole_document(text, piecewise=True)
 
     def test_rows_longer_than_the_search_window(self, log):
@@ -420,6 +430,34 @@ class TestSourceRuns:
         rows = [[y for y in range(self.N) if y != x][:short if x % 2 else None]
                 for x in range(self.N)]
         self.assert_all_runs(list(enumerate(rows)), log)
+
+    def test_a_run_longer_than_a_piece_is_cut(self, log):
+        # Row 7 lists each target 100 times, some 86,000 characters: the
+        # window stops widening once it reaches EDGE_PIECE (4,096 here),
+        # so the row is taken as several runs, none longer than four
+        # pieces.
+        runs = list(enumerate(self.rows()))
+        runs[7] = (7, [y for y in runs[7][1] for _ in range(100)])
+        text = self.document(edges_of(runs))
+        taken, pieces = self.taken(text, log)
+        parts = len(taken) - self.N + 1
+        assert taken == [*range(7), *[7] * parts, *range(8, self.N)]
+        assert pieces == []
+        self.assert_runs_at_most_four_pieces(text, log)
+        assert_parses_like_whole_document(text, piecewise=True)
+        # At n = 2 the first window, twice the text per alternative, would
+        # span the whole text; it is cut to EDGE_PIECE too.
+        del log[:]
+        text = '{"edges": [' + ", ".join(["[0, 1]"] * 20000) + '], "n": 2}'
+        runs, pieces = self.taken(text, log)
+        assert set(runs) == {0} and len(pieces) <= 1  # a short last run
+        self.assert_runs_at_most_four_pieces(text, log)
+        assert_parses_like_whole_document(text, piecewise=True)
+
+    def assert_runs_at_most_four_pieces(self, text, log):
+        starts = [at for _, at, _ in log] + [text.index("]]") + 3]
+        assert max(b - a for a, b in zip(starts, starts[1:])) \
+            <= 4 * sio.EDGE_PIECE
 
     def test_duplicate_edges_and_a_source_over_non_adjacent_runs(self, log):
         rows = self.rows()
@@ -454,14 +492,54 @@ class TestSourceRuns:
     @pytest.mark.parametrize("edge", BAD_PIECE_EDGES.values(),
                              ids=BAD_PIECE_EDGES.keys())
     def test_bad_edge_in_a_run_or_at_its_ends(self, edge):
+        self.assert_planted_in_a_run(bad_in_both_positions(edge, 60), False)
+
+    # Index text the lookup table lacks: leading zeros, a sign, a digit
+    # that passes str.isdigit but is not ASCII, and n itself.
+    UNLISTED_ENDS = {"leading-zero": "[0, 07]", "zero-five": "[0, 05]",
+                     "plus": "[0, +7]", "arabic-indic": "[0, \u0663]",
+                     "n": "[0, 120]"}
+
+    @pytest.mark.parametrize("edge", UNLISTED_ENDS.values(),
+                             ids=UNLISTED_ENDS.keys())
+    def test_index_text_the_table_lacks(self, edge):
+        assert "\u0663".isdigit()
+        self.assert_planted_in_a_run(bad_in_both_positions(edge, 60), False)
+
+    def test_edges_the_table_lacks_that_decode_whole(self):
+        # Valid JSON whose ends are not the canonical text: the pieces
+        # read them, and the rows are the whole document's.
+        self.assert_planted_in_a_run(
+            ["[60,  7]", "[60, 7 ]", "[60,\n7]", "[ 60, 7]", "[60 , 7]",
+             "[5,  7]"], True)
+
+    def test_index_n_minus_one(self):
+        # A run that lists its own source is the "loop" case above.
+        self.assert_planted_in_a_run(["[60, 119]", "[119, 60]", "[0, 119]"],
+                                     True)
+
+    def assert_planted_in_a_run(self, edges, piecewise):
+        """Each edge in turn replaces the first, a middle and the last edge
+        of row 60, a long run, and the document parses as it does whole."""
         rows = self.rows()
         good = edges_of(enumerate(rows))
         s = 60
         first = sum(map(len, rows[:s]))
         for at in (first, first + len(rows[s]) // 2, first + len(rows[s]) - 1):
-            for bad in bad_in_both_positions(edge, s):
-                text = self.document(good[:at] + [bad] + good[at + 1:])
-                assert_parses_like_whole_document(text, piecewise=False)
+            for edge in edges:
+                text = self.document(good[:at] + [edge] + good[at + 1:])
+                assert_parses_like_whole_document(text, piecewise)
+
+    @pytest.mark.parametrize("n, edges, piecewise", [
+        (1, [], False), (2, [(0, 1)], True), (2, [(1, 0)], True),
+        (3, [], False), (3, [(2, 0), (2, 1)], True), (5, [(4, 3)], True)])
+    def test_small_documents(self, n, edges, piecewise):
+        text = serialize_instance(DecisionProblem(Relation.from_pairs(n,
+                                                                      edges)))
+        assert_parses_like_whole_document(text, piecewise)
+        if edges:  # and with a loop after its one run
+            assert_parses_like_whole_document(
+                text.replace("]]", "], [0, 0]]"), piecewise=False)
 
     def test_a_source_holding_a_bracket_is_no_run(self):
         # Were "0]" a source, each "], [0], " here would pass for the
@@ -476,8 +554,9 @@ class TestSourceRuns:
     def test_other_separators_are_handed_back_whole(self, log, sep):
         text = self.document(edges_of(enumerate(self.rows())))
         text = text.replace("], [", sep)
-        assert self.runs_taken(text, log) == (0, True)
-        assert log["handed_back"][0][0] == len(sio._CANONICAL_HEAD) - 1
+        stop = text.index("]]") + 1
+        assert self.taken(text, log) == (
+            [], [(len(sio._CANONICAL_HEAD) - 1, stop)])
 
     @pytest.mark.parametrize("sep", ["],[", "],\n[", "] , ["],
                              ids=["tight", "newline", "spaced"])
@@ -485,8 +564,27 @@ class TestSourceRuns:
         text = self.document(edges_of(enumerate(self.rows())))
         cut = text.index("], [31, ")
         text = text[:cut] + sep + text[cut + 4:]
-        assert self.runs_taken(text, log) == (30, True)
-        assert log["handed_back"][0][0] == text.index("[30, ")
+        runs, pieces = self.taken(text, log)
+        # Rows 0 to 29 are taken as runs; one piece from row 30 on ends at
+        # the first edge boundary EDGE_PIECE characters on, and the runs
+        # after it reach the last row.
+        start = text.index("[30, ")
+        assert runs[:30] == list(range(30))
+        assert pieces[0] == (start, text.index("], [", start + sio.EDGE_PIECE)
+                             + 1)
+        assert runs[-1] == self.N - 1
+        assert_parses_like_whole_document(text, piecewise=True)
+
+    def test_runs_resume_after_short_rows(self, log):
+        # Rows 0 to 59 hold 2 targets, fewer than RUN_EDGES, the rest
+        # about 95: a piece from the start, then runs.
+        rows = self.rows()
+        rows[:60] = [row[:2] for row in rows[:60]]
+        text = self.document(edges_of(enumerate(rows)))
+        runs, pieces = self.taken(text, log)
+        assert pieces[0][0] == len(sio._CANONICAL_HEAD) - 1
+        assert len(pieces) == 1
+        assert runs[1:] == list(range(runs[0] + 1, self.N))
         assert_parses_like_whole_document(text, piecewise=True)
 
     def test_column_major_order_is_handed_back_at_once(self, log):
@@ -494,7 +592,7 @@ class TestSourceRuns:
         edges = [f"[{x}, {y}]" for y in range(self.N)
                  for x in range(self.N) if y in rows[x]]
         text = self.document(edges)
-        assert self.runs_taken(text, log) == (0, True)
+        assert self.taken(text, log) == ([], self.piece_spans(text, log))
         assert_parses_like_whole_document(text, piecewise=True)
 
     @pytest.mark.parametrize("degree", [1, 2, 3, 4])
@@ -506,13 +604,21 @@ class TestSourceRuns:
                 for x in range(self.N)]
         text = self.document(edges_of(enumerate(rows)))
         monkeypatch.setattr(sio, "EDGE_PIECE", 1 << 9)
-        end = text.index("]]") + 1
-        pieces = len(list(sio._edge_pieces(text, 11, end)))
-        assert pieces > 1
-        log["decodes"] = 0
-        assert sio._json_problem_in_pieces(text) is not None
-        assert log["decodes"] <= 1 + pieces
+        # Every run is short, so the pieces are those of the text alone.
+        spans = self.piece_spans(text, log)
+        assert len(spans) > 1
+        assert self.taken(text, log) == ([], spans)
         assert_parses_like_whole_document(text, piecewise=True)
+
+    def piece_spans(self, text, log):
+        """The (start, stop) of each piece of the edge text alone."""
+        start = len(sio._CANONICAL_HEAD) - 1
+        spans = []
+        for piece in edge_pieces(text, start, text.index("]]") + 1):
+            spans.append((start, start + len(piece) - 2))
+            start += len(piece)
+        del log[:]
+        return spans
 
 
 def edges_of(runs):
@@ -531,6 +637,15 @@ def bad_in_both_positions(edge, s):
         return [edge, f"[{s}, {s}]"]
     bad = b if a == "0" else a
     return [edge, f"[{s}, {bad}]", f"[{bad}, {s}]"]
+
+
+def edge_pieces(text, start, stop):
+    """The pieces `io._edge_piece` cuts text[start:stop] into, in order."""
+    pieces = []
+    while start < stop:
+        pieces.append(sio._edge_piece(text, start, stop))
+        start += len(pieces[-1])
+    return pieces
 
 
 def piecewise_document(n=300, seed=0, labels=()):
