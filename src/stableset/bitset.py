@@ -26,6 +26,17 @@ def iter_bits(mask: Mask) -> Iterator[int]:
         mask ^= low
 
 
+# Maps the bytes of the digits "0" and "1" to their values.
+_DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def flags(mask: Mask, n: int) -> bytes:
+    """n bytes, byte x 1 if x is a member of mask and 0 if not (mask below
+    ``2 ** n``), made in one step: `itertools.compress` reads a mask's
+    members out of any n-item sequence with no Python step per member."""
+    return format(mask, f"0{n}b")[::-1].encode().translate(_DIGIT_VALUES)
+
+
 def image(mask: Mask, rows: Sequence[Mask]) -> Mask:
     """The union of rows[x] over the members x of mask."""
     out = 0

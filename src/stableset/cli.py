@@ -239,8 +239,8 @@ def _cmd_contract(args) -> int:
         sys.stdout.write(sio.export_dot(p, c))
         return EXIT_OK
     doc = {
-        "classes": [list(members(cls)) for cls in c.classes],
-        "condensation_edges": [[i, j] for i, j in c.cond.pairs()],
+        "classes": sio.member_lists(c.classes, p.n),
+        "condensation_edges": sio.pair_list(c.cond.rows),
     }
     sio.write_document(sys.stdout, doc)
     return EXIT_OK
@@ -278,10 +278,10 @@ def _cmd_topology(args) -> int:
     doc: dict = {"check": args.check}
     if args.check == "dm":
         poset = Poset(strict_poset_order(p))
-        doc["cuts"] = [list(members(c)) for c in dm_completion(poset).cuts]
+        doc["cuts"] = sio.member_lists(dm_completion(poset).cuts, p.n)
     elif args.check == "frink":
         ideals = frink_ideals(Poset(strict_poset_order(p)))
-        doc["ideals"] = [list(members(i)) for i in ideals]
+        doc["ideals"] = sio.member_lists(ideals, p.n)
     elif args.check == "precont":
         # Every finite poset is precontinuous (`is_precontinuous`), so the
         # order is neither derived nor validated.
@@ -314,7 +314,8 @@ def _cmd_topology(args) -> int:
 def _cmd_random(args) -> int:
     p = random_problem(args.n, args.density, args.seed,
                        tournament=args.tournament)
-    sys.stdout.write(sio.serialize_instance(p) + "\n")
+    sys.stdout.writelines(sio.instance_pieces(p))
+    sys.stdout.write("\n")
     return EXIT_OK
 
 

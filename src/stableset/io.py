@@ -7,29 +7,34 @@ alternative count may not exceed `PARSE_LIMIT`: relation work grows with
 n^2, so a few bytes of document must not ask for unbounded time or memory.
 
 A JSON document takes one of two routes.  One in the layout
-`serialize_instance` writes, of any length and with no string, sign,
-boolean or exponent among its edges, is decoded piecewise
-(`_json_problem_in_pieces`).  That layout lists the edges row by row, so
-each row is a run of edges that open with the same source.  A run of at
-least `RUN_EDGES` edges is split on its separator, and each target's text
-is looked up in a table of the exact decimal text of every index, which
-sets a flag in a string of n flags read as the row.  Where no such run
-opens the text (a short row, another edge order, another separator, text
-the table lacks or a bad edge), the route decodes one piece of whole edge
-lists and tries runs again after it.  Every other document, and every
-document that route refuses, is decoded whole by `_json_problem`, which
-gives every error message.
+`serialize_instance` writes, with edge text long enough to hold a source
+run and no string, sign, boolean or exponent among its edges, is decoded
+piecewise (`_json_problem_in_pieces`).  That layout lists the edges row
+by row, so each row is a run of edges that open with the same source.  A
+run of at least `RUN_EDGES` edges is split on its separator, and each
+target's text is looked up in a table of the exact decimal text of every
+index, which sets a flag in a string of n flags read as the row.  Where no
+such run opens the text (a short row, another edge order, another
+separator, text the table lacks or a bad edge), the route decodes one
+piece of whole edge lists and tries runs again after it.  Every other
+document, and every document that route refuses, is decoded whole by
+`_json_problem`, which gives every error message.
+
+Long lists are written with no Python step per index: `bitset.flags` turns
+a mask into selectors, and `itertools.compress` picks the members' texts
+for one `str.join` (`_picked`).  An instance's rows, `contract`'s classes
+and condensation pairs and the cut lists are written this way.
 """
 
 from __future__ import annotations
 
 import gc
 import json
-from itertools import chain
+from itertools import chain, compress
 from operator import add
-from typing import Optional, TextIO
+from typing import Iterable, Iterator, Optional, Sequence, TextIO
 
-from .bitset import Mask, iter_bits, members
+from .bitset import Mask, flags, iter_bits, members
 from .contraction import Contraction
 from .errors import LimitExceeded, LoopEdge, ParseError, check_size
 from .relations import DecisionProblem, Relation, has_index_ends
@@ -59,6 +64,9 @@ EDGE_PIECE = 1 << 18
 # rows of 48 16 % and 7 % faster (Python 3.11.7 on a shared 2-CPU x86-64
 # machine).
 RUN_EDGES = 40
+# Fewest characters of items in one write of a document's `Listed` values.
+# A row of `contract`'s condensation pairs at n = 2,000 holds up to 70 KB.
+WRITE_CHARS = 1 << 16
 
 
 def parse_instance(text: str) -> DecisionProblem:
@@ -84,6 +92,11 @@ def _parse_json(text: str) -> DecisionProblem:
             gc.enable()
 
 
+# Fewest characters of `RUN_EDGES` edges, each "[x, y]", and their
+# separators.  Shorter edge text holds no source run, so no run is sought
+# in it, and a document whose edge text is shorter is decoded whole: for
+# it, the piecewise route's head decode and piece cost more.
+_RUN_CHARS = 8 * RUN_EDGES - 2
 # How `serialize_instance` opens a document; the first edge starts at the
 # last bracket.
 _CANONICAL_HEAD = '{"edges": [['
@@ -110,12 +123,11 @@ def _json_problem_in_pieces(text: str) -> DecisionProblem | None:
         return None
     start = len(_CANONICAL_HEAD) - 1
     end = text.rfind("]]", start, text.find('"', start)) + 1
-    if end < start or any(text.find(c, start, end) >= 0
-                          for c in _NOT_IN_INDEX_EDGES):
+    if end - start < _RUN_CHARS or any(text.find(c, start, end) >= 0
+                                       for c in _NOT_IN_INDEX_EDGES):
         return None
     try:
-        doc = json.loads(text[:start] + text[end:],
-                         object_pairs_hook=_dict_of_unique_keys)
+        doc = _HEAD_DECODER.decode(text[:start] + text[end:])
         n, labels = doc.get("n"), doc.get("labels")
         if (type(n) is not int or not 0 < n <= PARSE_LIMIT
                 or labels is not None
@@ -132,6 +144,10 @@ def _dict_of_unique_keys(pairs: list) -> dict:
     if len(doc) != len(pairs):
         raise ValueError("repeated key")
     return doc
+
+
+# Built once: `json.loads` with a hook builds a decoder on every call.
+_HEAD_DECODER = json.JSONDecoder(object_pairs_hook=_dict_of_unique_keys)
 
 
 def _edge_rows(text: str, start: int, stop: int, n: int) -> tuple[Mask, ...]:
@@ -180,7 +196,8 @@ def _source_run(text: str, at: int, stop: int,
                 width: int) -> tuple[str, list[str], int]:
     """The source text, target texts and closing bracket of the run of
     edges "[x, y1], [x, y2], ..., [x, yk]" that text[at:stop] opens with,
-    if the run is followed by ", [" or ends at stop; else no targets.
+    if the run is followed by ", [" or ends at stop; else no targets, as
+    also when text[at:stop] is too short to hold `RUN_EDGES` edges.
 
     Split on "], [x, ", the text after "[x, " and before the last "]"
     leaves y1, ..., yk.  The run's end is searched back from at + width,
@@ -190,7 +207,7 @@ def _source_run(text: str, at: int, stop: int,
     """
     width = min(width, EDGE_PIECE)
     comma = text.find(", ", at, at + 8)
-    if comma < 0:
+    if comma < 0 or stop - at < _RUN_CHARS:
         return "", [], at
     head = text[at + 1:comma]
     sep = "], [" + head + ", "
@@ -318,10 +335,30 @@ def serialize_instance(p: DecisionProblem) -> str:
     """`json.dumps({"n", "labels", "edges"}, sort_keys=True)` with the edges
     as ascending [u, v] pairs, written row by row: a row lists its targets
     in ascending order, and "edges" is the first key."""
-    rows = (", ".join(map(f"[{x}, {{}}]".format, iter_bits(row)))
-            for x, row in enumerate(p.rel.rows) if row)
+    return "".join(instance_pieces(p))
+
+
+def instance_pieces(p: DecisionProblem) -> Iterator[str]:
+    """`serialize_instance(p)` in pieces: the head, one piece per row with
+    edges, and the tail.  A row's edges are one join of its targets' texts,
+    each "[x, " after the first preceded by "], "."""
+    texts = list(map(str, range(p.n)))
+    yield '{"edges": ['
+    sep = ""
+    for x, row in enumerate(p.rel.rows):
+        if row:
+            yield f"{sep}[{x}, " + f"], [{x}, ".join(_picked(texts, row)) + "]"
+            sep = ", "
     rest = json.dumps({"labels": list(p.labels), "n": p.n}, sort_keys=True)
-    return '{"edges": [' + ", ".join(rows) + "], " + rest[1:]
+    yield "], " + rest[1:]
+
+
+def _picked(texts: Sequence[str], mask: Mask) -> Iterator[str]:
+    """texts[x] for each member x of a non-empty mask, in ascending order,
+    read through `bitset.flags` over the mask's span alone."""
+    low = (mask & -mask).bit_length() - 1
+    high = mask.bit_length()
+    return compress(texts[low:high], flags(mask >> low, high - low))
 
 
 def family_document(family: SolutionFamily) -> dict:
@@ -338,21 +375,55 @@ def _family_head(family: SolutionFamily) -> dict:
     return doc
 
 
+class Listed:
+    """A top-level list of a document, held as the texts of its items as
+    `json.dumps(indent=2)` writes them at depth 2, each made as it is
+    written; so a `Listed` value is written once."""
+
+    def __init__(self, items: Iterable[str]):
+        self.items = items
+
+
+def member_lists(masks: Iterable[Mask], n: int) -> Listed:
+    """`[list(members(m)) for m in masks]`, each mask below ``2 ** n``; a
+    mask's member lines are one join of its members' texts."""
+    texts = [f"      {x}" for x in range(n)]
+    return Listed("    [\n" + ",\n".join(_picked(texts, m)) + "\n    ]"
+                  if m else "    []" for m in masks)
+
+
+def pair_list(rows: Sequence[Mask]) -> Listed:
+    """`[[i, j] for i, row in enumerate(rows) for j in members(row)]`, the
+    pairs of a relation on range(len(rows)) in ascending order; a row's
+    pairs are one join of its targets' texts."""
+    texts = list(map(str, range(len(rows))))
+    return Listed(f"    [\n      {i},\n      "
+                  + f"\n    ],\n    [\n      {i},\n      ".join(
+                      _picked(texts, row)) + "\n    ]"
+                  for i, row in enumerate(rows) if row)
+
+
 def write_document(out: TextIO, doc: dict,
                    family: Optional[SolutionFamily] = None) -> None:
     """Write `json.dumps(doc, indent=2, sort_keys=True)` and a newline.
 
+    A top-level `Listed` value is written as the list it stands for, a few
+    items at a time: each write but the last holds at least `WRITE_CHARS`
+    characters of items, so a document of shorter lists takes one write.
+
     Given a family, the document gains a "family" key holding
-    `family_document(family)`.  Its member sets are rendered straight from
-    the family's blocks, in the bytes the encoder would write for the
-    whole list; each write but the last holds whole blocks and at least
-    `SET_BATCH` sets.
+    `family_document(family)`, and holds no `Listed` value.  Its member
+    sets are rendered straight from the family's blocks, in the bytes the
+    encoder would write for the whole list; each write but the last holds
+    whole blocks and at least `SET_BATCH` sets.
     """
-    if family is not None:
-        # An empty "sets" is the right text for a family with no members.
-        doc = {**doc, "family": {**_family_head(family), "sets": []}}
+    if family is None:
+        _write_listed(out, doc)
+        return
+    # An empty "sets" is the right text for a family with no members.
+    doc = {**doc, "family": {**_family_head(family), "sets": []}}
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    blocks = iter(() if family is None else family.blocks())
+    blocks = iter(family.blocks())
     first = next(blocks, None)
     if first is None:
         out.write(text)
@@ -371,6 +442,32 @@ def write_document(out: TextIO, doc: dict,
         sets += len(lows)
     # The last set takes the list's closing bracket instead of ",\n".
     out.write("".join(pending)[:-2] + "\n    ]" + tail)
+
+
+def _write_listed(out: TextIO, doc: dict) -> None:
+    """The document's text, each `Listed` value's items put in place of
+    the empty list the encoder writes for it."""
+    keys = sorted(key for key, value in doc.items()
+                  if isinstance(value, Listed))
+    text = json.dumps({**doc, **dict.fromkeys(keys, [])}, indent=2,
+                      sort_keys=True) + "\n"
+    pending, size = [], 0
+    for key in keys:
+        # Only a top-level key's line opens with a newline and two spaces.
+        empty = f"\n  {json.dumps(key)}: []"
+        head, _, text = text.partition(empty)
+        pending.append(head + empty[:-1])
+        sep = "\n"
+        for item in doc[key].items:
+            if size >= WRITE_CHARS:
+                out.write("".join(pending))
+                pending, size = [], 0
+            pending += (sep, item)
+            size += len(item)
+            sep = ",\n"
+        pending.append("]" if sep == "\n" else "\n  ]")
+    pending.append(text)
+    out.write("".join(pending))
 
 
 # A set's opening and closing lines at depth 3.

@@ -530,16 +530,29 @@ class TestSourceRuns:
                 text = self.document(good[:at] + [edge] + good[at + 1:])
                 assert_parses_like_whole_document(text, piecewise)
 
-    @pytest.mark.parametrize("n, edges, piecewise", [
+    @pytest.mark.parametrize("n, edges, loop", [
         (1, [], False), (2, [(0, 1)], True), (2, [(1, 0)], True),
         (3, [], False), (3, [(2, 0), (2, 1)], True), (5, [(4, 3)], True)])
-    def test_small_documents(self, n, edges, piecewise):
+    def test_small_documents(self, n, edges, loop):
+        # Their edge text cannot hold RUN_EDGES edges, so they are decoded
+        # whole, also with a loop after their edges.
         text = serialize_instance(DecisionProblem(Relation.from_pairs(n,
                                                                       edges)))
-        assert_parses_like_whole_document(text, piecewise)
-        if edges:  # and with a loop after its one run
+        assert_parses_like_whole_document(text, piecewise=False)
+        if loop:
             assert_parses_like_whole_document(
                 text.replace("]]", "], [0, 0]]"), piecewise=False)
+
+    @pytest.mark.parametrize("count", [sio.RUN_EDGES - 1, sio.RUN_EDGES])
+    def test_edge_text_that_could_hold_a_run(self, count):
+        # The shortest edges, one digit at each end: the route takes the
+        # document iff its edge text is as long as RUN_EDGES of them.
+        pairs = [(x, y) for x in range(10) for y in range(10) if x != y]
+        p = DecisionProblem(Relation.from_pairs(10, pairs[:count]))
+        text = serialize_instance(p)
+        assert_parses_like_whole_document(
+            text, piecewise=count == sio.RUN_EDGES)
+        assert parse_instance(text).rel == p.rel
 
     def test_a_source_holding_a_bracket_is_no_run(self):
         # Were "0]" a source, each "], [0], " here would pass for the

@@ -14,11 +14,14 @@ import pytest
 
 from conftest import kernel_corpus, product_partitions
 from stableset import io as sio
+from stableset.bitset import members
 from stableset.cli import run_cli
-from stableset.errors import ParseError
+from stableset.contraction import equipotence_classes
+from stableset.errors import LimitExceeded, ParseError
 from stableset.io import family_document, parse_instance, serialize_instance
 from stableset.oracle import random_problem
-from stableset.relations import DecisionProblem, Relation
+from stableset.order_topology import Poset, dm_completion
+from stableset.relations import DecisionProblem, Relation, strict_poset_order
 from stableset.solutions import (Concept, FamilyForm, SociallyInterp,
                                  SolutionFamily, solve)
 
@@ -192,6 +195,96 @@ class TestOtherDocuments:
         doc = {"classes": [[0, 1, 2], [3]], "condensation_edges": [[0, 1]]}
         sio.write_document(SimpleNamespace(write=writes.append), doc)
         assert writes == [json.dumps(doc, indent=2, sort_keys=True) + "\n"]
+        # The same document from masks and rows also fits in one write.
+        writes.clear()
+        sio.write_document(SimpleNamespace(write=writes.append), {
+            "classes": sio.member_lists([0b111, 0b1000], 4),
+            "condensation_edges": sio.pair_list([0b10, 0])})
+        assert writes == [json.dumps(doc, indent=2, sort_keys=True) + "\n"]
+
+
+def transitive_tournament(n, short_rows_first=False):
+    """Row x beats every y > x, or with `short_rows_first` every y < x."""
+    full = (1 << n) - 1
+    return DecisionProblem(Relation(n, tuple(
+        (1 << x) - 1 if short_rows_first else full >> x + 1 << x + 1
+        for x in range(n))))
+
+
+def complete_bipartite(n):
+    """Each of the first n // 2 alternatives beats each of the others."""
+    tops = (1 << n) - 1 >> n // 2 << n // 2
+    return DecisionProblem(Relation(n, (tops,) * (n // 2)
+                                    + (0,) * (n - n // 2)))
+
+
+def listed_documents(p):
+    """`contract`'s, `dm`'s and `frink`'s documents as lists of lists; a
+    check whose cuts exceed their limit has none."""
+    c = equipotence_classes(p)
+    docs = {("contract",): {
+        "classes": [list(members(m)) for m in c.classes],
+        "condensation_edges": [[i, j] for i, j in c.cond.pairs()]}}
+    try:
+        cuts = [list(members(m))
+                for m in dm_completion(Poset(strict_poset_order(p))).cuts]
+    except LimitExceeded:
+        return docs
+    docs["topology", "--check", "dm"] = {"check": "dm", "cuts": cuts}
+    docs["topology", "--check", "frink"] = {"check": "frink", "ideals": cuts}
+    return docs
+
+
+class TestListedDocuments:
+    """`contract`, `dm` and `frink` write their lists from masks and rows,
+    in the bytes the encoder writes for the lists."""
+
+    def check(self, p, tmp_path, capsys):
+        path = tmp_path / "doc.json"
+        path.write_text(serialize_instance(p))
+        docs = listed_documents(p)
+        for args in (("contract",), ("topology", "--check", "dm"),
+                     ("topology", "--check", "frink")):
+            code = run_cli([*args, "--input", str(path)])
+            out = capsys.readouterr().out
+            if args in docs:
+                assert code == 0
+                assert out == json.dumps(docs[args], indent=2,
+                                         sort_keys=True) + "\n"
+            else:
+                assert code == 1 and out == ""
+
+    def test_corpus(self, tmp_path, capsys):
+        for p in kernel_corpus():
+            self.check(p, tmp_path, capsys)
+
+    @pytest.mark.parametrize("p", [
+        DecisionProblem(Relation.empty(1)),
+        DecisionProblem(Relation.empty(3)),
+        DecisionProblem.from_edges(3, [(0, 1), (1, 2), (2, 0)]),
+        *(shape(n) for shape in (transitive_tournament, complete_bipartite)
+          for n in (64, 65)),
+        transitive_tournament(65, short_rows_first=True),
+    ], ids=["n1", "edgeless", "one-class", "tournament-64", "tournament-65",
+            "bipartite-64", "bipartite-65", "short-rows-first-65"])
+    def test_extremes(self, p, tmp_path, capsys):
+        self.check(p, tmp_path, capsys)
+
+    def test_large_lists_span_several_writes(self):
+        # 44,850 condensation pairs, some 1.6 MB: every write but the last
+        # holds at least WRITE_CHARS characters, and none the whole list.
+        p = transitive_tournament(300)
+        c = equipotence_classes(p)
+        writes = []
+        sio.write_document(SimpleNamespace(write=writes.append), {
+            "classes": sio.member_lists(c.classes, p.n),
+            "condensation_edges": sio.pair_list(c.cond.rows)})
+        expected = json.dumps(listed_documents(p)[("contract",)], indent=2,
+                              sort_keys=True) + "\n"
+        assert "".join(writes) == expected
+        assert len(writes) > 10
+        assert all(len(w) >= sio.WRITE_CHARS for w in writes[:-1])
+        assert max(map(len, writes)) < 2 * sio.WRITE_CHARS
 
 
 def reference_instance_text(p):
@@ -220,9 +313,19 @@ class TestInstanceDocuments:
         DecisionProblem(Relation.empty(16)),
         DecisionProblem(Relation(200, tuple((1 << 200) - 1 - (1 << x)
                                             for x in range(200)))),
-    ], ids=["n1", "edgeless-n16", "complete-n200"])
+        transitive_tournament(300),
+        transitive_tournament(300, short_rows_first=True),
+    ], ids=["n1", "edgeless-n16", "complete-n200", "tournament-n300",
+            "short-rows-first-n300"])
     def test_extremes(self, p):
         assert serialize_instance(p) == reference_instance_text(p)
+
+    def test_pieces_join_to_the_document(self):
+        p = random_problem(50, 0.3, 1)
+        pieces = list(sio.instance_pieces(p))
+        assert "".join(pieces) == reference_instance_text(p)
+        # The head, one piece per row with edges, and the tail.
+        assert len(pieces) == 2 + sum(1 for row in p.rel.rows if row)
 
 
 DENSE_TEXT = serialize_instance(random_problem(400, 1.0, 1))  # 159,600 edges

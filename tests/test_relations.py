@@ -6,8 +6,8 @@ import pytest
 
 from conftest import (CHAIN, CYCLE_WITH_TAIL, SYMMETRIC_PAIR, THREE_CYCLE,
                       kernel_corpus, long_acyclic_problems)
-from stableset.bitset import (from_members, full_mask, image, image_table,
-                              members)
+from stableset.bitset import (flags, from_members, full_mask, image,
+                              image_table, members)
 from stableset.contraction import equipotence_classes
 from stableset.errors import EmptyGround
 from stableset.oracle import random_problem
@@ -72,6 +72,16 @@ class TestImage:
             rows = [rng.getrandbits(n) for _ in range(width)]
             table = image_table(rows)
             assert table == [image(m, rows) for m in range(1 << width)]
+
+
+class TestFlags:
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 2000])
+    def test_flags_are_the_masks_bits(self, n):
+        rng = random.Random(n)
+        masks = [0, full_mask(n), 1, 1 << n - 1,
+                 *(rng.getrandbits(n) for _ in range(5))]
+        for mask in masks:
+            assert flags(mask, n) == bytes(mask >> x & 1 for x in range(n))
 
 
 class TestAsymmetricPart:
