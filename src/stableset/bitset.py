@@ -37,6 +37,22 @@ def flags(mask: Mask, n: int) -> bytes:
     return format(mask, f"0{n}b")[::-1].encode().translate(_DIGIT_VALUES)
 
 
+def transpose(rows: Sequence[Mask], width: int) -> tuple[Mask, ...]:
+    """The `width` columns of a bit matrix whose rows lie below
+    ``2 ** width``: column y has bit x set iff rows[x] has bit y set.
+
+    The rows are joined most significant bit first in reverse row order,
+    through one binary string, so bit y of row x sits at index
+    (h-1-x)*width + width-1-y, h being the row count; every width-th
+    character from index width-1-y reads column y with row x at bit x.
+    """
+    if not rows:
+        return (0,) * width
+    fmt = f"0{width}b"
+    text = "".join([format(row, fmt) for row in reversed(rows)])
+    return tuple(int(text[width - 1 - y::width], 2) for y in range(width))
+
+
 def image(mask: Mask, rows: Sequence[Mask]) -> Mask:
     """The union of rows[x] over the members x of mask."""
     out = 0

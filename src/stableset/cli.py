@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 import time
 
@@ -163,9 +164,17 @@ def _load(path: str) -> DecisionProblem:
 
 def _read_text(path: str) -> str:
     """The UTF-8 document at path, less any byte-order mark, read up to one
-    byte past the limit; its bytes are freed before it is parsed."""
+    byte past the limit; its bytes are freed before it is parsed.
+
+    The first read asks for one byte past the file's size, so that a small
+    document needs no buffer of the limit's size.  Only a read that fills,
+    from a FIFO (size 0) or a growing file, reads on.
+    """
     with open(path, "rb") as f:
-        data = f.read(sio.BYTE_LIMIT + 1)
+        want = min(os.fstat(f.fileno()).st_size + 1, sio.BYTE_LIMIT + 1)
+        data = f.read(want)
+        if len(data) == want:
+            data += f.read(sio.BYTE_LIMIT + 1 - want)
     if len(data) > sio.BYTE_LIMIT:
         raise ParseError(f"document exceeds {sio.BYTE_LIMIT} bytes")
     try:

@@ -10,13 +10,22 @@ two is evidence rather than tautology.  Only `cross_verify` calls
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
-from .bitset import Mask, iter_bits
+from .bitset import Mask, iter_bits, transpose
 from .errors import check_size
 from .relations import DecisionProblem, Relation
 from .solutions import SUBSET_LIMIT, Concept, SociallyInterp, solve
+
+
+# `random()` returns a multiple of 1 / _DRAW_SPAN.  `random_problem` takes
+# at most about _CHUNK_DRAWS draws per `getrandbits`: a problem with n <= 12
+# in one call, one with n = 2,000 four rows (64 KB of words) at a time,
+# never its whole matrix's 32 MB.
+_DRAW_SPAN = 2 ** 53
+_CHUNK_DRAWS = 8192
 
 
 @dataclass(frozen=True)
@@ -143,20 +152,95 @@ def gocha_bruteforce(p: DecisionProblem) -> Mask:
 
 def random_problem(n: int, density: float, seed: int,
                    tournament: bool = False) -> DecisionProblem:
-    """Deterministic random irreflexive digraph (or tournament) per seed."""
+    """Deterministic random irreflexive digraph (or tournament) per seed.
+
+    A digraph holds pair (x, y), x != y, iff its draw `rng.random()` is below
+    density, the pairs drawn in row-major order.  A tournament draws the
+    pairs x < y in that order and holds (x, y) if the draw is below 0.5, or
+    else (y, x).  No Python step runs per draw.  On CPython `random()` reads
+    two 32-bit words, a then b, and returns exactly K / 2**53 with
+    K = (a >> 5) * 2**26 + (b >> 6), while `getrandbits(64 * k)` returns the
+    next 2k words with word i at bits 32i to 32i+31.  So a draw is below
+    density iff K < ceil(density * 2**53), and K's top byte is a's top byte:
+    byte 8i+3 of the words' little-endian bytes (`_flags`).
+    """
     if not 0.0 <= density <= 1.0:
         raise ValueError("density must lie in [0, 1]")
     mixed = (seed * 1_000_003 + n * 10_007
              + round(density * 1000) * 97 + int(tournament))
     rng = random.Random(mixed)
-    draw = rng.random
     if tournament:
-        pairs = ((x, y) if draw() < 0.5 else (y, x)
-                 for x in range(n) for y in range(x + 1, n))
+        rows = _tournament_rows(n, rng)
     else:
-        pairs = ((x, y) for x in range(n) for y in range(n)
-                 if x != y and draw() < density)
-    return DecisionProblem(Relation.from_checked_pairs(n, pairs))
+        rows = _digraph_rows(n, math.ceil(density * _DRAW_SPAN), rng)
+    return DecisionProblem(Relation(n, tuple(rows)))
+
+
+def _flags(rng: random.Random, draws: int, limit: int) -> bytes:
+    """One digit per draw of rng, b"1" if the draw is below limit / 2**53
+    and b"0" if not, the next `draws` draws taken in one `getrandbits`.
+
+    A table read of each draw's top byte decides it unless that byte equals
+    limit's top byte, which happens to 1 draw in 256 and never when limit's
+    45 low bits are 0; those draws are settled from their two words.
+    """
+    data = rng.getrandbits(64 * draws).to_bytes(8 * draws, "little")
+    undecided = b"?" if limit % 2 ** 45 else b"0"
+    flags = data[3::8].translate(
+        (b"1" * (limit >> 45) + undecided + b"0" * 255)[:256])
+    if b"?" not in flags:
+        return flags
+    flags = bytearray(flags)
+    at = flags.find(b"?")
+    while at >= 0:
+        words = int.from_bytes(data[8 * at:8 * at + 8], "little")
+        k = (words & 0xFFFFFFFF) >> 5 << 26 | words >> 38  # a low, b high
+        flags[at] = 49 if k < limit else 48
+        at = flags.find(b"?", at + 1)
+    return flags
+
+
+def _digraph_rows(n: int, limit: int, rng: random.Random) -> list[Mask]:
+    """Rows of the digraph whose n - 1 draws per row fall below limit / 2**53.
+
+    A few rows are drawn at a time and their digits read backwards as one
+    `int`, draw j at bit j.  Row x takes the next n - 1 bits and makes room
+    for its diagonal by moving the bits from x up one place.
+    """
+    rows: list[Mask] = []
+    width = n - 1
+    mask = (1 << width) - 1
+    step = _CHUNK_DRAWS // n or 1
+    for start in range(0, n, step):
+        stop = min(n, start + step)
+        bits = int(_flags(rng, (stop - start) * width, limit)[::-1] or b"0", 2)
+        for x in range(start, stop):
+            row = bits & mask
+            bits >>= width
+            rows.append(row + (row >> x << x))
+    return rows
+
+
+def _tournament_rows(n: int, rng: random.Random) -> list[Mask]:
+    """Rows of the tournament that holds (x, y), x < y, iff their draw is
+    below 0.5, and (y, x) otherwise.
+
+    The draws are read as in `_digraph_rows`; row x of the upper half takes
+    the next n - 1 - x bits, moved up past x.  Row y's lower half is the
+    complement, below y, of column y of the upper half.
+    """
+    upper: list[Mask] = []
+    step = _CHUNK_DRAWS // n or 1
+    for start in range(0, n, step):
+        stop = min(n, start + step)
+        draws = (stop - start) * (2 * n - 1 - start - stop) // 2
+        bits = int(_flags(rng, draws, _DRAW_SPAN // 2)[::-1] or b"0", 2)
+        for x in range(start, stop):
+            width = n - 1 - x
+            upper.append((bits & (1 << width) - 1) << x + 1)
+            bits >>= width
+    return [u | (1 << y) - 1 ^ c
+            for y, (u, c) in enumerate(zip(upper, transpose(upper, n)))]
 
 
 def cross_verify(p: DecisionProblem, concept: Concept,

@@ -18,7 +18,7 @@ from functools import cached_property
 from itertools import chain
 from typing import Iterable, Iterator
 
-from .bitset import Mask, full_mask, iter_bits, reach
+from .bitset import Mask, full_mask, iter_bits, reach, transpose
 from .errors import EmptyGround
 
 
@@ -80,7 +80,7 @@ class Relation:
         """cols[y] has bit x set iff x relates to y; computed once."""
         cols = self.__dict__.get("_columns")
         if cols is None:
-            cols = _transpose(self.n, self.rows)
+            cols = transpose(self.rows, self.n)
             object.__setattr__(self, "_columns", cols)
         return cols
 
@@ -141,18 +141,6 @@ def has_index_ends(pairs: list) -> bool:
     bad ends that `Relation.from_checked_pairs` cannot refuse by itself."""
     ends = list(chain.from_iterable(pairs))
     return not ends or (set(map(type, ends)) == {int} and min(ends) >= 0)
-
-
-def _transpose(n: int, rows: tuple[Mask, ...]) -> tuple[Mask, ...]:
-    """Bit-matrix transpose through one binary string.
-
-    The rows are joined most significant bit first in reverse row order, so
-    bit y of row x sits at index (n-1-x)*n + n-1-y; every n-th character from
-    index n-1-y reads column y with row x at bit x.
-    """
-    fmt = f"0{n}b"
-    text = "".join([format(row, fmt) for row in reversed(rows)])
-    return tuple(int(text[n - 1 - y::n], 2) for y in range(n))
 
 
 def _with_columns(n: int, rows: tuple[Mask, ...],

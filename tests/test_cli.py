@@ -4,6 +4,7 @@ import random
 import re
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from pathlib import Path
@@ -1167,6 +1168,50 @@ class TestInputContract:
         assert time.perf_counter() - started < 5
         assert code == 1 and captured.out == ""
         assert captured.err == f"error: document exceeds {BYTE_LIMIT} bytes\n"
+
+    @staticmethod
+    def _write_fifo(path, chunks):
+        """Make a FIFO at path and a writer thread that feeds it chunks."""
+        os.mkfifo(path)
+
+        def write():
+            with open(path, "wb") as out:
+                for chunk in chunks:
+                    out.write(chunk)
+        writer = threading.Thread(target=write, daemon=True)
+        writer.start()
+        return writer
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
+    def test_fifo_document_reads_as_the_regular_file(self, tmp_path, capsys):
+        # 219 KB, several times a pipe's buffer, so the read goes on.
+        doc = serialize_instance(random_problem(200, 0.5, 1)).encode()
+        regular = tmp_path / "doc.json"
+        regular.write_bytes(doc)
+        argv = ["solve", "--concept", "core", "--input"]
+        assert run_cli(argv + [str(regular)]) == 0
+        expected = capsys.readouterr()
+        writer = self._write_fifo(tmp_path / "doc.fifo",
+                                  [doc[at:at + 50_000]
+                                   for at in range(0, len(doc), 50_000)])
+        assert run_cli(argv + [str(tmp_path / "doc.fifo")]) == 0
+        writer.join(5)
+        assert not writer.is_alive()
+        assert capsys.readouterr() == expected
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
+    def test_fifo_past_the_byte_limit(self, tmp_path, capsys):
+        chunk = b" " * 2**20
+        whole, part = divmod(BYTE_LIMIT + 1, len(chunk))
+        writer = self._write_fifo(tmp_path / "big.fifo",
+                                  [b"{", *[chunk] * whole, chunk[:part - 1]])
+        code = run_cli(["solve", "--concept", "core", "--input",
+                        str(tmp_path / "big.fifo")])
+        writer.join(5)
+        assert not writer.is_alive()
+        assert code == 1
+        assert capsys.readouterr().err == \
+            f"error: document exceeds {BYTE_LIMIT} bytes\n"
 
     def test_byte_limit_boundary(self, tmp_path, capsys):
         # Sparse files: the limit is checked before the document is parsed.

@@ -205,17 +205,35 @@ def reference_random_rows(n, density, seed, tournament=False):
 
 
 class TestRandomProblem:
-    @pytest.mark.parametrize("n", [*range(1, 13), 50, 200])
+    # n = 130 and 200 span several draw chunks, and n = 65 has rows one bit
+    # past a 64-bit word.  1/3 and 0.999 leave some draws to be settled from
+    # their words (their top byte is that of the density); 0, 1 and 0.5
+    # never do.  A tournament draws against 0.5 whatever its density, which
+    # only changes its seed.
+    @pytest.mark.parametrize("n", [*range(1, 13), 50, 65, 130, 200])
     def test_matches_the_pair_list_generator(self, n):
-        densities = [0.0, 0.2, 0.5, 1.0]
+        densities = [0.0, 0.2, 0.5, 1.0, 0, 1, 1 / 3, 0.999]
         if n > 4:  # 4 / (n - 1) is a density only from n = 5 on
             densities.append(4 / (n - 1))
         for seed in range(5):
             for density in densities:
                 assert random_problem(n, density, seed).rel.rows == \
                     reference_random_rows(n, density, seed)
-            assert random_problem(n, 1.0, seed, tournament=True).rel.rows == \
-                reference_random_rows(n, 1.0, seed, tournament=True)
+                assert random_problem(n, density, seed,
+                                      tournament=True).rel.rows == \
+                    reference_random_rows(n, density, seed, tournament=True)
+
+    def test_random_is_two_words_of_getrandbits(self):
+        """The identity the draw rests on: `random()` is K / 2**53 for the
+        next words a, b, and `getrandbits(64 * k)` puts them low word first."""
+        for seed in range(40):
+            rng, twin = random.Random(seed), random.Random(seed)
+            for _ in range(25):
+                words = twin.getrandbits(64)
+                a, b = words & 0xFFFFFFFF, words >> 32
+                assert rng.random() == ((a >> 5) * 2**26 + (b >> 6)) / 2**53
+            assert rng.getrandbits(64 * 3) == sum(
+                twin.getrandbits(64) << 64 * i for i in range(3))
 
     def test_deterministic(self):
         a = random_problem(7, 0.5, 42)

@@ -7,7 +7,7 @@ import pytest
 from conftest import (CHAIN, CYCLE_WITH_TAIL, SYMMETRIC_PAIR, THREE_CYCLE,
                       kernel_corpus, long_acyclic_problems)
 from stableset.bitset import (flags, from_members, full_mask, image,
-                              image_table, members)
+                              image_table, members, transpose)
 from stableset.contraction import equipotence_classes
 from stableset.errors import EmptyGround
 from stableset.oracle import random_problem
@@ -82,6 +82,23 @@ class TestFlags:
                  *(rng.getrandbits(n) for _ in range(5))]
         for mask in masks:
             assert flags(mask, n) == bytes(mask >> x & 1 for x in range(n))
+
+
+class TestTranspose:
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65])
+    def test_columns_are_the_rows_bits(self, n):
+        rng = random.Random(n)
+        for height, width in ((n, n), (n, n + 3), (n + 5, n), (n, 1), (1, n)):
+            for rows in ([0] * height, [full_mask(width)] * height,
+                         [rng.getrandbits(width) for _ in range(height)]):
+                expected = tuple(
+                    sum(1 << x for x in range(height) if rows[x] >> y & 1)
+                    for y in range(width))
+                assert transpose(rows, width) == expected
+
+    def test_no_rows_or_no_columns(self):
+        assert transpose([], 3) == (0, 0, 0)
+        assert transpose([0, 0], 0) == ()
 
 
 class TestAsymmetricPart:
