@@ -39,4 +39,4 @@ print("extended dominance acyclic:", is_acyclic(omega))
 print()
 
 # Graphviz output clusters each non-trivial class.
-print(export_dot(p, c))
+print("".join(export_dot(p, c)))

@@ -15,6 +15,7 @@ import functools
 import os
 import sys
 import time
+from itertools import chain
 
 from . import io as sio
 from .bitset import from_members, members
@@ -189,7 +190,6 @@ def _cmd_solve(args) -> int:
     started = time.perf_counter()
     p = _load(args.input)
     doc: dict = {"concept": args.concept}
-    family = None
     if args.concept == "core":
         doc["set"] = list(members(core(p)))
     elif args.concept == "schwartz":
@@ -204,13 +204,14 @@ def _cmd_solve(args) -> int:
     else:
         concept = _FAMILY_CONCEPTS[args.concept]
         family = solve(p, concept, interp=SociallyInterp(args.interp))
+        doc["family"] = sio.listed_family(family)
         if concept is Concept.SOCIALLY:
             doc["interp"] = args.interp
         if family.count() == 0:
             doc["note"] = "no stable set"
     if args.timings:
         doc["timings"] = {"total_s": round(time.perf_counter() - started, 6)}
-    sio.write_document(sys.stdout, doc, family)
+    sio.write_document(sys.stdout, doc)
     return EXIT_OK
 
 
@@ -245,7 +246,7 @@ def _cmd_contract(args) -> int:
     p = _load(args.input)
     c = equipotence_classes(p)
     if args.dot:
-        sys.stdout.write(sio.export_dot(p, c))
+        sio.write_pieces(sys.stdout, sio.export_dot(p, c))
         return EXIT_OK
     doc = {
         "classes": sio.member_lists(c.classes, p.n),
@@ -323,8 +324,7 @@ def _cmd_topology(args) -> int:
 def _cmd_random(args) -> int:
     p = random_problem(args.n, args.density, args.seed,
                        tournament=args.tournament)
-    sys.stdout.writelines(sio.instance_pieces(p))
-    sys.stdout.write("\n")
+    sio.write_pieces(sys.stdout, chain(sio.instance_pieces(p), ("\n",)))
     return EXIT_OK
 
 

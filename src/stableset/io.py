@@ -20,19 +20,20 @@ piece of whole edge lists and tries runs again after it.  Every other
 document, and every document that route refuses, is decoded whole by
 `_json_problem`, which gives every error message.
 
-Long lists are written with no Python step per index: `bitset.flags` turns
-a mask into selectors, and `itertools.compress` picks the members' texts
-for one `str.join` (`_picked`).  An instance's rows, `contract`'s classes
-and condensation pairs and the cut lists are written this way.
+Every document the CLI prints goes out through one loop, `write_pieces`.
+A JSON document's long lists are `Listed` values, at any depth, whose
+items are made as they are written, with no Python step per index:
+`bitset.flags` turns a mask into selectors, and `itertools.compress` picks
+the members' texts for one `str.join` (`_picked`).
 """
 
 from __future__ import annotations
 
 import gc
 import json
-from itertools import chain, compress
+from itertools import compress, starmap
 from operator import add
-from typing import Iterable, Iterator, Optional, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from .bitset import Mask, flags, iter_bits, members
 from .contraction import Contraction
@@ -46,12 +47,6 @@ PARSE_LIMIT = 2000
 # "[u, v], " with indices of at most len(str(PARSE_LIMIT)) digits; two more
 # bytes a pair cover its labels and header.
 BYTE_LIMIT = (2 * len(str(PARSE_LIMIT)) + 8) * PARSE_LIMIT ** 2
-# Fewest sets in one write when a family's members are streamed.  Writes
-# carry whole blocks of up to 256 sets, so a write holds 512 to 767 sets,
-# 55 to 80 KB at n = 16.  Batches of 1,024 or 4,096 sets raised the peak
-# RSS of the benchmark's subset-search workload by 7 % at some seeds; one
-# write per block was 0.3 MiB above this value.
-SET_BATCH = 512
 # Characters of JSON edge text decoded at once on the piecewise route.
 # Its lists take about 150 bytes an edge, some 4 MB at n = 1,000.  The
 # window searched for a source run's end stops widening at this length.
@@ -64,8 +59,8 @@ EDGE_PIECE = 1 << 18
 # rows of 48 16 % and 7 % faster (Python 3.11.7 on a shared 2-CPU x86-64
 # machine).
 RUN_EDGES = 40
-# Fewest characters of items in one write of a document's `Listed` values.
-# A row of `contract`'s condensation pairs at n = 2,000 holds up to 70 KB.
+# Fewest characters in one write (`write_pieces`).  A row of `contract`'s
+# condensation pairs at n = 2,000 holds up to 70 KB.
 WRITE_CHARS = 1 << 16
 
 
@@ -127,15 +122,10 @@ def _json_problem_in_pieces(text: str) -> DecisionProblem | None:
                                        for c in _NOT_IN_INDEX_EDGES):
         return None
     try:
-        doc = _HEAD_DECODER.decode(text[:start] + text[end:])
-        n, labels = doc.get("n"), doc.get("labels")
-        if (type(n) is not int or not 0 < n <= PARSE_LIMIT
-                or labels is not None
-                and (not isinstance(labels, list) or len(labels) != n)):
-            return None
-        rel = Relation(n, _edge_rows(text, start, end, n))
-        return DecisionProblem(rel, tuple(map(str, labels)) if labels else ())
-    except (TypeError, ValueError, IndexError, RecursionError):
+        n, labels = _head(_HEAD_DECODER.decode(text[:start] + text[end:]))
+        return DecisionProblem(Relation(n, _edge_rows(text, start, end, n)),
+                               labels)
+    except (ParseError, TypeError, ValueError, IndexError, RecursionError):
         return None
 
 
@@ -237,15 +227,7 @@ def _json_problem(text: str) -> DecisionProblem:
         raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno) from exc
     except (ValueError, RecursionError) as exc:  # huge number, deep nesting
         raise ParseError(f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or "n" not in doc:
-        raise ParseError("instance object needs an 'n' field")
-    n = doc["n"]
-    if type(n) is not int or n < 1:
-        raise ParseError("'n' must be a positive integer")
-    _check_count(n)
-    labels = doc.get("labels")
-    if labels is not None and (not isinstance(labels, list) or len(labels) != n):
-        raise ParseError("'labels' must list one name per alternative")
+    n, labels = _head(doc)
     edges = doc.get("edges", [])
     if not isinstance(edges, list):
         raise ParseError("'edges' must be a list of [u, v] pairs")
@@ -257,7 +239,23 @@ def _json_problem(text: str) -> DecisionProblem:
                     or not all(type(v) is int for v in e)):
                 raise ParseError(f"malformed edge {e!r}")
             _check_edge(e[0], e[1], n)
-    return DecisionProblem(rel, tuple(str(x) for x in labels) if labels else ())
+    return DecisionProblem(rel, labels)
+
+
+def _head(doc) -> tuple[int, tuple[str, ...]]:
+    """The alternative count and labels of a decoded instance document;
+    raises ParseError unless it is an object whose "n" is an int in
+    1..PARSE_LIMIT and whose "labels", if given, list n names."""
+    if not isinstance(doc, dict) or "n" not in doc:
+        raise ParseError("instance object needs an 'n' field")
+    n = doc["n"]
+    if type(n) is not int or n < 1:
+        raise ParseError("'n' must be a positive integer")
+    _check_count(n)
+    labels = doc.get("labels")
+    if labels is not None and (not isinstance(labels, list) or len(labels) != n):
+        raise ParseError("'labels' must list one name per alternative")
+    return n, tuple(map(str, labels)) if labels else ()
 
 
 def _edge_relation(edges: list, n: int, text: str) -> Relation | None:
@@ -362,9 +360,15 @@ def _picked(texts: Sequence[str], mask: Mask) -> Iterator[str]:
 
 
 def family_document(family: SolutionFamily) -> dict:
-    doc = _family_head(family)
-    doc["sets"] = [list(members(v)) for v in family]
-    return doc
+    return {**_family_head(family), "sets": [list(members(v)) for v in family]}
+
+
+def listed_family(family: SolutionFamily) -> dict:
+    """`family_document(family)` as the value of a document's top-level
+    "family" key, its member sets a `Listed` value of one item per block
+    of `family.blocks()`."""
+    return {**_family_head(family),
+            "sets": Listed(starmap(_MemberLines().render, family.blocks()))}
 
 
 def _family_head(family: SolutionFamily) -> dict:
@@ -376,26 +380,27 @@ def _family_head(family: SolutionFamily) -> dict:
 
 
 class Listed:
-    """A top-level list of a document, held as the texts of its items as
-    `json.dumps(indent=2)` writes them at depth 2, each made as it is
-    written; so a `Listed` value is written once."""
+    """A list of a document, held as the texts of its items as
+    `json.dumps(indent=2)` writes them at the list's depth, a text holding
+    one item or several joined by ",\n".  Each text is made as it is
+    written, so a `Listed` value is written once."""
 
     def __init__(self, items: Iterable[str]):
         self.items = items
 
 
 def member_lists(masks: Iterable[Mask], n: int) -> Listed:
-    """`[list(members(m)) for m in masks]`, each mask below ``2 ** n``; a
-    mask's member lines are one join of its members' texts."""
+    """`[list(members(m)) for m in masks]` at depth 2, each mask below
+    ``2 ** n``; a mask's member lines are one join of its members' texts."""
     texts = [f"      {x}" for x in range(n)]
     return Listed("    [\n" + ",\n".join(_picked(texts, m)) + "\n    ]"
                   if m else "    []" for m in masks)
 
 
 def pair_list(rows: Sequence[Mask]) -> Listed:
-    """`[[i, j] for i, row in enumerate(rows) for j in members(row)]`, the
-    pairs of a relation on range(len(rows)) in ascending order; a row's
-    pairs are one join of its targets' texts."""
+    """`[[i, j] for i, row in enumerate(rows) for j in members(row)]` at
+    depth 2, the pairs of a relation on range(len(rows)) in ascending
+    order; a row's pairs are one join of its targets' texts."""
     texts = list(map(str, range(len(rows))))
     return Listed(f"    [\n      {i},\n      "
                   + f"\n    ],\n    [\n      {i},\n      ".join(
@@ -403,75 +408,62 @@ def pair_list(rows: Sequence[Mask]) -> Listed:
                   for i, row in enumerate(rows) if row)
 
 
-def write_document(out: TextIO, doc: dict,
-                   family: Optional[SolutionFamily] = None) -> None:
-    """Write `json.dumps(doc, indent=2, sort_keys=True)` and a newline.
+def write_document(out: TextIO, doc: dict) -> None:
+    """Write `json.dumps(doc, indent=2, sort_keys=True)` and a newline, a
+    `Listed` value at any depth written as the list it stands for.
 
-    A top-level `Listed` value is written as the list it stands for, a few
-    items at a time: each write but the last holds at least `WRITE_CHARS`
-    characters of items, so a document of shorter lists takes one write.
-
-    Given a family, the document gains a "family" key holding
-    `family_document(family)`, and holds no `Listed` value.  Its member
-    sets are rendered straight from the family's blocks, in the bytes the
-    encoder would write for the whole list; each write but the last holds
-    whole blocks and at least `SET_BATCH` sets.
+    The encoder's `default` hook records each `Listed` value in text order
+    and has the string of one NUL character written in its place; no other
+    string of a document the CLI writes holds that character.  The value's
+    items, made as they are written, take the placeholder's place.
     """
-    if family is None:
-        _write_listed(out, doc)
-        return
-    # An empty "sets" is the right text for a family with no members.
-    doc = {**doc, "family": {**_family_head(family), "sets": []}}
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    blocks = iter(family.blocks())
-    first = next(blocks, None)
-    if first is None:
-        out.write(text)
-        return
-    # No other key of the document is "sets", so its first empty "sets" is
-    # the family's.
-    head, _, tail = text.partition('"sets": []')
-    out.write(head + '"sets": [\n')
-    lines = _MemberLines()
-    pending, sets = [], 0
-    for high, lows in chain((first,), blocks):
-        if sets >= SET_BATCH:
-            out.write("".join(pending))
-            pending, sets = [], 0
-        pending.append(lines.render(high, lows))
-        sets += len(lows)
-    # The last set takes the list's closing bracket instead of ",\n".
-    out.write("".join(pending)[:-2] + "\n    ]" + tail)
+    listed = []
+
+    def hold(value):
+        if not isinstance(value, Listed):
+            raise TypeError(f"Object of type {type(value).__name__} "
+                            f"is not JSON serializable")
+        listed.append(value)
+        return "\0"
+
+    parts = (json.dumps(doc, indent=2, sort_keys=True, default=hold)
+             + "\n").split('"\\u0000"')
+    if len(parts) != len(listed) + 1:
+        raise ValueError("a string of the document holds a NUL character")
+    write_pieces(out, _filled(parts, listed))
 
 
-def _write_listed(out: TextIO, doc: dict) -> None:
-    """The document's text, each `Listed` value's items put in place of
-    the empty list the encoder writes for it."""
-    keys = sorted(key for key, value in doc.items()
-                  if isinstance(value, Listed))
-    text = json.dumps({**doc, **dict.fromkeys(keys, [])}, indent=2,
-                      sort_keys=True) + "\n"
-    pending, size = [], 0
-    for key in keys:
-        # Only a top-level key's line opens with a newline and two spaces.
-        empty = f"\n  {json.dumps(key)}: []"
-        head, _, text = text.partition(empty)
-        pending.append(head + empty[:-1])
-        sep = "\n"
-        for item in doc[key].items:
-            if size >= WRITE_CHARS:
-                out.write("".join(pending))
-                pending, size = [], 0
-            pending += (sep, item)
-            size += len(item)
+def _filled(parts: list[str], listed: list[Listed]) -> Iterator[str]:
+    """The parts with each `Listed` value's items in a list between them,
+    closed at the indent of the line that holds its placeholder."""
+    yield parts[0]
+    for head, value, tail in zip(parts, listed, parts[1:]):
+        sep = "[\n"
+        for item in value.items:
+            yield sep
+            yield item
             sep = ",\n"
-        pending.append("]" if sep == "\n" else "\n  ]")
-    pending.append(text)
+        line = head[head.rfind("\n") + 1:]
+        yield ("[]" if sep == "[\n" else
+               "\n" + " " * (len(line) - len(line.lstrip())) + "]") + tail
+
+
+def write_pieces(out: TextIO, pieces: Iterable[str]) -> None:
+    """Write the pieces' text a few pieces at a time: each write but the
+    last holds at least `WRITE_CHARS` characters, so a short text takes
+    one write and a long one is never held whole."""
+    pending, size = [], 0
+    for piece in pieces:
+        if size >= WRITE_CHARS:
+            out.write("".join(pending))
+            pending, size = [], 0
+        pending.append(piece)
+        size += len(piece)
     out.write("".join(pending))
 
 
 # A set's opening and closing lines at depth 3.
-_OPEN, _CLOSE = "      [\n", "\n      ],\n"
+_OPEN, _CLOSE = "      [\n", "\n      ]"
 
 
 class _MemberLines(dict):
@@ -489,7 +481,7 @@ class _MemberLines(dict):
         return text
 
     def render(self, high: Mask, lows: tuple[int, ...]) -> str:
-        """The sets ``high | low`` for each low, each followed by ",\n".
+        """The sets ``high | low`` for each low, joined by ",\n".
 
         One join of the low bytes' lines: between them go the high part's
         lines, less the last member's comma, and the brackets that close
@@ -505,33 +497,33 @@ class _MemberLines(dict):
         else:
             close = _CLOSE
             pieces = [self[low][:-2] for low in lows]
-        return _OPEN + (close + _OPEN).join(pieces) + close
+        return _OPEN + (close + ",\n" + _OPEN).join(pieces) + close
 
 
-def export_dot(p: DecisionProblem, c: Contraction) -> str:
+def export_dot(p: DecisionProblem, c: Contraction) -> Iterator[str]:
     """Graphviz digraph with the contraction's components as clusters and
-    condensation edges drawn bold between cluster anchors."""
-    lines = ["digraph decision_problem {"]
+    condensation edges drawn bold between cluster anchors, one line, and
+    its newline, at a time."""
+    yield "digraph decision_problem {\n"
     labels = [_dot_quote(label) for label in p.labels]
     for i, cls in enumerate(c.classes):
         xs = members(cls)
         if len(xs) == 1:
-            lines.append(f'  a{xs[0]} [label={labels[xs[0]]}];')
+            yield f'  a{xs[0]} [label={labels[xs[0]]}];\n'
         else:
-            lines.append(f"  subgraph cluster_{i} {{")
-            lines.append(f'    label="component {i}";')
+            yield f"  subgraph cluster_{i} {{\n"
+            yield f'    label="component {i}";\n'
             for x in xs:
-                lines.append(f'    a{x} [label={labels[x]}];')
-            lines.append("  }")
+                yield f'    a{x} [label={labels[x]}];\n'
+            yield "  }\n"
     for x, y in p.rel.pairs():
-        lines.append(f"  a{x} -> a{y};")
+        yield f"  a{x} -> a{y};\n"
     for i, j in c.cond.pairs():
         src = members(c.classes[i])[0]
         dst = members(c.classes[j])[0]
-        lines.append(f"  a{src} -> a{dst} [style=bold, color=red, "
-                     f"ltail=cluster_{i}, lhead=cluster_{j}];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        yield (f"  a{src} -> a{dst} [style=bold, color=red, "
+               f"ltail=cluster_{i}, lhead=cluster_{j}];\n")
+    yield "}\n"
 
 
 def _dot_quote(label: str) -> str:

@@ -14,7 +14,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .bitset import Mask, iter_bits, transpose
+from .bitset import Mask, image_table, iter_bits, transpose
 from .errors import check_size
 from .relations import DecisionProblem, Relation
 from .solutions import SUBSET_LIMIT, Concept, SociallyInterp, solve
@@ -51,14 +51,6 @@ def _closure(r: Relation) -> Relation:
     return Relation(r.n, tuple(rows))
 
 
-def _images(masks) -> list[Mask]:
-    """`images[v]` is the union of `masks[x]` over the members x of v."""
-    images = [0]
-    for mk in masks:
-        images += [u | mk for u in images]
-    return images
-
-
 def _omega(p: DecisionProblem) -> Relation:
     """Extended dominance, equipotent pairs kept: x ω y iff some z
     equipotent to x strictly dominates some w equipotent to y, so row x is
@@ -67,7 +59,7 @@ def _omega(p: DecisionProblem) -> Relation:
     closure = _closure(strict)
     cols = closure.columns()
     eq = [closure.rows[x] & cols[x] | 1 << x for x in range(p.n)]
-    strict_img, eq_img = _images(strict.rows), _images(eq)
+    strict_img, eq_img = image_table(strict.rows), image_table(eq)
     return Relation(p.n, tuple(eq_img[strict_img[e]] for e in eq))
 
 
@@ -118,8 +110,8 @@ def enumerate_solutions(p: DecisionProblem, concept: Concept,
             Concept.M_STABLE: (one_way, cols),
             Concept.W_STABLE: (star, [c & ~r for r, c in zip(rows, cols)]),
         }[concept]
-    ins = _images(inner)
-    outs = ins if outer is inner else _images(outer)
+    ins = image_table(inner)
+    outs = ins if outer is inner else image_table(outer)
     full = p.all_mask
     if concept is Concept.M_STABLE or concept is Concept.W_STABLE:
         out = [v for v in range(1, full + 1)
@@ -136,7 +128,7 @@ def gocha_bruteforce(p: DecisionProblem) -> Mask:
     """Union of all inclusion-minimal strictly-undominated non-empty subsets;
     d is undominated iff Sᵀ[d] ⊆ d, Sᵀ being the strict part's columns."""
     check_size(p.n, SUBSET_LIMIT, "oracle")
-    above = _images(_strict(p.rel).columns())
+    above = image_table(_strict(p.rel).columns())
     undominated = [d for d in range(1, len(above)) if not above[d] & ~d]
     # Ascending popcount: any non-minimal set has a minimal one strictly
     # inside it, so checking against minimals found so far suffices.

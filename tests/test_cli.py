@@ -107,7 +107,8 @@ class TestParsing:
                 parse_instance('{"n": 2, "edges": [%s]}' % edge)
 
     def test_dot_export(self):
-        dot = export_dot(CYCLE_WITH_TAIL, equipotence_classes(CYCLE_WITH_TAIL))
+        dot = "".join(export_dot(CYCLE_WITH_TAIL,
+                                 equipotence_classes(CYCLE_WITH_TAIL)))
         assert dot.startswith("digraph")
         assert "subgraph cluster_0" in dot
         assert "style=bold" in dot
@@ -116,7 +117,7 @@ class TestParsing:
         p = DecisionProblem.from_edges(4, [(0, 1), (1, 2), (2, 0)],
                                        labels=['a"b', "c\\d", "e", 'f\\"'])
         quoted = ['"a\\"b"', '"c\\\\d"', '"e"', '"f\\\\\\""']
-        dot = export_dot(p, equipotence_classes(p))
+        dot = "".join(export_dot(p, equipotence_classes(p)))
         for x, label in enumerate(quoted):
             assert f"a{x} [label={label}];" in dot
 

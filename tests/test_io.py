@@ -6,6 +6,8 @@ written as `json.dumps` writes it and read without a collector pass."""
 import gc
 import json
 import random
+import re
+import sys
 import tracemalloc
 from itertools import accumulate
 from types import SimpleNamespace
@@ -64,6 +66,17 @@ def spanning(n, cyclic=True):
             if len(set(cycle)) == 3 and max(cycle) < n:
                 edges += zip(cycle, cycle[1:] + cycle[:1])
     return json.dumps({"n": n, "edges": edges})
+
+
+def block_ends(text, family):
+    """The offset in a solved family's document just past the last set of
+    each of the family's blocks."""
+    sets = text.index('"sets": ')
+    closes = [m.end() for m in re.finditer(r"\n      \]", text)
+              if m.start() > sets]
+    assert len(closes) == family.count()
+    return [closes[k - 1] for k in accumulate(
+        len(lows) for _, lows in family.blocks())]
 
 
 FORMS_BY_CONCEPT = {"mss": FamilyForm.UNIONS_OF_COMPONENTS,
@@ -129,40 +142,48 @@ class TestFamilyDocuments:
         path = tmp_path / "doc.json"
         path.write_text('{"n": 13, "edges": []}')
         expected, family = expected_stdout(path.read_text(), "mss")
-        assert family.count() == 8191 > sio.SET_BATCH
+        assert family.count() == 8191
+        assert len(expected) > 4 * sio.WRITE_CHARS
         assert solve_stdout(capsys, path, "mss") == expected
 
-    @pytest.mark.parametrize("batch", [1, 2, 3, 5])
-    def test_every_batch_boundary(self, batch, monkeypatch, tmp_path, capsys):
+    @pytest.mark.parametrize("blocks", [1, 2, 3, 5])
+    def test_every_batch_boundary(self, blocks, monkeypatch, tmp_path):
         # The w-stable family of spanning(17): components {0, 1, 2},
-        # {7, 8, 9} and four singletons give 4 * 4 * 2 ** 4 - 1 sets.
-        monkeypatch.setattr(sio, "SET_BATCH", batch)
+        # {7, 8, 9} and four singletons give 4 * 4 * 2 ** 4 - 1 sets, in
+        # 24 blocks.  WRITE_CHARS is the text up to the end of the first
+        # `blocks` blocks, so the first write ends there.
         path = tmp_path / "doc.json"
         path.write_text(spanning(17))
         expected, family = expected_stdout(path.read_text(), "wss")
         assert family.count() == 255
-        assert solve_stdout(capsys, path, "wss") == expected
+        ends = block_ends(expected, family)
+        assert len(ends) == 24
+        monkeypatch.setattr(sio, "WRITE_CHARS", ends[blocks - 1])
+        writes = []
+        monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=writes.append))
+        assert run_cli(["solve", "--concept", "wss", "--input", str(path)]) == 0
+        assert writes[0] == expected[:ends[blocks - 1]]
+        assert "".join(writes) == expected
 
-    def test_writes_are_batched(self, tmp_path):
-        path = tmp_path / "doc.json"
-        path.write_text('{"n": 13, "edges": []}')
-        family = solve(parse_instance(path.read_text()), Concept.M_STABLE)
+    def test_writes_are_batched(self):
+        family = solve(parse_instance('{"n": 13, "edges": []}'),
+                       Concept.M_STABLE)
         writes = []
         sio.write_document(SimpleNamespace(write=writes.append),
-                           {"concept": "mss"}, family)
+                           {"concept": "mss",
+                            "family": sio.listed_family(family)})
         expected = json.dumps({"concept": "mss",
                                "family": family_document(family)},
                               indent=2, sort_keys=True) + "\n"
         assert "".join(writes) == expected
-        # The head, then writes of whole blocks holding at least SET_BATCH
-        # sets each but the last, which closes the document.
-        assert writes[0].endswith('"sets": [\n')
-        sizes = [w.count("      [\n") for w in writes[1:]]
-        assert sum(sizes) == 8191 and len(sizes) > 1
-        assert all(size >= sio.SET_BATCH for size in sizes[:-1])
-        ends = set(accumulate(len(lows) for _, lows in family.blocks()))
-        assert set(accumulate(sizes)) <= ends
-        assert all(w.startswith("      [\n") for w in writes[1:])
+        # Each write but the last holds at least WRITE_CHARS characters and
+        # ends at the end of a block, or after the separator that follows it.
+        assert len(writes) > 4
+        assert all(len(w) >= sio.WRITE_CHARS for w in writes[:-1])
+        ends = set(block_ends(expected, family))
+        assert all(end in ends or end - 2 in ends and w.endswith(",\n")
+                   for end, w in zip(accumulate(map(len, writes)),
+                                     writes[:-1]))
 
     def test_seeded_partitions(self):
         # A tenth of the property-test partitions, each as three product
@@ -182,7 +203,8 @@ class TestFamilyDocuments:
     def check_bytes(family):
         writes = []
         sio.write_document(SimpleNamespace(write=writes.append),
-                           {"concept": "x"}, family)
+                           {"concept": "x",
+                            "family": sio.listed_family(family)})
         expected = json.dumps({"concept": "x",
                                "family": family_document(family)},
                               indent=2, sort_keys=True) + "\n"
@@ -190,6 +212,14 @@ class TestFamilyDocuments:
 
 
 class TestOtherDocuments:
+    def test_values_the_encoder_cannot_write(self):
+        writes = []
+        with pytest.raises(TypeError,
+                           match="Object of type set is not JSON serializable"):
+            sio.write_document(SimpleNamespace(write=writes.append),
+                               {"a": sio.member_lists([1], 1), "b": {1, 2}})
+        assert writes == []
+
     def test_one_write_per_document(self, tmp_path):
         writes = []
         doc = {"classes": [[0, 1, 2], [3]], "condensation_edges": [[0, 1]]}

@@ -436,8 +436,8 @@ class TestBlocks:
             assert 0 <= lows[0] and lows[-1] < 256
             highs.append(high)
         if family.form is not FamilyForm.ONE_PER_COMPONENT:
-            # One block per high part, in ascending order: the whole-block
-            # writes of `io.write_document` rest on it.
+            # One block per high part, in ascending order, as `blocks`
+            # states for the ascending forms.
             assert highs == sorted(set(highs))
 
     def test_seeded_partitions(self):
