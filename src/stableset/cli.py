@@ -3,7 +3,9 @@
 Subcommands: solve, verify, contract, topology, random.  Results go to
 stdout as JSON.  Exit codes: 0 success, 1 solver error, 2 oracle mismatch,
 64 usage error.  Timings are opt-in (--timings) so default output stays
-byte-stable.  `verify --max-n` is the largest trial size, at most the
+byte-stable; their `total_s` covers reading, parsing and solving, but not
+writing the answer, which for a large product-form family is most of the
+call.  `verify --max-n` is the largest trial size, at most the
 oracle's ceiling.  The argument parser is built once per process, on the
 first call; each call still parses into a fresh namespace.
 """

@@ -35,7 +35,7 @@ from itertools import compress, starmap
 from operator import add
 from typing import Iterable, Iterator, Sequence, TextIO
 
-from .bitset import Mask, flags, iter_bits, members
+from .bitset import Mask, flags, members
 from .contraction import Contraction
 from .errors import LimitExceeded, LoopEdge, ParseError, check_size
 from .relations import DecisionProblem, Relation, has_index_ends
@@ -471,12 +471,14 @@ class _MemberLines(dict):
     3 of a document ("family", "sets", the set), each followed by ",\n".
 
     The lines of a mask are the join of one piece per byte, keyed by
-    256 * byte offset + byte value and built on first use.
+    256 * byte offset + byte value and built on first use: a piece is the
+    piece of the same key without its top member, plus that member's line.
     """
 
     def __missing__(self, key: int) -> str:
-        base = 8 * (key >> 8)
-        text = "".join(f"        {base + x},\n" for x in iter_bits(key & 255))
+        top = (key & 255).bit_length() - 1
+        text = (self[key ^ 1 << top] + f"        {8 * (key >> 8) + top},\n"
+                if top >= 0 else "")
         self[key] = text
         return text
 
@@ -503,7 +505,8 @@ class _MemberLines(dict):
 def export_dot(p: DecisionProblem, c: Contraction) -> Iterator[str]:
     """Graphviz digraph with the contraction's components as clusters and
     condensation edges drawn bold between cluster anchors, one line, and
-    its newline, at a time."""
+    its newline, at a time, but for a relation row's edge lines, which
+    come as one join of its targets' texts."""
     yield "digraph decision_problem {\n"
     labels = [_dot_quote(label) for label in p.labels]
     for i, cls in enumerate(c.classes):
@@ -516,8 +519,11 @@ def export_dot(p: DecisionProblem, c: Contraction) -> Iterator[str]:
             for x in xs:
                 yield f'    a{x} [label={labels[x]}];\n'
             yield "  }\n"
-    for x, y in p.rel.pairs():
-        yield f"  a{x} -> a{y};\n"
+    texts = list(map(str, range(p.n)))
+    for x, row in enumerate(p.rel.rows):
+        if row:
+            yield (f"  a{x} -> a" + f";\n  a{x} -> a".join(_picked(texts, row))
+                   + ";\n")
     for i, j in c.cond.pairs():
         src = members(c.classes[i])[0]
         dst = members(c.classes[j])[0]

@@ -5,6 +5,8 @@ strong components: generalized, m- and w-stable sets from the undominated
 ones, extended stable sets from the condensation.  VNM stable sets on
 cyclic inputs and socially stable sets have none; they are found by one
 branch-and-prune search (`_stable_search`) under the subset-search ceiling.
+A node whose chosen alternatives dominate every undecided one, no two of
+those in conflict, ends it with all its completions at once.
 The closure-of-restriction reading adds a node and a leaf test that read
 every set image from tables split at half the alternatives
 (`_cycle_tests`); the other routes build none.
@@ -265,11 +267,19 @@ def _stable_search(p: DecisionProblem, conflict: Relation, free: Mask,
     `conflict`, and a branch dies once an excluded alternative has no
     dominator left among the chosen and undecided ones.  Each step branches
     on a dominator of the excluded, undominated alternative with the
-    fewest dominators left.
+    fewest dominators left; with none pending, on an undecided alternative
+    the chosen ones do not dominate.  A node where the chosen ones dominate
+    every undecided alternative, and no conflict edge joins two of them,
+    ends the search: each union of the chosen ones with a subset of the
+    undecided ones is a member (with `cyclic`, if it passes the cycle test),
+    and all of them are built at once by doubling.  VNM reaches that node
+    with nothing undecided, since a dominated alternative conflicts with
+    its dominator.
     """
     full, rows, cols = p.all_mask, p.strict.rows, p.strict.columns()
     adjacent = tuple(row | col
                      for row, col in zip(conflict.rows, conflict.columns()))
+    conflicted = sum(1 << x for x, near in enumerate(adjacent) if near)
     if cyclic:
         degrees_ok, closed_inside = _cycle_tests(rows, cols)
     found = []
@@ -293,11 +303,21 @@ def _stable_search(p: DecisionProblem, conflict: Relation, free: Mask,
         if cyclic and not degrees_ok(chosen, covered, chosen | undecided):
             continue
         if not pick:
-            if not undecided:
-                if not cyclic or closed_inside(chosen):
-                    found.append(chosen)
+            pick = undecided & ~covered
+            if not pick and undecided & conflicted and any(
+                    adjacent[y] & undecided
+                    for y in iter_bits(undecided & conflicted)):
+                pick = undecided
+            if not pick:
+                completions = [chosen]
+                while undecided:
+                    bit = undecided & -undecided
+                    undecided ^= bit
+                    completions += [v | bit for v in completions]
+                found += (filter(closed_inside, completions) if cyclic
+                          else completions)
                 continue
-            pick, fewest = undecided, 2
+            fewest = 2
         bit = pick & -pick
         x = bit.bit_length() - 1
         if fewest > 1:  # a sole dominator gets no out-branch

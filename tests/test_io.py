@@ -199,6 +199,37 @@ class TestFamilyDocuments:
                 self.check_bytes(SolutionFamily(
                     FamilyForm.EXPLICIT, explicit=tuple(family)[::3]))
 
+    def test_members_beyond_the_second_byte(self):
+        # Seeded families over alternatives 16 to 1,999 (byte offsets 2 to
+        # 249), each as three product forms and as an explicit family of
+        # every third member; 1,999 and one more of the last byte's
+        # alternatives are always among them.
+        rng = random.Random(2026)
+        for _ in range(30):
+            used = rng.sample(range(16, 1992), rng.randint(1, 8))
+            comps = [0] * rng.randint(1, len(used))
+            for x in sorted({*used, 1992 + rng.randrange(8), 1999}):
+                comps[rng.randrange(len(comps))] |= 1 << x
+            comps = tuple(comp for comp in comps if comp)
+            for form in (FamilyForm.UNIONS_OF_COMPONENTS,
+                         FamilyForm.SUBSET_OF_REPRESENTATIVES,
+                         FamilyForm.ONE_PER_COMPONENT):
+                family = SolutionFamily(form, components=comps)
+                self.check_bytes(family)
+                self.check_bytes(SolutionFamily(
+                    FamilyForm.EXPLICIT, explicit=tuple(family)[::3]))
+
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_member_lines_match_the_per_member_join(self, order):
+        # Each entry is built from the entry without its top member; taken
+        # in descending order, every entry builds those below it first.
+        lines = sio._MemberLines()
+        for offset in (0, 1, 249):
+            base = 8 * offset
+            for byte in range(256)[::order]:
+                assert lines[256 * offset + byte] == "".join(
+                    f"        {base + x},\n" for x in members(byte))
+
     @staticmethod
     def check_bytes(family):
         writes = []

@@ -13,11 +13,12 @@ from stableset.contraction import equipotence_classes
 from stableset.errors import LimitExceeded
 from stableset.oracle import (_omega, enumerate_solutions, gocha_bruteforce,
                               random_problem)
-from stableset.relations import (DecisionProblem, asymmetric_part,
-                                 transitive_closure)
+from stableset.relations import (DecisionProblem, Relation, asymmetric_part,
+                                 transitive_closure, trap_relation)
 from stableset.solutions import (Concept, FamilyForm, SchwartzMethod,
                                  SociallyInterp, SolutionFamily,
-                                 _cycle_tests, _maximal_classes, core,
+                                 _cycle_tests, _maximal_classes,
+                                 _stable_search, core,
                                  duggan_set, extended_stable_sets,
                                  generalized_stable_sets, m_stable_sets,
                                  schwartz_set,
@@ -197,6 +198,55 @@ class TestSearchAgainstOracle:
                 socially_stable_sets(
                     path, SociallyInterp.CLOSURE_OF_RESTRICTION)):
             assert fam(family) == [(0, 2)]
+
+    @pytest.mark.parametrize("density,tournament",
+                             [(0.2, False), (0.5, False), (0.5, True)])
+    @pytest.mark.parametrize("n", [13, 14, 15, 16])
+    def test_beyond_the_ceiling(self, n, density, tournament):
+        # The ceiling bounds the entry points' time, not the search's
+        # reach: called with their arguments, it matches the oracle at the
+        # oracle's own limit of 16.
+        p = cyclic_problem(n, density, n, tournament)
+        arguments = {SEARCHED[0]: (p.strict, p.all_mask),
+                     SEARCHED[1]: (Relation.empty(p.n), schwartz_set(p)),
+                     SEARCHED[2]: (trap_relation(p), p.all_mask, True)}
+        for (concept, interp), args in arguments.items():
+            assert list(_stable_search(p, *args)) == enumerate_solutions(
+                p, concept, interp=interp, max_n=16), (p, concept, interp)
+
+    def test_dominating_nodes_end_the_search(self, monkeypatch):
+        # Nothing conflicts under closure of restriction on a tournament,
+        # so a node whose chosen alternatives dominate every undecided one
+        # emits all its completions at once: the leaf tests that follow a
+        # node test run on exactly the unions of its chosen set with each
+        # subset of its undecided alternatives.
+        events = []
+
+        def recorded(rows, cols):
+            degrees_ok, closed_inside = _cycle_tests(rows, cols)
+
+            def node(chosen, covered, live):
+                events.append((chosen, covered, live, []))
+                return degrees_ok(chosen, covered, live)
+
+            def leaf(v):
+                events[-1][3].append(v)
+                return closed_inside(v)
+
+            return node, leaf
+
+        monkeypatch.setattr("stableset.solutions._cycle_tests", recorded)
+        p = cyclic_problem(10, 0.5, 0, tournament=True)
+        interp = SociallyInterp.CLOSURE_OF_RESTRICTION
+        assert list(socially_stable_sets(p, interp)) == \
+            enumerate_solutions(p, Concept.SOCIALLY, interp=interp)
+        exits = [event for event in events if event[3]]
+        for chosen, covered, live, tested in exits:
+            undecided = live & ~chosen
+            assert undecided & ~covered == 0
+            assert sorted(tested) == [chosen | s for s in subsets(undecided)]
+        assert max(len(tested) for *_, tested in exits) >= 8
+        assert sum(len(tested) for *_, tested in exits) > len(events)
 
 
 # The closure-of-restriction search's two tests transcribed member by
