@@ -504,9 +504,12 @@ class _MemberLines(dict):
 
 def export_dot(p: DecisionProblem, c: Contraction) -> Iterator[str]:
     """Graphviz digraph with the contraction's components as clusters and
-    condensation edges drawn bold between cluster anchors, one line, and
-    its newline, at a time, but for a relation row's edge lines, which
-    come as one join of its targets' texts."""
+    condensation edges drawn bold between cluster anchors (least members),
+    one line, and its newline, at a time, but for the edge lines of a
+    relation or condensation row, which come as one join of its targets'
+    texts.  Condensation target j's text is its anchor, a NUL and "j]",
+    and one `str.replace` puts the edge's attributes at each NUL of the
+    row, which holds no label and so no other NUL."""
     yield "digraph decision_problem {\n"
     labels = [_dot_quote(label) for label in p.labels]
     for i, cls in enumerate(c.classes):
@@ -524,11 +527,14 @@ def export_dot(p: DecisionProblem, c: Contraction) -> Iterator[str]:
         if row:
             yield (f"  a{x} -> a" + f";\n  a{x} -> a".join(_picked(texts, row))
                    + ";\n")
-    for i, j in c.cond.pairs():
-        src = members(c.classes[i])[0]
-        dst = members(c.classes[j])[0]
-        yield (f"  a{src} -> a{dst} [style=bold, color=red, "
-               f"ltail=cluster_{i}, lhead=cluster_{j}];\n")
+    anchors = [(cls & -cls).bit_length() - 1 for cls in c.classes]
+    heads = [f"{a}\0{j}]" for j, a in enumerate(anchors)]
+    for i, row in enumerate(c.cond.rows):
+        if row:
+            yield (f"  a{anchors[i]} -> a" + f";\n  a{anchors[i]} -> a".join(
+                _picked(heads, row)) + ";\n").replace(
+                    "\0", f" [style=bold, color=red, ltail=cluster_{i}, "
+                          f"lhead=cluster_")
     yield "}\n"
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from typing import Sequence
 
 from .bitset import Mask, image_table, iter_bits, transpose
 from .errors import check_size
@@ -51,16 +52,15 @@ def _closure(r: Relation) -> Relation:
     return Relation(r.n, tuple(rows))
 
 
-def _omega(p: DecisionProblem) -> Relation:
-    """Extended dominance, equipotent pairs kept: x ω y iff some z
-    equipotent to x strictly dominates some w equipotent to y, so row x is
-    the union of the classes eq[w] over w in S[eq[x]]."""
-    strict = _strict(p.rel)
-    closure = _closure(strict)
+def _omega(strict: Relation, closure: Relation) -> Relation:
+    """Extended dominance, equipotent pairs kept, from the strict part and
+    its closure: x ω y iff some z equipotent to x strictly dominates some w
+    equipotent to y, so row x is the union of the classes eq[w] over w in
+    S[eq[x]]."""
     cols = closure.columns()
-    eq = [closure.rows[x] & cols[x] | 1 << x for x in range(p.n)]
+    eq = [closure.rows[x] & cols[x] | 1 << x for x in range(strict.n)]
     strict_img, eq_img = image_table(strict.rows), image_table(eq)
-    return Relation(p.n, tuple(eq_img[strict_img[e]] for e in eq))
+    return Relation(strict.n, tuple(eq_img[strict_img[e]] for e in eq))
 
 
 def _cycles_inside(v: Mask, strict: Relation) -> bool:
@@ -79,7 +79,7 @@ def enumerate_solutions(p: DecisionProblem, concept: Concept,
     Each check is the definition as a union identity over set images, X[v]
     being the union of the rows X[x] over the members x of v.  S is the
     strict part, C its closure, Cᵀ the closure's columns, * drops the
-    diagonal and ω is `_omega`.  A non-empty v is stable iff
+    diagonal and ω is `_omega` of S and C.  A non-empty v is stable iff
 
         vnm  S[v] ∩ v = ∅       and  S[v] ∪ v = full
         gss  C*[v] ∩ v = ∅      and  C*[v] ∪ v = full
@@ -100,7 +100,8 @@ def enumerate_solutions(p: DecisionProblem, concept: Concept,
     restricted = (concept is Concept.SOCIALLY
                   and interp is SociallyInterp.CLOSURE_OF_RESTRICTION)
     if concept is Concept.EXTENDED:
-        inner = outer = [r & ~(1 << x) for x, r in enumerate(_omega(p).rows)]
+        inner = outer = [r & ~(1 << x) for x, r in
+                         enumerate(_omega(strict, closure).rows)]
     else:
         inner, outer = {
             Concept.VNM: (strict.rows, strict.rows),
@@ -155,6 +156,11 @@ def random_problem(n: int, density: float, seed: int,
     next 2k words with word i at bits 32i to 32i+31.  So a draw is below
     density iff K < ceil(density * 2**53), and K's top byte is a's top byte:
     byte 8i+3 of the words' little-endian bytes (`_flags`).
+
+    Both shapes draw their rows through `_draw_rows`.  Digraph row x, n - 1
+    draws, moves its bits from x up one place for its diagonal; tournament
+    row x's upper half, n - 1 - x draws, moves up past x, and row y's lower
+    half is the complement, below y, of column y of the upper half.
     """
     if not 0.0 <= density <= 1.0:
         raise ValueError("density must lie in [0, 1]")
@@ -162,9 +168,13 @@ def random_problem(n: int, density: float, seed: int,
              + round(density * 1000) * 97 + int(tournament))
     rng = random.Random(mixed)
     if tournament:
-        rows = _tournament_rows(n, rng)
+        upper = [row << x + 1 for x, row in enumerate(
+            _draw_rows(rng, range(n - 1, -1, -1), _DRAW_SPAN // 2))]
+        rows = [u | (1 << y) - 1 ^ c
+                for y, (u, c) in enumerate(zip(upper, transpose(upper, n)))]
     else:
-        rows = _digraph_rows(n, math.ceil(density * _DRAW_SPAN), rng)
+        rows = [row + (row >> x << x) for x, row in enumerate(
+            _draw_rows(rng, [n - 1] * n, math.ceil(density * _DRAW_SPAN)))]
     return DecisionProblem(Relation(n, tuple(rows)))
 
 
@@ -192,47 +202,21 @@ def _flags(rng: random.Random, draws: int, limit: int) -> bytes:
     return flags
 
 
-def _digraph_rows(n: int, limit: int, rng: random.Random) -> list[Mask]:
-    """Rows of the digraph whose n - 1 draws per row fall below limit / 2**53.
-
-    A few rows are drawn at a time and their digits read backwards as one
-    `int`, draw j at bit j.  Row x takes the next n - 1 bits and makes room
-    for its diagonal by moving the bits from x up one place.
-    """
+def _draw_rows(rng: random.Random, widths: Sequence[int],
+               limit: int) -> list[Mask]:
+    """The bits of rows of the given widths, drawn in order, a row's draw j
+    at bit j and set iff it falls below limit / 2**53.  A `_flags` call
+    draws `_CHUNK_DRAWS // len(widths) or 1` rows, its digits read
+    backwards as one `int` from which each row takes its next bits."""
     rows: list[Mask] = []
-    width = n - 1
-    mask = (1 << width) - 1
-    step = _CHUNK_DRAWS // n or 1
-    for start in range(0, n, step):
-        stop = min(n, start + step)
-        bits = int(_flags(rng, (stop - start) * width, limit)[::-1] or b"0", 2)
-        for x in range(start, stop):
-            row = bits & mask
+    step = _CHUNK_DRAWS // len(widths) or 1
+    for start in range(0, len(widths), step):
+        chunk = widths[start:start + step]
+        bits = int(_flags(rng, sum(chunk), limit)[::-1] or b"0", 2)
+        for width in chunk:
+            rows.append(bits & (1 << width) - 1)
             bits >>= width
-            rows.append(row + (row >> x << x))
     return rows
-
-
-def _tournament_rows(n: int, rng: random.Random) -> list[Mask]:
-    """Rows of the tournament that holds (x, y), x < y, iff their draw is
-    below 0.5, and (y, x) otherwise.
-
-    The draws are read as in `_digraph_rows`; row x of the upper half takes
-    the next n - 1 - x bits, moved up past x.  Row y's lower half is the
-    complement, below y, of column y of the upper half.
-    """
-    upper: list[Mask] = []
-    step = _CHUNK_DRAWS // n or 1
-    for start in range(0, n, step):
-        stop = min(n, start + step)
-        draws = (stop - start) * (2 * n - 1 - start - stop) // 2
-        bits = int(_flags(rng, draws, _DRAW_SPAN // 2)[::-1] or b"0", 2)
-        for x in range(start, stop):
-            width = n - 1 - x
-            upper.append((bits & (1 << width) - 1) << x + 1)
-            bits >>= width
-    return [u | (1 << y) - 1 ^ c
-            for y, (u, c) in enumerate(zip(upper, transpose(upper, n)))]
 
 
 def cross_verify(p: DecisionProblem, concept: Concept,

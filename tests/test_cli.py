@@ -15,7 +15,7 @@ import stableset
 from conftest import CYCLE_WITH_TAIL, kernel_corpus
 from stableset import cli, contraction, order_topology, relations
 from stableset import io as sio
-from stableset.bitset import image, members
+from stableset.bitset import full_mask, image, members
 from stableset.cli import _build_parser, _generator_set, run_cli
 from stableset.errors import LoopEdge, ParseError
 from stableset.io import (BYTE_LIMIT, PARSE_LIMIT, export_dot,
@@ -55,6 +55,31 @@ def closure_strict_for_generator(p, generator):
     if generator == "duggan":
         return transitive_closure(trap_relation(p))
     return asymmetric_part(p.closure)
+
+
+def reference_dot(p, c):
+    """`export_dot`'s text written one line per node, relation pair and
+    condensation pair: the reference its row joins must reproduce."""
+    labels = ['"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
+              for label in p.labels]
+    lines = ["digraph decision_problem {\n"]
+    for i, cls in enumerate(c.classes):
+        xs = members(cls)
+        if len(xs) == 1:
+            lines.append(f"  a{xs[0]} [label={labels[xs[0]]}];\n")
+        else:
+            lines.append(f"  subgraph cluster_{i} {{\n")
+            lines.append(f'    label="component {i}";\n')
+            lines += [f"    a{x} [label={labels[x]}];\n" for x in xs]
+            lines.append("  }\n")
+    lines += [f"  a{x} -> a{y};\n" for x, y in p.rel.pairs()]
+    for i, j in c.cond.pairs():
+        src = members(c.classes[i])[0]
+        dst = members(c.classes[j])[0]
+        lines.append(f"  a{src} -> a{dst} [style=bold, color=red, "
+                     f"ltail=cluster_{i}, lhead=cluster_{j}];\n")
+    lines.append("}\n")
+    return "".join(lines)
 
 
 class TestParsing:
@@ -112,6 +137,27 @@ class TestParsing:
         assert dot.startswith("digraph")
         assert "subgraph cluster_0" in dot
         assert "style=bold" in dot
+
+    def test_dot_matches_the_per_pair_reference(self):
+        # The transitive tournaments at n = 300, in both orientations, give
+        # one class per alternative and 44,850 condensation pairs; the
+        # complete bipartite 40 x 40 order gives rows of 40 pairs between
+        # singleton classes; the last problem has quoted and backslashed
+        # labels on a cycle beside two tails.
+        n = 300
+        forward = Relation(n, tuple(full_mask(n) >> x + 1 << x + 1
+                                    for x in range(n)))
+        tops = full_mask(80) >> 40 << 40
+        problems = kernel_corpus() + (
+            DecisionProblem(forward),
+            DecisionProblem(Relation(n, forward.columns())),
+            DecisionProblem(Relation(80, (tops,) * 40 + (0,) * 40)),
+            DecisionProblem.from_edges(
+                5, [(0, 1), (1, 2), (2, 0), (0, 3), (4, 1)],
+                labels=['a"b', "c\\d", "e", 'f\\"', "\\"]))
+        for p in problems:
+            c = equipotence_classes(p)
+            assert "".join(export_dot(p, c)) == reference_dot(p, c), p
 
     def test_dot_labels_escaped(self):
         p = DecisionProblem.from_edges(4, [(0, 1), (1, 2), (2, 0)],
@@ -781,7 +827,8 @@ class TestContractCommand:
 
     def test_dot(self, capsys, tail_file):
         code, out = run(capsys, "contract", "--input", tail_file, "--dot")
-        assert code == 0 and out.startswith("digraph")
+        p = parse_instance(TAIL_EDGES)
+        assert code == 0 and out == reference_dot(p, equipotence_classes(p))
 
 
 class TestTopologyCommand:

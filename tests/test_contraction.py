@@ -104,10 +104,11 @@ class TestExtendedDominance:
         # the closure.
         for seed in range(200):
             p = random_problem(1 + seed % 7, (0.2, 0.5, 0.8)[seed % 3], seed)
-            closure = _closure(_strict(p.rel))
+            strict = _strict(p.rel)
+            closure = _closure(strict)
             cols = closure.columns()
             rows = tuple(row & ~(closure.rows[x] & cols[x] | 1 << x)
-                         for x, row in enumerate(_omega(p).rows))
+                         for x, row in enumerate(_omega(strict, closure).rows))
             assert extended_dominance(p) == Relation(p.n, rows)
 
 

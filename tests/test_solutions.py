@@ -11,8 +11,8 @@ from conftest import (CHAIN, CYCLE_WITH_TAIL, FIVE_CYCLE, FOUR_CYCLE,
 from stableset.bitset import from_members, image, members, reach, subsets
 from stableset.contraction import equipotence_classes
 from stableset.errors import LimitExceeded
-from stableset.oracle import (_omega, enumerate_solutions, gocha_bruteforce,
-                              random_problem)
+from stableset.oracle import (_closure, _omega, _strict, enumerate_solutions,
+                              gocha_bruteforce, random_problem)
 from stableset.relations import (DecisionProblem, Relation, asymmetric_part,
                                  transitive_closure, trap_relation)
 from stableset.solutions import (Concept, FamilyForm, SchwartzMethod,
@@ -38,7 +38,8 @@ def dominance_for(p, concept):
     if concept is Concept.EXTENDED:
         # Stability is judged against the literal relation; the acyclic
         # component-level variant would leave same-class pairs undominated.
-        return _omega(p)
+        strict = _strict(p.rel)
+        return _omega(strict, _closure(strict))
     return p.closure
 
 
