@@ -48,11 +48,21 @@ _SET_CONCEPTS = ("core", "schwartz", "duggan")
 _BRUTE = "brute"
 
 
+def _number(kind, text: str, low, high, expected: str):
+    """kind(text) if it reads and lies in [low, high]; else a usage error
+    that says what was expected, whatever kind(text) raised."""
+    try:
+        value = kind(text)
+    except ValueError:
+        pass
+    else:
+        if low <= value <= high:
+            return value
+    raise argparse.ArgumentTypeError(f"expected {expected}, got {text}")
+
+
 def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
-    return value
+    return _number(int, text, 1, float("inf"), "a positive integer")
 
 
 def _bounded(text: str, limit: int, what: str) -> int:
@@ -74,17 +84,11 @@ def _trial_size(text: str) -> int:
 
 
 def _count(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a count >= 0, got {text}")
-    return value
+    return _number(int, text, 0, float("inf"), "a count >= 0")
 
 
 def _unit_float(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"expected a number in [0, 1], got {text}")
-    return value
+    return _number(float, text, 0.0, 1.0, "a number in [0, 1]")
 
 
 def _indices(text: str) -> list[int]:

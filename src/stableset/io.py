@@ -8,7 +8,7 @@ n^2, so a few bytes of document must not ask for unbounded time or memory.
 
 A JSON document takes one of two routes.  One in the layout
 `serialize_instance` writes, with edge text long enough to hold a source
-run and no string, sign, boolean or exponent among its edges, is decoded
+run and no string, minus sign or boolean among its edges, is decoded
 piecewise (`_json_problem_in_pieces`).  That layout lists the edges row
 by row, so each row is a run of edges that open with the same source.  A
 run of at least `RUN_EDGES` edges is split on its separator, and each
@@ -31,8 +31,7 @@ from __future__ import annotations
 
 import gc
 import json
-from itertools import compress, starmap
-from operator import add
+from itertools import compress
 from typing import Iterable, Iterator, Sequence, TextIO
 
 from .bitset import Mask, flags, members
@@ -95,9 +94,10 @@ _RUN_CHARS = 8 * RUN_EDGES - 2
 # How `serialize_instance` opens a document; the first edge starts at the
 # last bracket.
 _CANONICAL_HEAD = '{"edges": [['
-# Edge text without '"' or these holds no string, negative number, boolean,
-# float with an exponent, NaN or Infinity.
-_NOT_IN_INDEX_EDGES = "-eENI"
+# Edge text without '"' or these holds no string, negative number or
+# boolean.  A float, NaN or Infinity end misses the runs' table and makes
+# the pieces' row loop raise TypeError, so it needs no scan.
+_NOT_IN_INDEX_EDGES = "-e"
 
 
 def _json_problem_in_pieces(text: str) -> DecisionProblem | None:
@@ -366,9 +366,13 @@ def family_document(family: SolutionFamily) -> dict:
 def listed_family(family: SolutionFamily) -> dict:
     """`family_document(family)` as the value of a document's top-level
     "family" key, its member sets a `Listed` value of one item per block
-    of `family.blocks()`."""
+    of `family.blocks()` (`_block_text`)."""
+    width = max(map(int.bit_length, family.components + family.explicit),
+                default=0)
+    texts = [f"        {x},\n" for x in range(width)]
     return {**_family_head(family),
-            "sets": Listed(starmap(_MemberLines().render, family.blocks()))}
+            "sets": Listed(_block_text(texts, high, lows)
+                           for high, lows in family.blocks())}
 
 
 def _family_head(family: SolutionFamily) -> dict:
@@ -464,42 +468,31 @@ def write_pieces(out: TextIO, pieces: Iterable[str]) -> None:
 
 # A set's opening and closing lines at depth 3.
 _OPEN, _CLOSE = "      [\n", "\n      ]"
+# Each low byte's member lines as `json.dumps(indent=2)` writes them at
+# depth 3 ("family", "sets", the set), each followed by ",\n".  A list:
+# `list.__getitem__` is called faster than a tuple's through `map`.
+_LOW_LINES = ["".join(f"        {x},\n" for x in members(byte))
+              for byte in range(256)]
 
 
-class _MemberLines(dict):
-    """Member lines of sets as `json.dumps(indent=2)` writes them at depth
-    3 of a document ("family", "sets", the set), each followed by ",\n".
+def _block_text(texts: Sequence[str], high: Mask,
+                lows: tuple[int, ...]) -> str:
+    """The sets ``high | low`` for each low, joined by ",\n"; texts[x] is
+    member x's line, as in `_LOW_LINES`, for each member x of high.
 
-    The lines of a mask are the join of one piece per byte, keyed by
-    256 * byte offset + byte value and built on first use: a piece is the
-    piece of the same key without its top member, plus that member's line.
+    One join of the low bytes' lines: between them go the high part's
+    lines (one `_picked` join), less the last member's comma, and the
+    brackets that close one set and open the next.  With no high part,
+    each low byte's lines lose their own last comma instead.  The empty
+    set is never a member.
     """
-
-    def __missing__(self, key: int) -> str:
-        top = (key & 255).bit_length() - 1
-        text = (self[key ^ 1 << top] + f"        {8 * (key >> 8) + top},\n"
-                if top >= 0 else "")
-        self[key] = text
-        return text
-
-    def render(self, high: Mask, lows: tuple[int, ...]) -> str:
-        """The sets ``high | low`` for each low, joined by ",\n".
-
-        One join of the low bytes' lines: between them go the high part's
-        lines, less the last member's comma, and the brackets that close
-        one set and open the next.  With no high part, each low byte's lines
-        lose their own last comma instead.  The empty set is never a member.
-        """
-        if high:
-            data = high.to_bytes((high.bit_length() + 7) // 8, "little")
-            close = "".join(map(self.__getitem__,
-                                map(add, range(0, 256 * len(data), 256),
-                                    data)))[:-2] + _CLOSE
-            pieces = map(self.__getitem__, lows)
-        else:
-            close = _CLOSE
-            pieces = [self[low][:-2] for low in lows]
-        return _OPEN + (close + ",\n" + _OPEN).join(pieces) + close
+    if high:
+        close = "".join(_picked(texts, high))[:-2] + _CLOSE
+        pieces = map(_LOW_LINES.__getitem__, lows)
+    else:
+        close = _CLOSE
+        pieces = [_LOW_LINES[low][:-2] for low in lows]
+    return _OPEN + (close + ",\n" + _OPEN).join(pieces) + close
 
 
 def export_dot(p: DecisionProblem, c: Contraction) -> Iterator[str]:

@@ -358,7 +358,8 @@ class TestJsonParserEquivalence:
         "out-of-range": "[0, 300]", "null": "[0, null]", "negative": "[0, -1]",
         "boolean": "[true, 0]", "string": '[0, "1"]', "empty": "[]",
         "5001-digits": "[0, 1" + "0" * 5000 + "]",
-        "deep": "[" * 5000 + "]" * 5000}
+        "deep": "[" * 5000 + "]" * 5000, "nan": "[0, NaN]",
+        "infinity": "[Infinity, 0]", "upper-exponent": "[1E0, 0]"}
 
     @pytest.mark.parametrize("edge", BAD_PIECE_EDGES.values(),
                              ids=BAD_PIECE_EDGES.keys())
@@ -1081,6 +1082,20 @@ class TestExitCodes:
     def test_usage_error(self, capsys):
         assert run_cli(["solve", "--concept", "nonsense", "--input", "x"]) == 64
         assert run_cli([]) == 64
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["random", "--n", "abc"], "--n: expected a positive integer, got abc"),
+        (["random", "--n", "3", "--density", "abc"],
+         "--density: expected a number in [0, 1], got abc"),
+        (["verify", "--concept", "gss", "--max-n", "abc"],
+         "--max-n: expected a positive integer, got abc"),
+        (["verify", "--concept", "gss", "--trials", "abc"],
+         "--trials: expected a count >= 0, got abc")])
+    def test_non_numeric_values(self, argv, expected, capsys):
+        assert run_cli(argv) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"usage error: argument {expected}\n"
 
     def test_missing_file(self, capsys):
         assert run_cli(["solve", "--concept", "core",

@@ -219,16 +219,32 @@ class TestFamilyDocuments:
                 self.check_bytes(SolutionFamily(
                     FamilyForm.EXPLICIT, explicit=tuple(family)[::3]))
 
+    def test_one_component_family_of_2000_sets(self):
+        # The generalized family of the 2,000-cycle is its 2,000 single
+        # alternatives, with high parts at every byte offset 1 to 249.
+        p = DecisionProblem(Relation.from_pairs(
+            2000, [(x, (x + 1) % 2000) for x in range(2000)]))
+        family = solve(p, Concept.GENERALIZED)
+        assert family.count() == 2000 and len(family.components) == 1
+        self.check_bytes(family)
+
     @pytest.mark.parametrize("order", [1, -1])
     def test_member_lines_match_the_per_member_join(self, order):
-        # Each entry is built from the entry without its top member; taken
-        # in descending order, every entry builds those below it first.
-        lines = sio._MemberLines()
+        # A low byte's lines come from `_LOW_LINES`, a high byte's from one
+        # `_picked` join over the member lines `listed_family` builds; both
+        # are plain lookups, so either order of bytes reads the same.
+        assert len(sio._LOW_LINES) == 256
+        texts = [f"        {x},\n" for x in range(8 * 250)]
         for offset in (0, 1, 249):
             base = 8 * offset
             for byte in range(256)[::order]:
-                assert lines[256 * offset + byte] == "".join(
-                    f"        {base + x},\n" for x in members(byte))
+                expected = "".join(f"        {base + x},\n"
+                                   for x in members(byte))
+                if offset == 0:
+                    assert sio._LOW_LINES[byte] == expected
+                elif byte:
+                    assert "".join(
+                        sio._picked(texts, byte << base)) == expected
 
     @staticmethod
     def check_bytes(family):
