@@ -20,11 +20,14 @@ piece of whole edge lists and tries runs again after it.  Every other
 document, and every document that route refuses, is decoded whole by
 `_json_problem`, which gives every error message.
 
-Every document the CLI prints goes out through one loop, `write_pieces`.
+Every document the CLI prints goes out through one loop, `write_pieces`,
+which joins short pieces into batches and writes a long piece as it is.
 A JSON document's long lists are `Listed` values, at any depth, whose
 items are made as they are written, with no Python step per index:
 `bitset.flags` turns a mask into selectors, and `itertools.compress` picks
-the members' texts for one `str.join` (`_picked`).
+the members' texts for one `str.join` (`_picked`).  A solved family's
+blocks that share one tuple of low bytes share one list of their lines
+(`_block_texts`).
 """
 
 from __future__ import annotations
@@ -58,9 +61,14 @@ EDGE_PIECE = 1 << 18
 # rows of 48 16 % and 7 % faster (Python 3.11.7 on a shared 2-CPU x86-64
 # machine).
 RUN_EDGES = 40
-# Fewest characters in one write (`write_pieces`).  A row of `contract`'s
-# condensation pairs at n = 2,000 holds up to 70 KB.
-WRITE_CHARS = 1 << 16
+# Fewest characters in one write of short pieces, and fewest in a piece
+# written on its own (`write_pieces`).  A product-form family's block holds
+# up to 256 member sets.  On the edgeless documents n = 9 to 16, each block
+# with a high part holds 18 to 39 KB, so it is written as `_block_texts`
+# made it rather than copied into a batch; the one block without, 15 KB,
+# is batched.  A row of `contract`'s condensation pairs at n = 2,000 holds
+# up to 70 KB.
+WRITE_CHARS = 1 << 14
 
 
 def parse_instance(text: str) -> DecisionProblem:
@@ -366,13 +374,12 @@ def family_document(family: SolutionFamily) -> dict:
 def listed_family(family: SolutionFamily) -> dict:
     """`family_document(family)` as the value of a document's top-level
     "family" key, its member sets a `Listed` value of one item per block
-    of `family.blocks()` (`_block_text`)."""
+    of `family.blocks()` (`_block_texts`)."""
     width = max(map(int.bit_length, family.components + family.explicit),
                 default=0)
     texts = [f"        {x},\n" for x in range(width)]
     return {**_family_head(family),
-            "sets": Listed(_block_text(texts, high, lows)
-                           for high, lows in family.blocks())}
+            "sets": Listed(_block_texts(texts, family.blocks()))}
 
 
 def _family_head(family: SolutionFamily) -> dict:
@@ -453,17 +460,30 @@ def _filled(parts: list[str], listed: list[Listed]) -> Iterator[str]:
 
 
 def write_pieces(out: TextIO, pieces: Iterable[str]) -> None:
-    """Write the pieces' text a few pieces at a time: each write but the
-    last holds at least `WRITE_CHARS` characters, so a short text takes
-    one write and a long one is never held whole."""
+    """Write the pieces' text in order, in writes of a few short pieces or
+    of one long one, so a short text takes one write and a long one is
+    never held whole.
+
+    Pieces shorter than `WRITE_CHARS` are joined into a batch, written once
+    it holds at least `WRITE_CHARS` characters.  A piece of at least
+    `WRITE_CHARS` characters is written as it is, after the batch before
+    it, and is not copied into a batch.  No write is empty.
+    """
     pending, size = [], 0
     for piece in pieces:
+        if len(piece) >= WRITE_CHARS:
+            if size:
+                out.write("".join(pending))
+                pending, size = [], 0
+            out.write(piece)
+            continue
+        pending.append(piece)
+        size += len(piece)
         if size >= WRITE_CHARS:
             out.write("".join(pending))
             pending, size = [], 0
-        pending.append(piece)
-        size += len(piece)
-    out.write("".join(pending))
+    if size:
+        out.write("".join(pending))
 
 
 # A set's opening and closing lines at depth 3.
@@ -475,24 +495,32 @@ _LOW_LINES = ["".join(f"        {x},\n" for x in members(byte))
               for byte in range(256)]
 
 
-def _block_text(texts: Sequence[str], high: Mask,
-                lows: tuple[int, ...]) -> str:
-    """The sets ``high | low`` for each low, joined by ",\n"; texts[x] is
-    member x's line, as in `_LOW_LINES`, for each member x of high.
+def _block_texts(texts: Sequence[str],
+                 blocks: Iterable[tuple[Mask, tuple[int, ...]]]
+                 ) -> Iterator[str]:
+    """For each block ``(high, lows)``, the sets ``high | low`` for each
+    low, joined by ",\n"; texts[x] is member x's line, as in `_LOW_LINES`,
+    for each member x of high.
 
-    One join of the low bytes' lines: between them go the high part's
-    lines (one `_picked` join), less the last member's comma, and the
-    brackets that close one set and open the next.  With no high part,
-    each low byte's lines lose their own last comma instead.  The empty
-    set is never a member.
+    A block is one join of its low bytes' lines: between them go the high
+    part's lines (one `_picked` join), less the last member's comma, and
+    the brackets that close one set and open the next.  The list of low
+    lines is kept while the next block's lows are the same tuple object,
+    as `solutions._ascending_blocks` gives every block whose undecided low
+    bits match.  With no high part, each low byte's lines lose their own
+    last comma instead, in a list of that block's own.  The empty set is
+    never a member.
     """
-    if high:
-        close = "".join(_picked(texts, high))[:-2] + _CLOSE
-        pieces = map(_LOW_LINES.__getitem__, lows)
-    else:
-        close = _CLOSE
-        pieces = [_LOW_LINES[low][:-2] for low in lows]
-    return _OPEN + (close + ",\n" + _OPEN).join(pieces) + close
+    shared, lines = None, []  # the lows whose lines `lines` holds
+    for high, lows in blocks:
+        if high:
+            if lows is not shared:
+                shared, lines = lows, list(map(_LOW_LINES.__getitem__, lows))
+            close = "".join(_picked(texts, high))[:-2] + _CLOSE
+            yield _OPEN + (close + ",\n" + _OPEN).join(lines) + close
+        else:
+            yield (_OPEN + (_CLOSE + ",\n" + _OPEN).join(
+                [_LOW_LINES[low][:-2] for low in lows]) + _CLOSE)
 
 
 def export_dot(p: DecisionProblem, c: Contraction) -> Iterator[str]:

@@ -133,7 +133,7 @@ def gocha_bruteforce(p: DecisionProblem) -> Mask:
     undominated = [d for d in range(1, len(above)) if not above[d] & ~d]
     # Ascending popcount: any non-minimal set has a minimal one strictly
     # inside it, so checking against minimals found so far suffices.
-    undominated.sort(key=lambda d: (d.bit_count(), d))
+    undominated.sort(key=int.bit_count)
     minimal = []
     out = 0
     for d in undominated:

@@ -9,7 +9,7 @@ import random
 import re
 import sys
 import tracemalloc
-from itertools import accumulate
+from itertools import accumulate, zip_longest
 from types import SimpleNamespace
 
 import pytest
@@ -165,25 +165,102 @@ class TestFamilyDocuments:
         assert writes[0] == expected[:ends[blocks - 1]]
         assert "".join(writes) == expected
 
-    def test_writes_are_batched(self):
+    def test_writes_are_batched(self, monkeypatch):
+        # Each write is a batch of pieces shorter than WRITE_CHARS that
+        # holds at least WRITE_CHARS characters ("full"), a batch cut short
+        # by the long piece after it ("cut"), one long piece as the very
+        # string the renderer made ("long"), or the last write.  No write is
+        # empty, and each but the last ends at the end of a block, or after
+        # the separator that follows it.  The blocks hold 15 to 30 KB: at
+        # the default WRITE_CHARS all but the first are long, and at 20,000
+        # characters some are short enough to batch.
         family = solve(parse_instance('{"n": 13, "edges": []}'),
                        Concept.M_STABLE)
-        writes = []
-        sio.write_document(SimpleNamespace(write=writes.append),
-                           {"concept": "mss",
-                            "family": sio.listed_family(family)})
         expected = json.dumps({"concept": "mss",
                                "family": family_document(family)},
                               indent=2, sort_keys=True) + "\n"
-        assert "".join(writes) == expected
-        # Each write but the last holds at least WRITE_CHARS characters and
-        # ends at the end of a block, or after the separator that follows it.
-        assert len(writes) > 4
-        assert all(len(w) >= sio.WRITE_CHARS for w in writes[:-1])
         ends = set(block_ends(expected, family))
-        assert all(end in ends or end - 2 in ends and w.endswith(",\n")
-                   for end, w in zip(accumulate(map(len, writes)),
-                                     writes[:-1]))
+        filled = sio._filled
+        for write_chars, kinds in ((sio.WRITE_CHARS, {"long", "cut"}),
+                                   (20000, {"long", "cut", "full"})):
+            monkeypatch.setattr(sio, "WRITE_CHARS", write_chars)
+            pieces = []
+            monkeypatch.setattr(sio, "_filled", lambda parts, listed: (
+                pieces.append(piece) or piece
+                for piece in filled(parts, listed)))
+            writes = []
+            sio.write_document(SimpleNamespace(write=writes.append),
+                               {"concept": "mss",
+                                "family": sio.listed_family(family)})
+            assert "".join(writes) == expected
+            assert len(writes) > 4 and all(writes)
+            at = 0  # the first piece not yet written
+            seen = set()
+            for k, w in enumerate(writes):
+                if len(pieces[at]) >= write_chars:
+                    assert w is pieces[at]
+                    at += 1
+                    seen.add("long")
+                    continue
+                stop = at
+                while (stop < len(pieces)
+                       and len(pieces[stop]) < write_chars
+                       and sum(map(len, pieces[at:stop])) < write_chars):
+                    stop += 1
+                assert w == "".join(pieces[at:stop])
+                if len(w) >= write_chars:
+                    seen.add("full")
+                elif stop < len(pieces):
+                    seen.add("cut")
+                else:
+                    assert k == len(writes) - 1
+                at = stop
+            assert at == len(pieces)
+            assert seen == kinds
+            assert all(end in ends or end - 2 in ends and w.endswith(",\n")
+                       for end, w in zip(accumulate(map(len, writes)),
+                                         writes[:-1]))
+
+    @pytest.mark.parametrize("text,concept", [
+        ('{"n": 13, "edges": []}', "mss"), ('{"n": 13, "edges": []}', "wss"),
+        (spanning(17), "mss"), (spanning(17), "wss")],
+        ids=["edgeless-13-mss", "edgeless-13-wss", "spanning-17-mss",
+             "spanning-17-wss"])
+    def test_shared_lows_after_a_block_without_high_part(self, text,
+                                                         concept):
+        # The first block has no high part; its lows are a table's tuple
+        # less the empty pick.  Later blocks hold that table's tuple itself,
+        # one object for a run of blocks, whose lines they share.
+        family = solve(parse_instance(text), CONCEPTS[concept])
+        blocks = list(family.blocks())
+        assert blocks[0][0] == 0
+        first = [lows for high, lows in blocks[1:]
+                 if lows[1:] == blocks[0][1]]
+        assert first and all(lows is first[0] for lows in first)
+        self.check_bytes(family)
+
+    def test_every_form_rendered_by_turns(self):
+        # A product family, an explicit family of half its members and the
+        # one-per-component family of its components, their blocks made by
+        # turns in one process: each document still reads byte for byte as
+        # the encoder writes it.
+        for n, comps in product_partitions()[::25]:
+            mss = SolutionFamily(FamilyForm.UNIONS_OF_COMPONENTS,
+                                 components=comps)
+            if mss.count() > 5000:
+                continue
+            families = [mss, SolutionFamily(FamilyForm.EXPLICIT,
+                                            explicit=tuple(mss)[::2]),
+                        SolutionFamily(FamilyForm.ONE_PER_COMPONENT,
+                                       components=comps)]
+            docs = [sio.listed_family(family) for family in families]
+            made = [[] for _ in docs]
+            for texts in zip_longest(*(doc["sets"].items for doc in docs)):
+                for out, text in zip(made, texts):
+                    if text is not None:
+                        out.append(text)
+            for family, doc, texts in zip(families, docs, made):
+                self.check_bytes(family, {**doc, "sets": sio.Listed(texts)})
 
     def test_seeded_partitions(self):
         # A tenth of the property-test partitions, each as three product
@@ -247,11 +324,11 @@ class TestFamilyDocuments:
                         sio._picked(texts, byte << base)) == expected
 
     @staticmethod
-    def check_bytes(family):
+    def check_bytes(family, listed=None):
         writes = []
         sio.write_document(SimpleNamespace(write=writes.append),
                            {"concept": "x",
-                            "family": sio.listed_family(family)})
+                            "family": listed or sio.listed_family(family)})
         expected = json.dumps({"concept": "x",
                                "family": family_document(family)},
                               indent=2, sort_keys=True) + "\n"
@@ -362,6 +439,24 @@ class TestListedDocuments:
         assert len(writes) > 10
         assert all(len(w) >= sio.WRITE_CHARS for w in writes[:-1])
         assert max(map(len, writes)) < 2 * sio.WRITE_CHARS
+
+    def test_a_long_first_piece_goes_out_as_it_is(self):
+        # A piece of WRITE_CHARS characters or more is written as the very
+        # string given, before any short pieces after it; empty pieces make
+        # no write of their own.
+        first = "[" * sio.WRITE_CHARS
+        second = "]" * (2 * sio.WRITE_CHARS)
+        for pieces, expected in [
+                ([first], [first]),
+                ([first, "a", "b"], [first, "ab"]),
+                ([first, "", second], [first, second]),
+                (["", first, "", "a"], [first, "a"]),
+                ([], [])]:
+            writes = []
+            sio.write_pieces(SimpleNamespace(write=writes.append), pieces)
+            assert writes == expected
+            assert all(w is p for w, p in zip(writes, expected)
+                       if len(p) >= sio.WRITE_CHARS)
 
 
 def reference_instance_text(p):
