@@ -6,8 +6,9 @@ stdout as JSON.  Exit codes: 0 success, 1 solver error, 2 oracle mismatch,
 byte-stable; their `total_s` covers reading, parsing and solving, but not
 writing the answer, which for a large product-form family is most of the
 call.  `verify --max-n` is the largest trial size, at most the
-oracle's ceiling.  The argument parser is built once per process, on the
-first call; each call still parses into a fresh namespace.
+oracle's ceiling.  The argument parsers are built once per process, on the
+first call; a call that starts with its subcommand is parsed by that
+subcommand's parser alone, and each call parses into a fresh namespace.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import os
 import sys
 import time
 from itertools import chain
+from typing import Sequence
 
 from . import io as sio
 from .bitset import from_members, members
@@ -109,14 +111,18 @@ class _Parser(argparse.ArgumentParser):
     arguments, so that `run_cli` reports it in one line; argparse itself
     would print the usage block and exit."""
 
+    # The top-level parser's subcommand parsers, by name.
+    commands: dict[str, argparse.ArgumentParser]
+
     def error(self, message):
         raise argparse.ArgumentError(None, message)
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> _Parser:
     parser = _Parser(prog="stableset")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     p_solve = sub.add_parser("solve")
     p_solve.add_argument("--concept", required=True,
@@ -334,10 +340,25 @@ def _cmd_random(args) -> int:
     return EXIT_OK
 
 
-def run_cli(argv=None) -> int:
+def _parse(argv: Sequence[str]) -> tuple[str, argparse.Namespace]:
+    """The command and its arguments.
+
+    A call that names a subcommand first is parsed by that subcommand's
+    own parser, which raises the errors the top-level parser would pass
+    on from it; the top-level parser reads no command, an unknown one,
+    and any call that may ask for help.
+    """
     parser = _build_parser()
-    try:
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None or any(a.startswith(("-h", "--h")) for a in argv):
         args = parser.parse_args(argv)
+        return args.command, args
+    return argv[0], command.parse_args(argv[1:])
+
+
+def run_cli(argv=None) -> int:
+    try:
+        command, args = _parse(sys.argv[1:] if argv is None else argv)
     except argparse.ArgumentError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_USAGE
@@ -351,7 +372,7 @@ def run_cli(argv=None) -> int:
         "random": _cmd_random,
     }
     try:
-        return handlers[args.command](args)
+        return handlers[command](args)
     except (StablesetError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_SOLVER_ERROR

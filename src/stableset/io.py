@@ -34,7 +34,9 @@ from __future__ import annotations
 
 import gc
 import json
+from functools import reduce
 from itertools import compress
+from operator import or_
 from typing import Iterable, Iterator, Sequence, TextIO
 
 from .bitset import Mask, flags, members
@@ -374,10 +376,13 @@ def family_document(family: SolutionFamily) -> dict:
 def listed_family(family: SolutionFamily) -> dict:
     """`family_document(family)` as the value of a document's top-level
     "family" key, its member sets a `Listed` value of one item per block
-    of `family.blocks()` (`_block_texts`)."""
-    width = max(map(int.bit_length, family.components + family.explicit),
-                default=0)
-    texts = [f"        {x},\n" for x in range(width)]
+    of `family.blocks()` (`_block_texts`).  Member lines are made only for
+    the alternatives above the low byte that some member holds."""
+    held = reduce(or_, family.components + family.explicit, 0) >> 8 << 8
+    width = held.bit_length()
+    texts = [""] * width
+    for x in compress(range(width), flags(held, width)):
+        texts[x] = f"        {x},\n"
     return {**_family_head(family),
             "sets": Listed(_block_texts(texts, family.blocks()))}
 

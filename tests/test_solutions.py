@@ -17,7 +17,8 @@ from stableset.relations import (DecisionProblem, Relation, asymmetric_part,
                                  transitive_closure, trap_relation)
 from stableset.solutions import (Concept, FamilyForm, SchwartzMethod,
                                  SociallyInterp, SolutionFamily,
-                                 _cycle_tests, _maximal_classes,
+                                 _closed_completions, _cycle_tests,
+                                 _maximal_classes,
                                  _stable_search, core,
                                  duggan_set, extended_stable_sets,
                                  generalized_stable_sets, m_stable_sets,
@@ -216,38 +217,49 @@ class TestSearchAgainstOracle:
                 p, concept, interp=interp, max_n=16), (p, concept, interp)
 
     def test_dominating_nodes_end_the_search(self, monkeypatch):
-        # Nothing conflicts under closure of restriction on a tournament,
-        # so a node whose chosen alternatives dominate every undecided one
-        # emits all its completions at once: the leaf tests that follow a
-        # node test run on exactly the unions of its chosen set with each
-        # subset of its undecided alternatives.
-        events = []
+        # A node whose chosen alternatives dominate every undecided one
+        # emits all its completions at once.  Under closure of restriction
+        # each such exit keeps exactly the completions whose strict edges
+        # all lie on cycles inside them, and walks few of them: most are
+        # decided from the completion they extend.  Checked on a tournament
+        # (nothing conflicts) and on a cyclic digraph.
+        exits = []
 
-        def recorded(rows, cols):
-            degrees_ok, closed_inside = _cycle_tests(rows, cols)
+        def recorded(rows, cols, images, walk):
+            walked = []
 
-            def node(chosen, covered, live):
-                events.append((chosen, covered, live, []))
-                return degrees_ok(chosen, covered, live)
+            def counted(v):
+                walked.append(v)
+                return walk(v)
 
-            def leaf(v):
-                events[-1][3].append(v)
-                return closed_inside(v)
+            completions = _closed_completions(rows, cols, images, counted)
 
-            return node, leaf
+            def exit_(chosen, undecided):
+                before = len(walked)
+                kept = completions(chosen, undecided)
+                exits.append((chosen, undecided, kept, len(walked) - before))
+                return kept
 
-        monkeypatch.setattr("stableset.solutions._cycle_tests", recorded)
-        p = cyclic_problem(10, 0.5, 0, tournament=True)
+            return exit_
+
+        monkeypatch.setattr("stableset.solutions._closed_completions",
+                            recorded)
         interp = SociallyInterp.CLOSURE_OF_RESTRICTION
-        assert list(socially_stable_sets(p, interp)) == \
-            enumerate_solutions(p, Concept.SOCIALLY, interp=interp)
-        exits = [event for event in events if event[3]]
-        for chosen, covered, live, tested in exits:
-            undecided = live & ~chosen
-            assert undecided & ~covered == 0
-            assert sorted(tested) == [chosen | s for s in subsets(undecided)]
-        assert max(len(tested) for *_, tested in exits) >= 8
-        assert sum(len(tested) for *_, tested in exits) > len(events)
+        for seed, tournament in ((0, True), (1, False)):
+            exits.clear()
+            p = cyclic_problem(10, 0.5, seed, tournament=tournament)
+            assert list(socially_stable_sets(p, interp)) == \
+                enumerate_solutions(p, Concept.SOCIALLY, interp=interp)
+            rows, cols = p.strict.rows, p.strict.columns()
+            for chosen, undecided, kept, _ in exits:
+                assert undecided & ~image(chosen, rows) == 0
+                assert sorted(kept) == [
+                    v for v in sorted(chosen | s for s in subsets(undecided))
+                    if reference_closed_inside(v, rows, cols)], (p, chosen)
+            sizes = [1 << undecided.bit_count() for _, undecided, *_ in exits]
+            walks = sum(walked for *_, walked in exits)
+            assert max(sizes) >= 8, p
+            assert 2 * walks < sum(sizes), (p, walks, sum(sizes))
 
 
 # The closure-of-restriction search's two tests transcribed member by
@@ -282,7 +294,7 @@ class TestCycleTests:
             if p.n > 5:
                 continue
             rows, cols = p.strict.rows, p.strict.columns()
-            degrees_ok, _ = _cycle_tests(rows, cols)
+            degrees_ok, *_ = _cycle_tests(rows, cols)
             for live in subsets(p.all_mask):
                 for chosen in subsets(live):
                     assert degrees_ok(chosen, image(chosen, rows), live) == \
@@ -290,14 +302,38 @@ class TestCycleTests:
                         (p, chosen, live)
 
     def test_leaf_test_matches_the_reference(self):
+        # The walk answers with v's weak components when v is closed, so
+        # each one is what its least member reaches inside v.
         for p in kernel_corpus():
             if p.n > 8:
                 continue
             rows, cols = p.strict.rows, p.strict.columns()
-            _, closed_inside = _cycle_tests(rows, cols)
+            _, walk, _ = _cycle_tests(rows, cols)
             for v in subsets(p.all_mask):
-                assert closed_inside(v) == \
+                comps = walk(v)
+                assert (comps is not None) == \
                     reference_closed_inside(v, rows, cols), (p, v)
+                if comps is not None:
+                    assert sum(comps) == v, (p, v)
+                    assert all(reach(comp & -comp, rows, v) == comp
+                               for comp in comps), (p, v)
+
+    def test_exit_keeps_what_the_reference_accepts(self):
+        # Every chosen set, with everything it dominates undecided: the
+        # exit's keep/drop decisions across all three kinds of state.
+        for p in kernel_corpus():
+            if p.n > 8:
+                continue
+            rows, cols = p.strict.rows, p.strict.columns()
+            _, walk, images = _cycle_tests(rows, cols)
+            completions = _closed_completions(rows, cols, images, walk)
+            accepted = {v for v in subsets(p.all_mask)
+                        if reference_closed_inside(v, rows, cols)}
+            for chosen in subsets(p.all_mask):
+                undecided = image(chosen, rows) & ~chosen
+                assert sorted(completions(chosen, undecided)) == [
+                    v for v in (chosen | s for s in subsets(undecided))
+                    if v in accepted], (p, chosen)
 
     def test_only_the_cyclic_route_builds_tables(self, monkeypatch):
         def refuse(rows, cols):
