@@ -7,14 +7,12 @@ cyclic inputs and socially stable sets have none; they are found by one
 branch-and-prune search (`_stable_search`) under the subset-search ceiling.
 A node whose chosen alternatives dominate every undecided one, no two of
 those in conflict, ends it with all its completions at once.
-The closure-of-restriction reading adds a node test, and decides each of
-those completions from the one it extends by a single alternative
-(`_closed_completions`), making one of three decisions: a completion that
-passes with one weak component, or several, passes with the new
-alternative exactly when its edges close them; one that fails by a sink
-or a source fails on while any is left; any other is checked for degree
-balance, and only a balanced one of six or more members is walked.  Its
-tests read every set image from tables split at half the alternatives
+The closure-of-restriction reading adds a node test, and keeps the
+completions whose strict edges all lie on cycles (`_closed_completions`):
+one closed with a single weak component is carried to the next, closed
+iff the added alternative has an edge into it; any other is settled afresh
+by degree balance and, at six or more members, a walk.  Its tests read
+every set image from tables split at half the alternatives
 (`_cycle_tests`); the other routes build none.
 The brute-force routes live in `stableset.oracle`, which imports this
 module; this module never imports the oracle.
@@ -288,7 +286,7 @@ def _stable_search(p: DecisionProblem, conflict: Relation, free: Mask,
     conflicted = sum(1 << x for x, near in enumerate(adjacent) if near)
     if cyclic:
         degrees_ok, walk, images = _cycle_tests(rows, cols)
-        closed_completions = _closed_completions(rows, cols, images, walk)
+        closed_completions = _closed_completions(rows, images, walk)
     found = []
     # (chosen, undecided, everything the chosen dominate)
     stack = [(0, free, 0)]
@@ -337,92 +335,53 @@ def _stable_search(p: DecisionProblem, conflict: Relation, free: Mask,
     return SolutionFamily(FamilyForm.EXPLICIT, explicit=tuple(found))
 
 
-def _closed_completions(rows: tuple[Mask, ...], cols: tuple[Mask, ...],
+def _closed_completions(rows: tuple[Mask, ...],
                         images: Callable[[Mask], tuple[Mask, Mask]],
                         walk: Callable[[Mask], list[Mask] | None]
                         ) -> Callable[[Mask, Mask], list[Mask]]:
     """The closure-of-restriction exit: given a dominating node's chosen
     and undecided alternatives, its completions in which every strict edge
-    lies on a cycle, each decided from the completion it extends.
+    lies on a cycle.
 
     Doubling adds the undecided alternatives one at a time, so each
     completion is ``v | u`` for a completion v without u, and u has an
     edge in from the chosen ones.  Each completion is carried as one int,
-    v in the low n bits and its state above them:
-
-    * nothing: v is closed with one weak component.  Then ``v | u`` is
-      closed iff u has an edge into v; if not, u is a sink.
-    * v's sinks (an edge in from v, none out to it) in bits n to 2n, its
-      sources in bits 2n to 3n, or bit 3n when v fails with neither.  A
-      sink with an edge to u, or a source with one from u, is one no
-      longer; ``v | u`` fails while any is left.
-    * bit 3n + 1 and an index i above it: v is closed with the weak
-      components ``parts[i]``.  u needs edges both to and from each one
-      it touches, and those merge with u.
-
-    A completion that no rule settles is checked for degree balance
-    (`images`); only a balanced one of six or more members is walked,
-    because a balanced set that fails has a source and a sink strong
-    component of at least three alternatives each (the strict part is
-    asymmetric).
+    v in the low n bits and a flag above them: closed with one weak
+    component, closed with several, or failed.  Only the first is carried
+    forward: then ``v | u`` is closed, with one component, iff u has an
+    edge into v.  Any other completion is settled afresh: it fails unless
+    its degrees balance (`images`), and only a balanced one of six or more
+    members is walked, because a balanced set that fails has a source and
+    a sink strong component of at least three alternatives each (the
+    strict part is asymmetric).
     """
     n = len(rows)
     full = (1 << n) - 1
-    failed = 1 << 3 * n
-    several = failed << 1
-    parts = []  # the weak components of the exit's closed completions
+    # ascending, so that `item >= flag` reads a flag and every one above it
+    failed, several, one = 1 << n, 2 << n, 4 << n
 
     def settle(v: Mask) -> int:
         succ, pred = images(v)
-        witnesses = v & succ & ~pred | (v & pred & ~succ) << n
-        if witnesses:
-            return v | witnesses << n
+        if v & (succ ^ pred):
+            return v | failed
         if v.bit_count() < 6:
             # closed: one component with edges, the rest isolated members
             lone = v & ~(succ | pred)
-            comps = [1 << x for x in iter_bits(lone)]
-            if v != lone:
-                comps.append(v ^ lone)
+            count = lone.bit_count() + (v != lone)
         else:
             comps = walk(v)
             if comps is None:
                 return v | failed
-        return v if len(comps) < 2 else several_state(v, comps)
-
-    def several_state(v: Mask, comps: list[Mask]) -> int:
-        parts.append(comps)
-        return v | several | len(parts) - 1 << 3 * n + 2
-
-    def joined(item: int, bit: Mask, out: Mask, into: Mask) -> int:
-        v = item & full
-        near = out | into
-        merged, rest = bit, []
-        for comp in parts[item >> 3 * n + 2]:
-            if comp & near:
-                if not (comp & out and comp & into):
-                    return v | bit | (bit << n if not out & v else failed)
-                merged |= comp
-            else:
-                rest.append(comp)
-        return several_state(v | bit, rest + [merged]) if rest else v | bit
+            count = len(comps)
+        return v | (one if count < 2 else several)
 
     def completions(chosen: Mask, undecided: Mask) -> list[Mask]:
-        parts.clear()
         items = [settle(chosen)]
-        while undecided:
-            bit = undecided & -undecided
-            undecided ^= bit
-            x = bit.bit_length() - 1
-            out, into = rows[x], cols[x]
-            sunk = bit | bit << n
-            spared = ~((into | out << n) << n | failed)
-            items += [(item | bit if out & item else item | sunk)
-                      if item <= full
-                      else joined(item, bit, out, into) if item >= several
-                      else w if (w := (item | bit) & spared) > full
-                      else settle(w)
-                      for item in items]
-        return [item & full for item in items if not full < item < several]
+        for x in iter_bits(undecided):
+            bit, out = 1 << x, rows[x]
+            items += [item | bit if item >= one and out & item
+                      else settle((item | bit) & full) for item in items]
+        return [item & full for item in items if item >= several]
 
     return completions
 

@@ -221,18 +221,19 @@ class TestSearchAgainstOracle:
         # emits all its completions at once.  Under closure of restriction
         # each such exit keeps exactly the completions whose strict edges
         # all lie on cycles inside them, and walks few of them: most are
-        # decided from the completion they extend.  Checked on a tournament
-        # (nothing conflicts) and on a cyclic digraph.
+        # carried from the completion they extend or settled without a
+        # walk.  Checked on a tournament (nothing conflicts) and on a
+        # cyclic digraph.
         exits = []
 
-        def recorded(rows, cols, images, walk):
+        def recorded(rows, images, walk):
             walked = []
 
             def counted(v):
                 walked.append(v)
                 return walk(v)
 
-            completions = _closed_completions(rows, cols, images, counted)
+            completions = _closed_completions(rows, images, counted)
 
             def exit_(chosen, undecided):
                 before = len(walked)
@@ -320,13 +321,14 @@ class TestCycleTests:
 
     def test_exit_keeps_what_the_reference_accepts(self):
         # Every chosen set, with everything it dominates undecided: the
-        # exit's keep/drop decisions across all three kinds of state.
+        # exit's keep/drop decisions, whether a completion carries its
+        # parent's one closed component or is settled afresh.
         for p in kernel_corpus():
             if p.n > 8:
                 continue
             rows, cols = p.strict.rows, p.strict.columns()
             _, walk, images = _cycle_tests(rows, cols)
-            completions = _closed_completions(rows, cols, images, walk)
+            completions = _closed_completions(rows, images, walk)
             accepted = {v for v in subsets(p.all_mask)
                         if reference_closed_inside(v, rows, cols)}
             for chosen in subsets(p.all_mask):
