@@ -261,7 +261,7 @@ def _cmd_contract(args) -> int:
         sio.write_pieces(sys.stdout, sio.export_dot(p, c))
         return EXIT_OK
     doc = {
-        "classes": sio.member_lists(c.classes, p.n),
+        "classes": sio.member_lists(c.classes),
         "condensation_edges": sio.pair_list(c.cond.rows),
     }
     sio.write_document(sys.stdout, doc)
@@ -300,10 +300,10 @@ def _cmd_topology(args) -> int:
     doc: dict = {"check": args.check}
     if args.check == "dm":
         poset = Poset(strict_poset_order(p))
-        doc["cuts"] = sio.member_lists(dm_completion(poset).cuts, p.n)
+        doc["cuts"] = sio.member_lists(dm_completion(poset).cuts)
     elif args.check == "frink":
         ideals = frink_ideals(Poset(strict_poset_order(p)))
-        doc["ideals"] = sio.member_lists(ideals, p.n)
+        doc["ideals"] = sio.member_lists(ideals)
     elif args.check == "precont":
         # Every finite poset is precontinuous (`is_precontinuous`), so the
         # order is neither derived nor validated.

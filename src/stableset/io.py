@@ -25,18 +25,16 @@ which joins short pieces into batches and writes a long piece as it is.
 A JSON document's long lists are `Listed` values, at any depth, whose
 items are made as they are written, with no Python step per index:
 `bitset.flags` turns a mask into selectors, and `itertools.compress` picks
-the members' texts for one `str.join` (`_picked`).  A solved family's
-blocks that share one tuple of low bytes share one list of their lines
-(`_block_texts`).
+the members' texts, from one list grown to the widest mask written, for
+one `str.join` (`_picked`).  Family blocks that share one tuple of low
+bytes share one list of their lines (`_block_texts`).
 """
 
 from __future__ import annotations
 
 import gc
 import json
-from functools import reduce
 from itertools import compress
-from operator import or_
 from typing import Iterable, Iterator, Sequence, TextIO
 
 from .bitset import Mask, flags, members
@@ -294,7 +292,6 @@ def _edge_relation(edges: list, n: int, text: str) -> Relation | None:
 def _parse_edge_list(text: str) -> DecisionProblem:
     lines = text.splitlines()
     header = None
-    edges = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -311,6 +308,8 @@ def _parse_edge_list(text: str) -> DecisionProblem:
             if header < 1:
                 raise ParseError("alternative count must be positive", line=lineno)
             _check_count(header, lineno)
+            bits = [1 << y for y in range(header)]
+            rows = [0] * header
             continue
         if len(fields) != 2:
             raise ParseError(f"expected 'u v', got {line!r}", line=lineno)
@@ -319,10 +318,10 @@ def _parse_edge_list(text: str) -> DecisionProblem:
         except ValueError:
             raise ParseError(f"non-integer edge {line!r}", line=lineno) from None
         _check_edge(u, v, header, lineno)
-        edges.append((u, v))
+        rows[u] |= bits[v]
     if header is None:
         raise ParseError("empty instance document")
-    return DecisionProblem(Relation.from_checked_pairs(header, edges))
+    return DecisionProblem(Relation(header, tuple(rows)))
 
 
 def _check_count(n: int, line: int | None = None):
@@ -350,22 +349,30 @@ def instance_pieces(p: DecisionProblem) -> Iterator[str]:
     """`serialize_instance(p)` in pieces: the head, one piece per row with
     edges, and the tail.  A row's edges are one join of its targets' texts,
     each "[x, " after the first preceded by "], "."""
-    texts = list(map(str, range(p.n)))
     yield '{"edges": ['
     sep = ""
     for x, row in enumerate(p.rel.rows):
         if row:
-            yield f"{sep}[{x}, " + f"], [{x}, ".join(_picked(texts, row)) + "]"
+            yield f"{sep}[{x}, " + f"], [{x}, ".join(_picked(row)) + "]"
             sep = ", "
     rest = json.dumps({"labels": list(p.labels), "n": p.n}, sort_keys=True)
     yield "], " + rest[1:]
 
 
-def _picked(texts: Sequence[str], mask: Mask) -> Iterator[str]:
-    """texts[x] for each member x of a non-empty mask, in ascending order,
-    read through `bitset.flags` over the mask's span alone."""
+# Index texts up to the widest mask read; replaced when grown, never changed.
+_decimals: list[str] = []
+
+
+def _picked(mask: Mask, texts: Sequence[str] | None = None) -> Iterator[str]:
+    """texts[x], by default x's decimal text, for each member x of a
+    non-empty mask, ascending, via `bitset.flags` over its span alone."""
+    global _decimals
     low = (mask & -mask).bit_length() - 1
     high = mask.bit_length()
+    if texts is None:
+        texts = _decimals
+        if len(texts) < high:
+            texts = _decimals = texts + [*map(str, range(len(texts), high))]
     return compress(texts[low:high], flags(mask >> low, high - low))
 
 
@@ -376,15 +383,9 @@ def family_document(family: SolutionFamily) -> dict:
 def listed_family(family: SolutionFamily) -> dict:
     """`family_document(family)` as the value of a document's top-level
     "family" key, its member sets a `Listed` value of one item per block
-    of `family.blocks()` (`_block_texts`).  Member lines are made only for
-    the alternatives above the low byte that some member holds."""
-    held = reduce(or_, family.components + family.explicit, 0) >> 8 << 8
-    width = held.bit_length()
-    texts = [""] * width
-    for x in compress(range(width), flags(held, width)):
-        texts[x] = f"        {x},\n"
+    of `family.blocks()` (`_block_texts`)."""
     return {**_family_head(family),
-            "sets": Listed(_block_texts(texts, family.blocks()))}
+            "sets": Listed(_block_texts(family.blocks()))}
 
 
 def _family_head(family: SolutionFamily) -> dict:
@@ -405,11 +406,10 @@ class Listed:
         self.items = items
 
 
-def member_lists(masks: Iterable[Mask], n: int) -> Listed:
-    """`[list(members(m)) for m in masks]` at depth 2, each mask below
-    ``2 ** n``; a mask's member lines are one join of its members' texts."""
-    texts = [f"      {x}" for x in range(n)]
-    return Listed("    [\n" + ",\n".join(_picked(texts, m)) + "\n    ]"
+def member_lists(masks: Iterable[Mask]) -> Listed:
+    """`[list(members(m)) for m in masks]` at depth 2; a mask's member
+    lines are one join of its members' texts."""
+    return Listed("    [\n      " + ",\n      ".join(_picked(m)) + "\n    ]"
                   if m else "    []" for m in masks)
 
 
@@ -417,10 +417,9 @@ def pair_list(rows: Sequence[Mask]) -> Listed:
     """`[[i, j] for i, row in enumerate(rows) for j in members(row)]` at
     depth 2, the pairs of a relation on range(len(rows)) in ascending
     order; a row's pairs are one join of its targets' texts."""
-    texts = list(map(str, range(len(rows))))
     return Listed(f"    [\n      {i},\n      "
                   + f"\n    ],\n    [\n      {i},\n      ".join(
-                      _picked(texts, row)) + "\n    ]"
+                      _picked(row)) + "\n    ]"
                   for i, row in enumerate(rows) if row)
 
 
@@ -500,15 +499,12 @@ _LOW_LINES = ["".join(f"        {x},\n" for x in members(byte))
               for byte in range(256)]
 
 
-def _block_texts(texts: Sequence[str],
-                 blocks: Iterable[tuple[Mask, tuple[int, ...]]]
+def _block_texts(blocks: Iterable[tuple[Mask, tuple[int, ...]]]
                  ) -> Iterator[str]:
-    """For each block ``(high, lows)``, the sets ``high | low`` for each
-    low, joined by ",\n"; texts[x] is member x's line, as in `_LOW_LINES`,
-    for each member x of high.
+    """Each block ``(high, lows)`` as its sets ``high | low``, joined by ",\n".
 
     A block is one join of its low bytes' lines: between them go the high
-    part's lines (one `_picked` join), less the last member's comma, and
+    part's lines (one `_picked` join), with no comma after the last, and
     the brackets that close one set and open the next.  The list of low
     lines is kept while the next block's lows are the same tuple object,
     as `solutions._ascending_blocks` gives every block whose undecided low
@@ -521,7 +517,7 @@ def _block_texts(texts: Sequence[str],
         if high:
             if lows is not shared:
                 shared, lines = lows, list(map(_LOW_LINES.__getitem__, lows))
-            close = "".join(_picked(texts, high))[:-2] + _CLOSE
+            close = "        " + ",\n        ".join(_picked(high)) + _CLOSE
             yield _OPEN + (close + ",\n" + _OPEN).join(lines) + close
         else:
             yield (_OPEN + (_CLOSE + ",\n" + _OPEN).join(
@@ -548,17 +544,16 @@ def export_dot(p: DecisionProblem, c: Contraction) -> Iterator[str]:
             for x in xs:
                 yield f'    a{x} [label={labels[x]}];\n'
             yield "  }\n"
-    texts = list(map(str, range(p.n)))
     for x, row in enumerate(p.rel.rows):
         if row:
-            yield (f"  a{x} -> a" + f";\n  a{x} -> a".join(_picked(texts, row))
+            yield (f"  a{x} -> a" + f";\n  a{x} -> a".join(_picked(row))
                    + ";\n")
     anchors = [(cls & -cls).bit_length() - 1 for cls in c.classes]
     heads = [f"{a}\0{j}]" for j, a in enumerate(anchors)]
     for i, row in enumerate(c.cond.rows):
         if row:
             yield (f"  a{anchors[i]} -> a" + f";\n  a{anchors[i]} -> a".join(
-                _picked(heads, row)) + ";\n").replace(
+                _picked(row, heads)) + ";\n").replace(
                     "\0", f" [style=bold, color=red, ltail=cluster_{i}, "
                           f"lhead=cluster_")
     yield "}\n"

@@ -10,10 +10,9 @@ those in conflict, ends it with all its completions at once.
 The closure-of-restriction reading adds a node test, and keeps the
 completions whose strict edges all lie on cycles (`_closed_completions`):
 one closed with a single weak component is carried to the next, closed
-iff the added alternative has an edge into it; any other is settled afresh
-by degree balance and, at six or more members, a walk.  Its tests read
-every set image from tables split at half the alternatives
-(`_cycle_tests`); the other routes build none.
+iff the added alternative has an edge into it; any other gets a verdict
+from degree balance and, at six or more members, a walk.  Both tests read
+set images from tables (`_cycle_tests`); the other routes build none.
 The brute-force routes live in `stableset.oracle`, which imports this
 module; this module never imports the oracle.
 """
@@ -285,8 +284,8 @@ def _stable_search(p: DecisionProblem, conflict: Relation, free: Mask,
                      for row, col in zip(conflict.rows, conflict.columns()))
     conflicted = sum(1 << x for x, near in enumerate(adjacent) if near)
     if cyclic:
-        degrees_ok, walk, images = _cycle_tests(rows, cols)
-        closed_completions = _closed_completions(rows, images, walk)
+        degrees_ok, settle = _cycle_tests(rows, cols)
+        closed_completions = _closed_completions(rows, settle)
     found = []
     # (chosen, undecided, everything the chosen dominate)
     stack = [(0, free, 0)]
@@ -335,9 +334,7 @@ def _stable_search(p: DecisionProblem, conflict: Relation, free: Mask,
     return SolutionFamily(FamilyForm.EXPLICIT, explicit=tuple(found))
 
 
-def _closed_completions(rows: tuple[Mask, ...],
-                        images: Callable[[Mask], tuple[Mask, Mask]],
-                        walk: Callable[[Mask], list[Mask] | None]
+def _closed_completions(rows: tuple[Mask, ...], settle: Callable[[Mask], int]
                         ) -> Callable[[Mask, Mask], list[Mask]]:
     """The closure-of-restriction exit: given a dominating node's chosen
     and undecided alternatives, its completions in which every strict edge
@@ -345,35 +342,12 @@ def _closed_completions(rows: tuple[Mask, ...],
 
     Doubling adds the undecided alternatives one at a time, so each
     completion is ``v | u`` for a completion v without u, and u has an
-    edge in from the chosen ones.  Each completion is carried as one int,
-    v in the low n bits and a flag above them: closed with one weak
-    component, closed with several, or failed.  Only the first is carried
-    forward: then ``v | u`` is closed, with one component, iff u has an
-    edge into v.  Any other completion is settled afresh: it fails unless
-    its degrees balance (`images`), and only a balanced one of six or more
-    members is walked, because a balanced set that fails has a source and
-    a sink strong component of at least three alternatives each (the
-    strict part is asymmetric).
+    edge in from the chosen ones.  Each is held with its `settle` flag.
+    One closed with one weak component is carried forward, ``v | u``
+    being too iff u has an edge into v; any other is settled afresh.
     """
-    n = len(rows)
-    full = (1 << n) - 1
-    # ascending, so that `item >= flag` reads a flag and every one above it
-    failed, several, one = 1 << n, 2 << n, 4 << n
-
-    def settle(v: Mask) -> int:
-        succ, pred = images(v)
-        if v & (succ ^ pred):
-            return v | failed
-        if v.bit_count() < 6:
-            # closed: one component with edges, the rest isolated members
-            lone = v & ~(succ | pred)
-            count = lone.bit_count() + (v != lone)
-        else:
-            comps = walk(v)
-            if comps is None:
-                return v | failed
-            count = len(comps)
-        return v | (one if count < 2 else several)
+    full = (1 << len(rows)) - 1
+    _, several, one = _verdicts(len(rows))
 
     def completions(chosen: Mask, undecided: Mask) -> list[Mask]:
         items = [settle(chosen)]
@@ -386,12 +360,16 @@ def _closed_completions(rows: tuple[Mask, ...],
     return completions
 
 
+def _verdicts(n: int) -> tuple[int, int, int]:
+    """`settle`'s flags over n bits; ``item >= flag`` reads it or any above."""
+    return 1 << n, 2 << n, 4 << n
+
+
 def _cycle_tests(rows: tuple[Mask, ...], cols: tuple[Mask, ...]
                  ) -> tuple[Callable[[Mask, Mask, Mask], bool],
-                            Callable[[Mask], list[Mask] | None],
-                            Callable[[Mask], tuple[Mask, Mask]]]:
-    """The closure-of-restriction search's node test, its leaf walk and
-    ``(succ(m), pred(m))``, with every set image read from tables.
+                            Callable[[Mask], int]]:
+    """The closure-of-restriction search's node test and leaf verdict,
+    with every set image read from tables.
 
     ``succ(m)``, the union of `rows` over m, is one lookup in a table for
     the low ``h = ceil(n / 2)`` alternatives joined with one for the rest
@@ -402,6 +380,7 @@ def _cycle_tests(rows: tuple[Mask, ...], cols: tuple[Mask, ...]
     low = (1 << h) - 1
     succ_lo, succ_hi = image_table(rows[:h]), image_table(rows[h:])
     pred_lo, pred_hi = image_table(cols[:h]), image_table(cols[h:])
+    failed, several, one = _verdicts(len(rows))
 
     def degrees_ok(chosen: Mask, covered: Mask, live: Mask) -> bool:
         """A chosen alternative with an edge in from the chosen ones (it
@@ -412,12 +391,25 @@ def _cycle_tests(rows: tuple[Mask, ...], cols: tuple[Mask, ...]
             | (pred_lo[chosen & low] | pred_hi[chosen >> h])
             & ~(succ_lo[live & low] | succ_hi[live >> h]))
 
-    def walk(v: Mask) -> list[Mask] | None:
-        """v's weak components if every edge inside v lies on a cycle
-        inside v, else None: inside v, each weak component's least member
-        reaches exactly what reaches it."""
-        comps = []
-        rest = v
+    def settle(v: Mask) -> int:
+        """v with its flag: failed, or closed (every edge inside v on a
+        cycle inside v) with several weak components or one.
+
+        Unbalanced degrees, ``v & (succ(v) ^ pred(v))``, fail.  A balanced
+        set that fails has a source and a sink strong component of three
+        or more members each (the strict part is asymmetric), so one of
+        under six members is closed, its edges in one component and each
+        isolated member in its own.  A larger one is walked: inside v,
+        each weak component's least member must reach what reaches it.
+        """
+        succ = succ_lo[v & low] | succ_hi[v >> h]
+        pred = pred_lo[v & low] | pred_hi[v >> h]
+        if v & (succ ^ pred):
+            return v | failed
+        rest, count = v, 0
+        if v.bit_count() < 6:
+            lone = v & ~(succ | pred)
+            rest, count = 0, lone.bit_count() + (v != lone)
         while rest:
             start = rest & -rest
             ahead = frontier = start
@@ -431,17 +423,12 @@ def _cycle_tests(rows: tuple[Mask, ...], cols: tuple[Mask, ...]
                             & v & ~behind)
                 behind |= frontier
             if behind != ahead:
-                return None
-            comps.append(ahead)
+                return v | failed
+            count += 1
             rest &= ~ahead
-        return comps
+        return v | (one if count < 2 else several)
 
-    def images(v: Mask) -> tuple[Mask, Mask]:
-        """``succ(v)`` and ``pred(v)``."""
-        return (succ_lo[v & low] | succ_hi[v >> h],
-                pred_lo[v & low] | pred_hi[v >> h])
-
-    return degrees_ok, walk, images
+    return degrees_ok, settle
 
 
 def m_stable_sets(p: DecisionProblem) -> SolutionFamily:

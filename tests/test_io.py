@@ -307,9 +307,9 @@ class TestFamilyDocuments:
 
     @pytest.mark.parametrize("order", [1, -1])
     def test_member_lines_match_the_per_member_join(self, order):
-        # A low byte's lines come from `_LOW_LINES`, a high byte's from one
-        # `_picked` join over the member lines `listed_family` builds; both
-        # are plain lookups, so either order of bytes reads the same.
+        # A low byte's lines come from `_LOW_LINES`, and `_picked` takes a
+        # high byte's from a list of texts by index; both are plain
+        # lookups, so either order of bytes reads the same.
         assert len(sio._LOW_LINES) == 256
         texts = [f"        {x},\n" for x in range(8 * 250)]
         for offset in (0, 1, 249):
@@ -321,7 +321,7 @@ class TestFamilyDocuments:
                     assert sio._LOW_LINES[byte] == expected
                 elif byte:
                     assert "".join(
-                        sio._picked(texts, byte << base)) == expected
+                        sio._picked(byte << base, texts)) == expected
 
     @staticmethod
     def check_bytes(family, listed=None):
@@ -341,7 +341,7 @@ class TestOtherDocuments:
         with pytest.raises(TypeError,
                            match="Object of type set is not JSON serializable"):
             sio.write_document(SimpleNamespace(write=writes.append),
-                               {"a": sio.member_lists([1], 1), "b": {1, 2}})
+                               {"a": sio.member_lists([1]), "b": {1, 2}})
         assert writes == []
 
     def test_one_write_per_document(self, tmp_path):
@@ -352,9 +352,19 @@ class TestOtherDocuments:
         # The same document from masks and rows also fits in one write.
         writes.clear()
         sio.write_document(SimpleNamespace(write=writes.append), {
-            "classes": sio.member_lists([0b111, 0b1000], 4),
+            "classes": sio.member_lists([0b111, 0b1000]),
             "condensation_edges": sio.pair_list([0b10, 0])})
         assert writes == [json.dumps(doc, indent=2, sort_keys=True) + "\n"]
+
+    def test_members_beyond_the_parse_limit(self):
+        # The index texts grow to the widest mask written, so a library
+        # caller's masks may be wider than any document the CLI parses.
+        masks = [1 << 3 | 1 << sio.PARSE_LIMIT + 5, 1 << 7]
+        writes = []
+        sio.write_document(SimpleNamespace(write=writes.append),
+                           {"classes": sio.member_lists(masks)})
+        assert "".join(writes) == json.dumps(
+            {"classes": [list(members(m)) for m in masks]}, indent=2) + "\n"
 
 
 def transitive_tournament(n, short_rows_first=False):
@@ -431,7 +441,7 @@ class TestListedDocuments:
         c = equipotence_classes(p)
         writes = []
         sio.write_document(SimpleNamespace(write=writes.append), {
-            "classes": sio.member_lists(c.classes, p.n),
+            "classes": sio.member_lists(c.classes),
             "condensation_edges": sio.pair_list(c.cond.rows)})
         expected = json.dumps(listed_documents(p)[("contract",)], indent=2,
                               sort_keys=True) + "\n"
@@ -518,6 +528,21 @@ class TestPiecewiseDecode:
             tracemalloc.stop()
         assert p.rel.rows == rows
         assert peak < 3 * len(text)
+
+    def test_dense_edge_list_peaks_under_twelve_times_its_text(self):
+        """An edge list's rows are built as its lines are read: with one
+        tuple kept per edge, a dense n = 400 list took about 20 times its
+        text."""
+        p = parse_instance(DENSE_TEXT)
+        text = f"{p.n}\n" + "".join(f"{x} {y}\n" for x, y in p.rel.pairs())
+        tracemalloc.start()
+        try:
+            q = parse_instance(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert q.rel.rows == p.rel.rows
+        assert peak < 12 * len(text)
 
 
 class TestCollectorScope:

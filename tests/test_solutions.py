@@ -18,7 +18,7 @@ from stableset.relations import (DecisionProblem, Relation, asymmetric_part,
 from stableset.solutions import (Concept, FamilyForm, SchwartzMethod,
                                  SociallyInterp, SolutionFamily,
                                  _closed_completions, _cycle_tests,
-                                 _maximal_classes,
+                                 _maximal_classes, _verdicts,
                                  _stable_search, core,
                                  duggan_set, extended_stable_sets,
                                  generalized_stable_sets, m_stable_sets,
@@ -222,18 +222,21 @@ class TestSearchAgainstOracle:
         # each such exit keeps exactly the completions whose strict edges
         # all lie on cycles inside them, and walks few of them: most are
         # carried from the completion they extend or settled without a
-        # walk.  Checked on a tournament (nothing conflicts) and on a
-        # cyclic digraph.
+        # walk, which `settle` makes only for a set of six or more members
+        # whose degrees balance.  Checked on a tournament (nothing
+        # conflicts) and on a cyclic digraph.
         exits = []
 
-        def recorded(rows, images, walk):
+        def recorded(rows, settle):
             walked = []
 
             def counted(v):
-                walked.append(v)
-                return walk(v)
+                pred = sum(1 << y for y, row in enumerate(rows) if row & v)
+                if v.bit_count() >= 6 and not v & (image(v, rows) ^ pred):
+                    walked.append(v)
+                return settle(v)
 
-            completions = _closed_completions(rows, images, counted)
+            completions = _closed_completions(rows, counted)
 
             def exit_(chosen, undecided):
                 before = len(walked)
@@ -303,21 +306,25 @@ class TestCycleTests:
                         (p, chosen, live)
 
     def test_leaf_test_matches_the_reference(self):
-        # The walk answers with v's weak components when v is closed, so
-        # each one is what its least member reaches inside v.
+        # `settle` flags v failed unless it is closed, and a closed v as
+        # having one weak component or several; inside a closed v, each
+        # component is what its least member reaches.
         for p in kernel_corpus():
             if p.n > 8:
                 continue
             rows, cols = p.strict.rows, p.strict.columns()
-            _, walk, _ = _cycle_tests(rows, cols)
+            _, settle = _cycle_tests(rows, cols)
+            failed, several, one = _verdicts(p.n)
             for v in subsets(p.all_mask):
-                comps = walk(v)
-                assert (comps is not None) == \
-                    reference_closed_inside(v, rows, cols), (p, v)
-                if comps is not None:
-                    assert sum(comps) == v, (p, v)
-                    assert all(reach(comp & -comp, rows, v) == comp
-                               for comp in comps), (p, v)
+                flag = settle(v) ^ v
+                if not reference_closed_inside(v, rows, cols):
+                    assert flag == failed, (p, v)
+                    continue
+                count, rest = 0, v
+                while rest:
+                    rest &= ~reach(rest & -rest, rows, v)
+                    count += 1
+                assert flag == (one if count < 2 else several), (p, v)
 
     def test_exit_keeps_what_the_reference_accepts(self):
         # Every chosen set, with everything it dominates undecided: the
@@ -327,8 +334,8 @@ class TestCycleTests:
             if p.n > 8:
                 continue
             rows, cols = p.strict.rows, p.strict.columns()
-            _, walk, images = _cycle_tests(rows, cols)
-            completions = _closed_completions(rows, images, walk)
+            _, settle = _cycle_tests(rows, cols)
+            completions = _closed_completions(rows, settle)
             accepted = {v for v in subsets(p.all_mask)
                         if reference_closed_inside(v, rows, cols)}
             for chosen in subsets(p.all_mask):
