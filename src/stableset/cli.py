@@ -175,9 +175,9 @@ def _load(path: str) -> DecisionProblem:
     return sio.parse_instance(_read_text(path))
 
 
-def _read_text(path: str) -> str:
-    """The UTF-8 document at path, less any byte-order mark, read up to one
-    byte past the limit; its bytes are freed before it is parsed.
+def _read_text(path: str) -> bytes:
+    """The bytes of the document at path, read up to one byte past the
+    limit; `io.parse_instance` decodes only what it must.
 
     The first read asks for one byte past the file's size, so that a small
     document needs no buffer of the limit's size.  Only a read that fills,
@@ -190,12 +190,7 @@ def _read_text(path: str) -> str:
             data += f.read(sio.BYTE_LIMIT + 1 - want)
     if len(data) > sio.BYTE_LIMIT:
         raise ParseError(f"document exceeds {sio.BYTE_LIMIT} bytes")
-    try:
-        # Not the utf-8-sig codec: its error offsets skip the mark's 3 bytes.
-        return data.decode("utf-8").removeprefix("\ufeff")
-    except UnicodeDecodeError as exc:
-        raise ParseError(
-            f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    return data
 
 
 def _cmd_solve(args) -> int:

@@ -6,19 +6,22 @@ alternative count.  Loops are rejected; duplicate edges collapse.  The
 alternative count may not exceed `PARSE_LIMIT`: relation work grows with
 n^2, so a few bytes of document must not ask for unbounded time or memory.
 
-A JSON document takes one of two routes.  One in the layout
+A document may come as text or as the bytes of its UTF-8 text, as the CLI
+reads it.  A JSON document takes one of two routes.  One in the layout
 `serialize_instance` writes, with edge text long enough to hold a source
 run and no string, minus sign or boolean among its edges, is decoded
-piecewise (`_json_problem_in_pieces`).  That layout lists the edges row
-by row, so each row is a run of edges that open with the same source.  A
-run of at least `RUN_EDGES` edges is split on its separator, and each
-target's text is looked up in a table of the exact decimal text of every
-index, which sets a flag in a string of n flags read as the row.  Where no
-such run opens the text (a short row, another edge order, another
-separator, text the table lacks or a bad edge), the route decodes one
-piece of whole edge lists and tries runs again after it.  Every other
-document, and every document that route refuses, is decoded whole by
-`_json_problem`, which gives every error message.
+piecewise from its bytes (`_json_problem_in_pieces`), which decodes only
+its head to text.  That layout lists the edges row by row, so each row is
+a run of edges that open with the same source.  A run of at least
+`RUN_EDGES` edges is split on its separator, and each target's text is
+looked up in a table of the exact decimal text of every index, which sets
+a flag in a string of n flags read as the row.  Where no such run opens
+the text (a short row, another edge order, another separator, text the
+table lacks or a bad edge), the route decodes one piece of whole edge
+lists and tries runs again after it.  Any other document given as bytes is
+decoded to text once (`_decoded`).  Every other JSON document, and every
+one that route refuses, is decoded whole by `_json_problem`, which gives
+every error message.
 
 Every document the CLI prints goes out through one loop, `write_pieces`,
 which joins short pieces into batches and writes a long piece as it is.
@@ -27,7 +30,8 @@ items are made as they are written, with no Python step per index:
 `bitset.flags` turns a mask into selectors, and `itertools.compress` picks
 the members' texts, from one list grown to the widest mask written, for
 one `str.join` (`_picked`).  Family blocks that share one tuple of low
-bytes share one list of their lines (`_block_texts`).
+bytes share one list of their lines, and a run of one-alternative sets is
+one join (`_block_texts`).
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from .bitset import Mask, flags, members
 from .contraction import Contraction
 from .errors import LimitExceeded, LoopEdge, ParseError, check_size
 from .relations import DecisionProblem, Relation, has_index_ends
-from .solutions import SolutionFamily, FamilyForm
+from .solutions import SolutionFamily, FamilyForm, _runs
 
 PARSE_LIMIT = 2000
 # Bytes read from one document.  The largest document the CLI writes,
@@ -71,14 +75,28 @@ RUN_EDGES = 40
 WRITE_CHARS = 1 << 14
 
 
-def parse_instance(text: str) -> DecisionProblem:
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return _parse_json(text)
-    return _parse_edge_list(text)
-
-
-def _parse_json(text: str) -> DecisionProblem:
+def parse_instance(document: str | bytes) -> DecisionProblem:
+    """The problem a JSON or edge-list instance document states.  Bytes
+    are UTF-8 text; a document that opens as `serialize_instance` writes
+    one goes to the piecewise route as bytes, and any other is decoded once
+    (`_decoded`) and read as text.  Text in that layout is encoded for the
+    route.  A document the piecewise route refuses is read whole, as the
+    text given or decoded from the bytes, which gives every error
+    message."""
+    text = document if isinstance(document, str) else None
+    if text is not None:
+        canonical = text.startswith(_CANONICAL_TEXT)
+        if canonical:
+            # A lone surrogate passes as bytes that the route refuses.
+            document = text.encode("utf-8", "surrogatepass")
+    else:
+        canonical = document.startswith(_CANONICAL_HEAD)
+        if not canonical:
+            # Rebound here and below, so that the bytes are freed before
+            # the text is read, where the caller keeps no reference.
+            document = _decoded(document)
+    if not canonical and not document.lstrip().startswith("{"):
+        return _parse_edge_list(document)
     # A decoded document holds one list per edge and no reference cycles.
     # The collector's allocation count keeps rising while it is off, so
     # turning it back on while those lists live would start a collection
@@ -87,51 +105,71 @@ def _parse_json(text: str) -> DecisionProblem:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        p = _json_problem_in_pieces(text)
-        return _json_problem(text) if p is None else p
+        if canonical:
+            p = _json_problem_in_pieces(document)
+            if p is not None:
+                return p
+            document = _decoded(document) if text is None else text
+        return _json_problem(document)
     finally:
         if collecting:
             gc.enable()
 
 
-# Fewest characters of `RUN_EDGES` edges, each "[x, y]", and their
-# separators.  Shorter edge text holds no source run, so no run is sought
-# in it, and a document whose edge text is shorter is decoded whole: for
-# it, the piecewise route's head decode and piece cost more.
+def _decoded(data: bytes) -> str:
+    """The UTF-8 text of data, less any byte-order mark."""
+    try:
+        # Not the utf-8-sig codec: its error offsets skip the mark's 3 bytes.
+        return data.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+
+
+# Fewest bytes of `RUN_EDGES` edges, each "[x, y]", and their separators.
+# Shorter edge text holds no source run, so no run is sought in it, and a
+# document whose edge text is shorter is decoded whole: for it, the
+# piecewise route's head decode and piece cost more.
 _RUN_CHARS = 8 * RUN_EDGES - 2
 # How `serialize_instance` opens a document; the first edge starts at the
 # last bracket.
-_CANONICAL_HEAD = '{"edges": [['
+_CANONICAL_HEAD = b'{"edges": [['
+_CANONICAL_TEXT = _CANONICAL_HEAD.decode()
 # Edge text without '"' or these holds no string, negative number or
 # boolean.  A float, NaN or Infinity end misses the runs' table and makes
 # the pieces' row loop raise TypeError, so it needs no scan.
-_NOT_IN_INDEX_EDGES = "-e"
+_NOT_IN_INDEX_EDGES = (b"-", b"e")
 
 
-def _json_problem_in_pieces(text: str) -> DecisionProblem | None:
-    """The problem a document in `serialize_instance`'s layout states, or
-    None for any other document, a bad one included.
+def _json_problem_in_pieces(data: bytes) -> DecisionProblem | None:
+    """The problem the UTF-8 bytes of a document in `serialize_instance`'s
+    layout state, or None for any other document, a bad one included.
 
     The edge slice runs from the first edge to the last "]]" before the
     first '"', the next key's.  Cut out, it leaves a head document whose
-    "edges" is [], and which must decode with no repeated key.  The slice
-    is decoded by `_edge_rows`, in source runs and pieces.  If the head,
-    every run and every piece decode, so does the whole document, to the
-    head with their edges as its edges.  With no '-' or 'e' in the slice,
-    no end is negative or a boolean, so the runs' table and the pieces'
-    row loop refuse every bad edge but a loop, and `DecisionProblem` a
-    loop.
+    "edges" is [], and which must decode with no repeated key; only the
+    head is decoded to text.  The slice is decoded by `_edge_rows`, in
+    source runs and pieces.  If the head, every run and every piece
+    decode, so does the whole document, to the head with their edges as
+    its edges.  With no '-' or 'e' in the slice, no end is negative or a
+    boolean, so the runs' table and the pieces' row loop refuse every bad
+    edge but a loop, and `DecisionProblem` a loop.  Each byte of the
+    slice is read by the table, as a separator or in a piece decoded
+    strictly, and the head is decoded strictly, so bytes that are not
+    UTF-8 are refused too.  No byte of a multi-byte character is '"' or
+    ']', so the slice is the one the decoded text would give.
     """
-    if not text.startswith(_CANONICAL_HEAD):
+    if not data.startswith(_CANONICAL_HEAD):
         return None
     start = len(_CANONICAL_HEAD) - 1
-    end = text.rfind("]]", start, text.find('"', start)) + 1
-    if end - start < _RUN_CHARS or any(text.find(c, start, end) >= 0
+    end = data.rfind(b"]]", start, data.find(b'"', start)) + 1
+    if end - start < _RUN_CHARS or any(data.find(c, start, end) >= 0
                                        for c in _NOT_IN_INDEX_EDGES):
         return None
     try:
-        n, labels = _head(_HEAD_DECODER.decode(text[:start] + text[end:]))
-        return DecisionProblem(Relation(n, _edge_rows(text, start, end, n)),
+        n, labels = _head(_HEAD_DECODER.decode(
+            (data[:start] + data[end:]).decode()))
+        return DecisionProblem(Relation(n, _edge_rows(data, start, end, n)),
                                labels)
     except (ParseError, TypeError, ValueError, IndexError, RecursionError):
         return None
@@ -148,29 +186,30 @@ def _dict_of_unique_keys(pairs: list) -> dict:
 _HEAD_DECODER = json.JSONDecoder(object_pairs_hook=_dict_of_unique_keys)
 
 
-def _edge_rows(text: str, start: int, stop: int, n: int) -> tuple[Mask, ...]:
-    """The rows of the edges text[start:stop] lists; raises TypeError,
+def _edge_rows(data: bytes, start: int, stop: int, n: int
+               ) -> tuple[Mask, ...]:
+    """The rows of the edges data[start:stop] lists; raises TypeError,
     ValueError, IndexError or RecursionError unless it lists pairs of ints
     in range(n), loops aside.
 
-    The text is read as source runs (`_source_run`) and, where none of at
-    least `RUN_EDGES` edges opens it, one piece of whole edges at a time
-    (`_edge_piece`); after each piece, runs are tried again.  A run's
+    The bytes are read as source runs (`_source_run`) and, where none of
+    at least `RUN_EDGES` edges opens them, one piece of whole edges at a
+    time (`_edge_piece`); after each piece, runs are tried again.  A run's
     source and each target must be the exact decimal text of an index in
     range(n), which a table maps to its flag in a string of n "0"s, read
     as one int; a run with any other text is decoded as a piece instead.
     """
-    place: dict[str, int] = {}  # filled at the first run taken
+    place: dict[bytes, int] = {}  # filled at the first run taken
     bits = [1 << y for y in range(n)]
     rows = [0] * n
     at = start
     width = 2 * (stop - start) // n + 16  # no shorter than a separator
     while at < stop:
-        head, targets, end = _source_run(text, at, stop, width)
+        head, targets, end = _source_run(data, at, stop, width)
         if len(targets) >= RUN_EDGES:
             if not place:
                 # ~y is y's flag counted from the end, its least significant.
-                place.update((str(y), ~y) for y in range(n))
+                place.update((b"%d" % y, ~y) for y in range(n))
             flags = bytearray(b"0" * n)
             try:
                 x = ~place[head]
@@ -183,19 +222,20 @@ def _edge_rows(text: str, start: int, stop: int, n: int) -> tuple[Mask, ...]:
                 width = 2 * (end - at)
                 at = end + 3
                 continue
-        piece = _edge_piece(text, at, stop)
-        for x, y in json.loads(piece):
+        piece = _edge_piece(data, at, stop)
+        # Decoded here: `json.loads` finds the encoding of bytes first.
+        for x, y in json.loads(piece.decode()):
             rows[x] |= bits[y]
         at += len(piece)
     return tuple(rows)
 
 
-def _source_run(text: str, at: int, stop: int,
-                width: int) -> tuple[str, list[str], int]:
+def _source_run(data: bytes, at: int, stop: int,
+                width: int) -> tuple[bytes, list[bytes], int]:
     """The source text, target texts and closing bracket of the run of
-    edges "[x, y1], [x, y2], ..., [x, yk]" that text[at:stop] opens with,
+    edges "[x, y1], [x, y2], ..., [x, yk]" that data[at:stop] opens with,
     if the run is followed by ", [" or ends at stop; else no targets, as
-    also when text[at:stop] is too short to hold `RUN_EDGES` edges.
+    also when data[at:stop] is too short to hold `RUN_EDGES` edges.
 
     Split on "], [x, ", the text after "[x, " and before the last "]"
     leaves y1, ..., yk.  The run's end is searched back from at + width,
@@ -204,28 +244,28 @@ def _source_run(text: str, at: int, stop: int,
     is cut at its last separator in the window.
     """
     width = min(width, EDGE_PIECE)
-    comma = text.find(", ", at, at + 8)
+    comma = data.find(b", ", at, at + 8)
     if comma < 0 or stop - at < _RUN_CHARS:
-        return "", [], at
-    head = text[at + 1:comma]
-    sep = "], [" + head + ", "
-    k = text.rfind(sep, at, min(at + width, stop))
-    end = text.find("]", comma if k < 0 else k + len(sep), stop)
-    while width < EDGE_PIECE and text.startswith(sep, end, stop):
+        return b"", [], at
+    head = data[at + 1:comma]
+    sep = b"], [" + head + b", "
+    k = data.rfind(sep, at, min(at + width, stop))
+    end = data.find(b"]", comma if k < 0 else k + len(sep), stop)
+    while width < EDGE_PIECE and data.startswith(sep, end, stop):
         width *= 2
-        k = text.rfind(sep, end, min(end + width, stop))
-        end = text.find("]", k + len(sep), stop)
-    if end + 1 < stop and not text.startswith(", [", end + 1):
-        return "", [], at
-    return head, text[comma + 2:end].split(sep), end
+        k = data.rfind(sep, end, min(end + width, stop))
+        end = data.find(b"]", k + len(sep), stop)
+    if end + 1 < stop and not data.startswith(b", [", end + 1):
+        return b"", [], at
+    return head, data[comma + 2:end].split(sep), end
 
 
-def _edge_piece(text: str, start: int, stop: int) -> str:
-    """The edges of text[start:stop] up to the first "], [" at least
-    `EDGE_PIECE` characters on, or all of them, as a JSON list; the next
-    piece starts len(piece) characters on."""
-    cut = text.find("], [", start + EDGE_PIECE, stop)
-    return "[" + text[start:stop if cut < 0 else cut + 1] + "]"
+def _edge_piece(data: bytes, start: int, stop: int) -> bytes:
+    """The edges of data[start:stop] up to the first "], [" at least
+    `EDGE_PIECE` bytes on, or all of them, as a JSON list; the next piece
+    starts len(piece) bytes on."""
+    cut = data.find(b"], [", start + EDGE_PIECE, stop)
+    return b"[" + data[start:stop if cut < 0 else cut + 1] + b"]"
 
 
 def _json_problem(text: str) -> DecisionProblem:
@@ -377,22 +417,26 @@ def _picked(mask: Mask, texts: Sequence[str] | None = None) -> Iterator[str]:
 
 
 def family_document(family: SolutionFamily) -> dict:
-    return {**_family_head(family), "sets": [list(members(v)) for v in family]}
+    return {**_family_head(family, [list(members(c))
+                                    for c in family.components]),
+            "sets": [list(members(v)) for v in family]}
 
 
 def listed_family(family: SolutionFamily) -> dict:
     """`family_document(family)` as the value of a document's top-level
-    "family" key, its member sets a `Listed` value of one item per block
-    of `family.blocks()` (`_block_texts`)."""
-    return {**_family_head(family),
+    "family" key, its components and member sets `Listed` values made by
+    `_block_texts`, the sets from `family.blocks()`."""
+    return {**_family_head(family,
+                           Listed(_block_texts(_runs(family.components)))),
             "sets": Listed(_block_texts(family.blocks()))}
 
 
-def _family_head(family: SolutionFamily) -> dict:
-    """Every field of a family's document but its member sets."""
+def _family_head(family: SolutionFamily, components) -> dict:
+    """Every field of a family's document but its member sets, with
+    `components` as its components' list."""
     doc: dict = {"form": family.form.value, "count": family.count()}
     if family.form is not FamilyForm.EXPLICIT:
-        doc["components"] = [list(members(c)) for c in family.components]
+        doc["components"] = components
     return doc
 
 
@@ -509,12 +553,22 @@ def _block_texts(blocks: Iterable[tuple[Mask, tuple[int, ...]]]
     lines is kept while the next block's lows are the same tuple object,
     as `solutions._ascending_blocks` gives every block whose undecided low
     bits match.  With no high part, each low byte's lines lose their own
-    last comma instead, in a list of that block's own.  The empty set is
-    never a member.
+    last comma instead, in a list of that block's own.  A run of blocks
+    that each hold one set of one alternative above the low byte, in
+    ascending order, is one `_picked` join of those alternatives, as a
+    wide component's single alternatives come.  The empty set is never a
+    member.
     """
     shared, lines = None, []  # the lows whose lines `lines` holds
+    singles = 0  # the alternatives of a run of one-alternative blocks
     for high, lows in blocks:
-        if high:
+        single = lows == (0,) and not high & high - 1
+        if singles and not (single and high > singles):
+            yield _one_alternative_sets(singles)
+            singles = 0
+        if single:
+            singles |= high
+        elif high:
             if lows is not shared:
                 shared, lines = lows, list(map(_LOW_LINES.__getitem__, lows))
             close = "        " + ",\n        ".join(_picked(high)) + _CLOSE
@@ -522,6 +576,14 @@ def _block_texts(blocks: Iterable[tuple[Mask, tuple[int, ...]]]
         else:
             yield (_OPEN + (_CLOSE + ",\n" + _OPEN).join(
                 [_LOW_LINES[low][:-2] for low in lows]) + _CLOSE)
+    if singles:
+        yield _one_alternative_sets(singles)
+
+
+def _one_alternative_sets(mask: Mask) -> str:
+    """The sets {x} for each member x of mask, ascending, joined by ",\n"."""
+    return (_OPEN + "        " + (_CLOSE + ",\n" + _OPEN + "        ").join(
+        _picked(mask)) + _CLOSE)
 
 
 def export_dot(p: DecisionProblem, c: Contraction) -> Iterator[str]:

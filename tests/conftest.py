@@ -59,6 +59,27 @@ def is_stable_set(v, q):
     return StabilityReport(True, True)
 
 
+def assert_same_text(actual, expected):
+    """``assert actual == expected`` for long texts.  A mismatch reports
+    the first offset where they differ and 200 characters of each around
+    it, where pytest would diff the whole texts, which takes minutes on a
+    few megabytes."""
+    if actual == expected:
+        return
+    same, stop = 0, min(len(actual), len(expected))
+    while same < stop:  # the longest common prefix, by halving
+        mid = (same + stop + 1) // 2
+        if actual[:mid] == expected[:mid]:
+            same = mid
+        else:
+            stop = mid - 1
+    start = max(0, same - 100)
+    raise AssertionError(
+        f"texts differ at offset {same} (lengths {len(actual)} and "
+        f"{len(expected)})\n  actual:   {actual[start:start + 200]!r}\n"
+        f"  expected: {expected[start:start + 200]!r}")
+
+
 def corpus_digraphs(count=1002, max_n=10):
     """Deterministic mixed-density random digraphs, n cycling 1..max_n."""
     out = []

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import stableset
-from conftest import CYCLE_WITH_TAIL, kernel_corpus
+from conftest import CYCLE_WITH_TAIL, assert_same_text, kernel_corpus
 from stableset import cli, contraction, order_topology, relations
 from stableset import io as sio
 from stableset.bitset import full_mask, image, members
@@ -157,7 +157,7 @@ class TestParsing:
                 labels=['a"b', "c\\d", "e", 'f\\"', "\\"]))
         for p in problems:
             c = equipotence_classes(p)
-            assert "".join(export_dot(p, c)) == reference_dot(p, c), p
+            assert_same_text("".join(export_dot(p, c)), reference_dot(p, c))
 
     def test_dot_labels_escaped(self):
         p = DecisionProblem.from_edges(4, [(0, 1), (1, 2), (2, 0)],
@@ -262,9 +262,12 @@ class TestJsonParserEquivalence:
                      if u != v and rng.random() < rng.random()]
             edges += rng.sample(edges, len(edges) // 4)  # duplicates collapse
             rng.shuffle(edges)
-            p = parse_instance(json.dumps({"n": n, "edges": edges}))
-            assert p.rel == per_edge_parse(json.dumps({"n": n, "edges": edges}))
+            text = json.dumps({"n": n, "edges": edges})
+            p = parse_instance(text)
+            assert p.rel == per_edge_parse(text)
+            assert parse_instance(text.encode()).rel == p.rel
             assert parse_instance(serialize_instance(p)).rel == p.rel
+            assert parse_instance(serialize_instance(p).encode()).rel == p.rel
 
     @pytest.mark.parametrize("word", RESCAN_WORDS)
     def test_valid_documents_with_rescan_labels(self, word):
@@ -274,9 +277,10 @@ class TestJsonParserEquivalence:
             edges = [[u, v] for u in range(n) for v in range(n)
                      if u != v and rng.random() < rng.random()]
             text = labelled({"n": n, "edges": edges}, word)
-            p = parse_instance(text)
-            assert p.rel == per_edge_parse(text)
-            assert p.labels == tuple(f"{word}{x}" for x in range(n))
+            for document in (text, text.encode()):
+                p = parse_instance(document)
+                assert p.rel == per_edge_parse(text)
+                assert p.labels == tuple(f"{word}{x}" for x in range(n))
 
     @pytest.mark.parametrize("labels", [
         [f"]]{x}" for x in range(300)],
@@ -287,6 +291,41 @@ class TestJsonParserEquivalence:
                                                                  labels):
         assert_parses_like_whole_document(
             piecewise_document(labels=tuple(labels)), piecewise=True)
+
+    def test_layout_with_text_that_is_not_ascii(self):
+        # Labels written as raw UTF-8, which `serialize_instance` escapes,
+        # take the piecewise route.  A byte that is not UTF-8, in the
+        # labels or among the edges, is refused by the route and named by
+        # the decode.
+        escaped = piecewise_document(labels=tuple(f"caf\u00e9{x}"
+                                                  for x in range(300)))
+        text = escaped.replace("\\u00e9", "\u00e9")
+        assert not text.isascii() and text.startswith('{"edges": [[')
+        assert_parses_like_whole_document(text, piecewise=True)
+        assert_parses_like_whole_document(
+            text.replace("], [7, ", "], [7, \u00e9", 1), piecewise=False)
+        good = text.encode()
+        for data in (good.replace("\u00e9".encode(), b"\xe9", 1),
+                     good.replace(b"], [7, ", b"], [7\xe9, ", 1)):
+            assert sio._json_problem_in_pieces(data) is None
+            at = data.index(b"\xe9")
+            with pytest.raises(ParseError) as raised:
+                parse_instance(data)
+            assert str(raised.value) == (
+                f"not UTF-8 text: invalid continuation byte at byte {at}")
+
+    def test_text_with_a_lone_surrogate(self):
+        # Text in the layout that holds a lone surrogate has no UTF-8
+        # bytes: the route refuses the bytes it is encoded to, and the
+        # text is read whole.
+        text = piecewise_document(labels=("\ud800",) * 300).replace(
+            "\\ud800", "\ud800")
+        assert "\ud800" in text
+        assert sio._json_problem_in_pieces(
+            text.encode("utf-8", "surrogatepass")) is None
+        p = parse_instance(text)
+        expected = sio._json_problem(text)
+        assert (p.rel, p.labels) == (expected.rel, expected.labels)
 
     def test_piecewise_route_reads_several_pieces(self):
         text = piecewise_document(n=600)
@@ -458,7 +497,7 @@ class TestSourceRuns:
         """The sources of the runs the piecewise route took, in order, and
         the (start, stop) of each piece it decoded instead.  A run found
         is taken unless a piece that starts where it does comes next."""
-        assert sio._json_problem_in_pieces(text) is not None
+        assert sio._json_problem_in_pieces(text.encode()) is not None
         runs, pieces = [], []
         for (kind, at, what), after in zip(log, log[1:] + [None]):
             if kind == "piece":
@@ -702,10 +741,12 @@ def bad_in_both_positions(edge, s):
 
 
 def edge_pieces(text, start, stop):
-    """The pieces `io._edge_piece` cuts text[start:stop] into, in order."""
+    """The pieces `io._edge_piece` cuts an ASCII text[start:stop] into, in
+    order, as text."""
+    data = text.encode()
     pieces = []
     while start < stop:
-        pieces.append(sio._edge_piece(text, start, stop))
+        pieces.append(sio._edge_piece(data, start, stop).decode())
         start += len(pieces[-1])
     return pieces
 
@@ -719,20 +760,25 @@ def piecewise_document(n=300, seed=0, labels=()):
 
 
 def assert_parses_like_whole_document(text, piecewise):
-    """`parse_instance` answers as `io._json_problem` does: the same rows
-    and labels, or a ParseError of the same class, text and line.  The
-    piecewise route takes the document iff `piecewise`."""
-    assert (sio._json_problem_in_pieces(text) is not None) == piecewise
+    """`parse_instance` answers as `io._json_problem` does, given the text
+    or its UTF-8 bytes: the same rows and labels, or a ParseError of the
+    same class, text and line.  The piecewise route takes the document iff
+    `piecewise`, given the bytes."""
+    data = text.encode()
+    assert (sio._json_problem_in_pieces(data) is not None) == piecewise
     try:
         expected = sio._json_problem(text)
     except ParseError as exc:
-        with pytest.raises(ParseError) as actual:
-            parse_instance(text)
-        assert type(actual.value) is type(exc)
-        assert (str(actual.value), actual.value.line) == (str(exc), exc.line)
+        for document in (text, data):
+            with pytest.raises(ParseError) as actual:
+                parse_instance(document)
+            assert type(actual.value) is type(exc)
+            assert ((str(actual.value), actual.value.line)
+                    == (str(exc), exc.line))
         return
-    p = parse_instance(text)
-    assert (p.rel, p.labels) == (expected.rel, expected.labels)
+    for document in (text, data):
+        p = parse_instance(document)
+        assert (p.rel, p.labels) == (expected.rel, expected.labels)
 
 
 def plant(text, at, edge):
@@ -747,10 +793,11 @@ def plant(text, at, edge):
 def assert_raises_like_per_edge_check(text):
     with pytest.raises(ParseError) as expected:
         per_edge_parse(text)
-    with pytest.raises(ParseError) as actual:
-        parse_instance(text)
-    assert type(actual.value) is type(expected.value)
-    assert str(actual.value) == str(expected.value)
+    for document in (text, text.encode()):
+        with pytest.raises(ParseError) as actual:
+            parse_instance(document)
+        assert type(actual.value) is type(expected.value)
+        assert str(actual.value) == str(expected.value)
 
 
 def labelled(doc, word):

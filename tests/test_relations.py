@@ -84,6 +84,18 @@ class TestFlags:
             assert flags(mask, n) == bytes(mask >> x & 1 for x in range(n))
 
 
+def string_transpose(rows, width):
+    """The columns read off one binary string of every row, most
+    significant bit first in reverse row order: bit y of row x sits at
+    index (h-1-x)*width + width-1-y, h being the row count, so every
+    width-th character from index width-1-y reads column y."""
+    if not rows:
+        return (0,) * width
+    fmt = f"0{width}b"
+    text = "".join([format(row, fmt) for row in reversed(rows)])
+    return tuple(int(text[width - 1 - y::width], 2) for y in range(width))
+
+
 class TestTranspose:
     @pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65])
     def test_columns_are_the_rows_bits(self, n):
@@ -95,10 +107,24 @@ class TestTranspose:
                     sum(1 << x for x in range(height) if rows[x] >> y & 1)
                     for y in range(width))
                 assert transpose(rows, width) == expected
+                assert string_transpose(rows, width) == expected
+
+    @pytest.mark.parametrize("sizes", [range(1, 70), [200], [1000], [2000]],
+                             ids=["1-69", "200", "1000", "2000"])
+    def test_block_swaps_match_the_string_reference(self, sizes):
+        # Square, a third as high, five rows higher and one row: rows of
+        # one to 250 bytes, row counts on and off a multiple of 8.
+        for n in sizes:
+            rng = random.Random(n)
+            for height in (n, n // 3, n + 5, 1):
+                for rows in ([full_mask(n)] * height,
+                             [rng.getrandbits(n) for _ in range(height)]):
+                    assert transpose(rows, n) == string_transpose(rows, n)
 
     def test_no_rows_or_no_columns(self):
         assert transpose([], 3) == (0, 0, 0)
         assert transpose([0, 0], 0) == ()
+        assert transpose([0] * 9, 0) == ()
 
 
 class TestAsymmetricPart:
