@@ -1,14 +1,15 @@
 """Command-line surface.
 
 Subcommands: solve, verify, contract, topology, random.  Results go to
-stdout as JSON.  Exit codes: 0 success, 1 solver error, 2 oracle mismatch,
-64 usage error.  Timings are opt-in (--timings) so default output stays
-byte-stable; their `total_s` covers reading, parsing and solving, but not
-writing the answer, which for a large product-form family is most of the
-call.  `verify --max-n` is the largest trial size, at most the
-oracle's ceiling.  The argument parsers are built once per process, on the
-first call; a call that starts with its subcommand is parsed by that
-subcommand's parser alone, and each call parses into a fresh namespace.
+`sys.stdout.writelines` as JSON, so any `io.TextIOBase` may be stdout.
+Exit codes: 0 success, 1 solver error, 2 oracle mismatch, 64 usage error.
+Timings are opt-in (--timings) so default output stays byte-stable; their
+`total_s` covers reading, parsing and solving, but not writing the answer,
+which for a large product-form family is most of the call.
+`verify --max-n` is the largest trial size, at most the oracle's ceiling.
+The argument parsers are built once per process, on the first call; a call
+that starts with its subcommand is parsed by that subcommand's parser
+alone, and each call parses into a fresh namespace.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import functools
 import os
 import sys
 import time
-from itertools import chain
 from typing import Sequence
 
 from . import io as sio
@@ -214,7 +214,7 @@ def _cmd_solve(args) -> int:
         doc["family"] = sio.listed_family(family)
         if concept is Concept.SOCIALLY:
             doc["interp"] = args.interp
-        if family.count() == 0:
+        if doc["family"]["count"] == 0:
             doc["note"] = "no stable set"
     if args.timings:
         doc["timings"] = {"total_s": round(time.perf_counter() - started, 6)}
@@ -253,7 +253,7 @@ def _cmd_contract(args) -> int:
     p = _load(args.input)
     c = equipotence_classes(p)
     if args.dot:
-        sio.write_pieces(sys.stdout, sio.export_dot(p, c))
+        sys.stdout.writelines(sio.export_dot(p, c))
         return EXIT_OK
     doc = {
         "classes": sio.member_lists(c.classes),
@@ -331,7 +331,8 @@ def _cmd_topology(args) -> int:
 def _cmd_random(args) -> int:
     p = random_problem(args.n, args.density, args.seed,
                        tournament=args.tournament)
-    sio.write_pieces(sys.stdout, chain(sio.instance_pieces(p), ("\n",)))
+    sys.stdout.writelines(sio.instance_pieces(p))
+    sys.stdout.write("\n")
     return EXIT_OK
 
 

@@ -23,8 +23,8 @@ decoded to text once (`_decoded`).  Every other JSON document, and every
 one that route refuses, is decoded whole by `_json_problem`, which gives
 every error message.
 
-Every document the CLI prints goes out through one loop, `write_pieces`,
-which joins short pieces into batches and writes a long piece as it is.
+Every document the CLI prints goes to its stream's `writelines`, a line,
+row or block at a time, never whole; the stream buffers short pieces.
 A JSON document's long lists are `Listed` values, at any depth, whose
 items are made as they are written, with no Python step per index:
 `bitset.flags` turns a mask into selectors, and `itertools.compress` picks
@@ -65,14 +65,6 @@ EDGE_PIECE = 1 << 18
 # rows of 48 16 % and 7 % faster (Python 3.11.7 on a shared 2-CPU x86-64
 # machine).
 RUN_EDGES = 40
-# Fewest characters in one write of short pieces, and fewest in a piece
-# written on its own (`write_pieces`).  A product-form family's block holds
-# up to 256 member sets.  On the edgeless documents n = 9 to 16, each block
-# with a high part holds 18 to 39 KB, so it is written as `_block_texts`
-# made it rather than copied into a batch; the one block without, 15 KB,
-# is batched.  A row of `contract`'s condensation pairs at n = 2,000 holds
-# up to 70 KB.
-WRITE_CHARS = 1 << 14
 
 
 def parse_instance(document: str | bytes) -> DecisionProblem:
@@ -330,19 +322,23 @@ def _edge_relation(edges: list, n: int, text: str) -> Relation | None:
 
 
 def _parse_edge_list(text: str) -> DecisionProblem:
-    lines = text.splitlines()
+    # int() also reads '+1', '1_0' and other scripts' digits: a line whose
+    # text before '#' holds '+' or '_' or is not ASCII is refused.
+    plain = _plain(text)  # then no line needs a check of its own
     header = None
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0]
         fields = line.split()
+        if not fields:
+            continue
+        bad = not (plain or _plain(line))
+        line = line.strip()
         if header is None:
-            if len(fields) != 1 or not fields[0].isdigit():
+            if bad or len(fields) != 1 or not fields[0].isdigit():
                 raise ParseError("header must be the alternative count", line=lineno)
             try:
                 header = int(fields[0])
-            except ValueError:  # '²' passes isdigit(); int() caps digits
+            except ValueError:  # int() caps digits
                 raise ParseError("header must be the alternative count",
                                  line=lineno) from None
             if header < 1:
@@ -354,6 +350,8 @@ def _parse_edge_list(text: str) -> DecisionProblem:
         if len(fields) != 2:
             raise ParseError(f"expected 'u v', got {line!r}", line=lineno)
         try:
+            if bad:
+                raise ValueError
             u, v = int(fields[0]), int(fields[1])
         except ValueError:
             raise ParseError(f"non-integer edge {line!r}", line=lineno) from None
@@ -362,6 +360,10 @@ def _parse_edge_list(text: str) -> DecisionProblem:
     if header is None:
         raise ParseError("empty instance document")
     return DecisionProblem(Relation(header, tuple(rows)))
+
+
+def _plain(text: str) -> bool:
+    return text.isascii() and "+" not in text and "_" not in text
 
 
 def _check_count(n: int, line: int | None = None):
@@ -468,8 +470,8 @@ def pair_list(rows: Sequence[Mask]) -> Listed:
 
 
 def write_document(out: TextIO, doc: dict) -> None:
-    """Write `json.dumps(doc, indent=2, sort_keys=True)` and a newline, a
-    `Listed` value at any depth written as the list it stands for.
+    """Write `json.dumps(doc, indent=2, sort_keys=True)` and a newline to
+    `out.writelines`, a `Listed` value at any depth as the list it is.
 
     The encoder's `default` hook records each `Listed` value in text order
     and has the string of one NUL character written in its place; no other
@@ -489,7 +491,7 @@ def write_document(out: TextIO, doc: dict) -> None:
              + "\n").split('"\\u0000"')
     if len(parts) != len(listed) + 1:
         raise ValueError("a string of the document holds a NUL character")
-    write_pieces(out, _filled(parts, listed))
+    out.writelines(_filled(parts, listed))
 
 
 def _filled(parts: list[str], listed: list[Listed]) -> Iterator[str]:
@@ -505,33 +507,6 @@ def _filled(parts: list[str], listed: list[Listed]) -> Iterator[str]:
         line = head[head.rfind("\n") + 1:]
         yield ("[]" if sep == "[\n" else
                "\n" + " " * (len(line) - len(line.lstrip())) + "]") + tail
-
-
-def write_pieces(out: TextIO, pieces: Iterable[str]) -> None:
-    """Write the pieces' text in order, in writes of a few short pieces or
-    of one long one, so a short text takes one write and a long one is
-    never held whole.
-
-    Pieces shorter than `WRITE_CHARS` are joined into a batch, written once
-    it holds at least `WRITE_CHARS` characters.  A piece of at least
-    `WRITE_CHARS` characters is written as it is, after the batch before
-    it, and is not copied into a batch.  No write is empty.
-    """
-    pending, size = [], 0
-    for piece in pieces:
-        if len(piece) >= WRITE_CHARS:
-            if size:
-                out.write("".join(pending))
-                pending, size = [], 0
-            out.write(piece)
-            continue
-        pending.append(piece)
-        size += len(piece)
-        if size >= WRITE_CHARS:
-            out.write("".join(pending))
-            pending, size = [], 0
-    if size:
-        out.write("".join(pending))
 
 
 # A set's opening and closing lines at depth 3.

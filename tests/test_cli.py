@@ -91,6 +91,31 @@ class TestParsing:
         text = "# instance\n3\n\n0 1  # edge\n1 2\n"
         assert sorted(parse_instance(text).rel.pairs()) == [(0, 1), (1, 2)]
 
+    @pytest.mark.parametrize("text, line, message", [
+        ("2\n0 +1\n", 2, "non-integer edge '0 +1'"),
+        ("11\n0 1_0\n", 2, "non-integer edge '0 1_0'"),
+        ("3\n\u0660 1\n", 2, "non-integer edge '\u0660 1'"),
+        ("3\n0\u00a01\n", 2, "non-integer edge '0\\xa01'"),
+        ("3\n-0 2\n0 +1 # ok\n", 3, "non-integer edge '0 +1'"),
+        ("\u0663\n0 1\n", 1, "header must be the alternative count"),
+        ("# n\n+3\n0 1\n", 2, "header must be the alternative count"),
+        ("1_0\n0 1\n", 1, "header must be the alternative count"),
+        ("3\n-1 1\n", 2, "edge (-1,1) out of range for n=3")])
+    def test_edge_list_integers_are_ascii_digits(self, text, line, message):
+        # int() also reads a '+' sign, '_' between digits and the digits of
+        # other scripts; the JSON route refuses them, and so does this one.
+        for document in (text, text.encode()):
+            with pytest.raises(ParseError) as exc:
+                parse_instance(document)
+            assert (exc.value.line, str(exc.value)) == \
+                (line, f"line {line}: {message}")
+
+    def test_edge_list_comments_hold_any_text(self):
+        text = "3 # \u0663 +1 1_0\n-0 1 # \u00fc\n0 2#+\n"
+        for document in (text, text.encode()):
+            assert sorted(parse_instance(document).rel.pairs()) == \
+                [(0, 1), (0, 2)]
+
     def test_json(self):
         p = parse_instance('{"n": 2, "edges": [[0, 1]], "labels": ["a", "b"]}')
         assert p.labels == ("a", "b")
@@ -1076,13 +1101,38 @@ class TestRandomCommand:
         assert parse_instance(done.stdout).rel == random_problem(3, 0.5, 1).rel
 
 
+def child_env(**env):
+    """The environment with `env` added and the tested package's source
+    first on PYTHONPATH."""
+    src = str(Path(stableset.__file__).parent.parent)
+    return {**os.environ, **env, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+
 def run_module(*argv, **env):
     """`python -m stableset.cli argv` in a fresh process."""
-    src = str(Path(stableset.__file__).parent.parent)
-    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH"))))}
     return subprocess.run([sys.executable, "-m", "stableset.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, text=True, env=child_env(**env),
+                          timeout=60)
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("argv", [
+        ["random", "--n", "2000", "--density", "1"],
+        ["solve", "--concept", "mss", "--input", "edgeless.json"]],
+        ids=["random", "mss"])
+    def test_ends_with_one_error_line(self, argv, tmp_path):
+        # A reader that stops after a few bytes closes the pipe while the
+        # document (17 MB, 7 MB) is still being written.
+        (tmp_path / "edgeless.json").write_text('{"n": 16, "edges": []}')
+        child = subprocess.Popen(
+            [sys.executable, "-m", "stableset.cli", *argv], cwd=tmp_path,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env())
+        assert child.stdout.read(16)
+        child.stdout.close()
+        err = child.stderr.read()
+        assert child.wait(timeout=60) == 1
+        assert err.decode() == "error: [Errno 32] Broken pipe\n"
 
 
 class TestParserReuse:

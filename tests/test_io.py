@@ -4,13 +4,12 @@ solved family's document is `family_document(family)`; an instance is
 written as `json.dumps` writes it and read without a collector pass."""
 
 import gc
+import io
 import json
 import random
-import re
 import sys
 import tracemalloc
-from itertools import accumulate, zip_longest
-from types import SimpleNamespace
+from itertools import zip_longest
 
 import pytest
 
@@ -67,17 +66,6 @@ def spanning(n, cyclic=True):
             if len(set(cycle)) == 3 and max(cycle) < n:
                 edges += zip(cycle, cycle[1:] + cycle[:1])
     return json.dumps({"n": n, "edges": edges})
-
-
-def block_ends(text, family):
-    """The offset in a solved family's document just past the last set of
-    each of the family's blocks."""
-    sets = text.index('"sets": ')
-    closes = [m.end() for m in re.finditer(r"\n      \]", text)
-              if m.start() > sets]
-    assert len(closes) == family.count()
-    return [closes[k - 1] for k in accumulate(
-        len(lows) for _, lows in family.blocks())]
 
 
 FORMS_BY_CONCEPT = {"mss": FamilyForm.UNIONS_OF_COMPONENTS,
@@ -139,88 +127,12 @@ class TestFamilyDocuments:
         assert_same_text(out, expected)
         assert out.index('"family"') < out.index('"timings"')
 
-    def test_family_larger_than_one_write_batch(self, tmp_path, capsys):
+    def test_family_of_8191_sets(self, tmp_path, capsys):
         path = tmp_path / "doc.json"
         path.write_text('{"n": 13, "edges": []}')
         expected, family = expected_stdout(path.read_text(), "mss")
         assert family.count() == 8191
-        assert len(expected) > 4 * sio.WRITE_CHARS
         assert_same_text(solve_stdout(capsys, path, "mss"), expected)
-
-    @pytest.mark.parametrize("blocks", [1, 2, 3, 5])
-    def test_every_batch_boundary(self, blocks, monkeypatch, tmp_path):
-        # The w-stable family of spanning(17): components {0, 1, 2},
-        # {7, 8, 9} and four singletons give 4 * 4 * 2 ** 4 - 1 sets, in
-        # 24 blocks.  WRITE_CHARS is the text up to the end of the first
-        # `blocks` blocks, so the first write ends there.
-        path = tmp_path / "doc.json"
-        path.write_text(spanning(17))
-        expected, family = expected_stdout(path.read_text(), "wss")
-        assert family.count() == 255
-        ends = block_ends(expected, family)
-        assert len(ends) == 24
-        monkeypatch.setattr(sio, "WRITE_CHARS", ends[blocks - 1])
-        writes = []
-        monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=writes.append))
-        assert run_cli(["solve", "--concept", "wss", "--input", str(path)]) == 0
-        assert_same_text(writes[0], expected[:ends[blocks - 1]])
-        assert_same_text("".join(writes), expected)
-
-    def test_writes_are_batched(self, monkeypatch):
-        # Each write is a batch of pieces shorter than WRITE_CHARS that
-        # holds at least WRITE_CHARS characters ("full"), a batch cut short
-        # by the long piece after it ("cut"), one long piece as the very
-        # string the renderer made ("long"), or the last write.  No write is
-        # empty, and each but the last ends at the end of a block, or after
-        # the separator that follows it.  The blocks hold 15 to 30 KB: at
-        # the default WRITE_CHARS all but the first are long, and at 20,000
-        # characters some are short enough to batch.
-        family = solve(parse_instance('{"n": 13, "edges": []}'),
-                       Concept.M_STABLE)
-        expected = json.dumps({"concept": "mss",
-                               "family": family_document(family)},
-                              indent=2, sort_keys=True) + "\n"
-        ends = set(block_ends(expected, family))
-        filled = sio._filled
-        for write_chars, kinds in ((sio.WRITE_CHARS, {"long", "cut"}),
-                                   (20000, {"long", "cut", "full"})):
-            monkeypatch.setattr(sio, "WRITE_CHARS", write_chars)
-            pieces = []
-            monkeypatch.setattr(sio, "_filled", lambda parts, listed: (
-                pieces.append(piece) or piece
-                for piece in filled(parts, listed)))
-            writes = []
-            sio.write_document(SimpleNamespace(write=writes.append),
-                               {"concept": "mss",
-                                "family": sio.listed_family(family)})
-            assert_same_text("".join(writes), expected)
-            assert len(writes) > 4 and all(writes)
-            at = 0  # the first piece not yet written
-            seen = set()
-            for k, w in enumerate(writes):
-                if len(pieces[at]) >= write_chars:
-                    assert w is pieces[at]
-                    at += 1
-                    seen.add("long")
-                    continue
-                stop = at
-                while (stop < len(pieces)
-                       and len(pieces[stop]) < write_chars
-                       and sum(map(len, pieces[at:stop])) < write_chars):
-                    stop += 1
-                assert_same_text(w, "".join(pieces[at:stop]))
-                if len(w) >= write_chars:
-                    seen.add("full")
-                elif stop < len(pieces):
-                    seen.add("cut")
-                else:
-                    assert k == len(writes) - 1
-                at = stop
-            assert at == len(pieces)
-            assert seen == kinds
-            assert all(end in ends or end - 2 in ends and w.endswith(",\n")
-                       for end, w in zip(accumulate(map(len, writes)),
-                                         writes[:-1]))
 
     @pytest.mark.parametrize("text,concept", [
         ('{"n": 13, "edges": []}', "mss"), ('{"n": 13, "edges": []}', "wss"),
@@ -341,45 +253,31 @@ class TestFamilyDocuments:
 
     @staticmethod
     def check_bytes(family, listed=None):
-        writes = []
-        sio.write_document(SimpleNamespace(write=writes.append),
-                           {"concept": "x",
-                            "family": listed or sio.listed_family(family)})
+        out = io.StringIO()
+        sio.write_document(out, {"concept": "x",
+                                 "family": listed or sio.listed_family(family)})
         expected = json.dumps({"concept": "x",
                                "family": family_document(family)},
                               indent=2, sort_keys=True) + "\n"
-        assert_same_text("".join(writes), expected)
+        assert_same_text(out.getvalue(), expected)
 
 
 class TestOtherDocuments:
     def test_values_the_encoder_cannot_write(self):
-        writes = []
+        out = io.StringIO()
         with pytest.raises(TypeError,
                            match="Object of type set is not JSON serializable"):
-            sio.write_document(SimpleNamespace(write=writes.append),
-                               {"a": sio.member_lists([1]), "b": {1, 2}})
-        assert writes == []
-
-    def test_one_write_per_document(self, tmp_path):
-        writes = []
-        doc = {"classes": [[0, 1, 2], [3]], "condensation_edges": [[0, 1]]}
-        sio.write_document(SimpleNamespace(write=writes.append), doc)
-        assert writes == [json.dumps(doc, indent=2, sort_keys=True) + "\n"]
-        # The same document from masks and rows also fits in one write.
-        writes.clear()
-        sio.write_document(SimpleNamespace(write=writes.append), {
-            "classes": sio.member_lists([0b111, 0b1000]),
-            "condensation_edges": sio.pair_list([0b10, 0])})
-        assert writes == [json.dumps(doc, indent=2, sort_keys=True) + "\n"]
+            sio.write_document(out, {"a": sio.member_lists([1]),
+                                     "b": {1, 2}})
+        assert out.getvalue() == ""
 
     def test_members_beyond_the_parse_limit(self):
         # The index texts grow to the widest mask written, so a library
         # caller's masks may be wider than any document the CLI parses.
         masks = [1 << 3 | 1 << sio.PARSE_LIMIT + 5, 1 << 7]
-        writes = []
-        sio.write_document(SimpleNamespace(write=writes.append),
-                           {"classes": sio.member_lists(masks)})
-        assert "".join(writes) == json.dumps(
+        out = io.StringIO()
+        sio.write_document(out, {"classes": sio.member_lists(masks)})
+        assert out.getvalue() == json.dumps(
             {"classes": [list(members(m)) for m in masks]}, indent=2) + "\n"
 
 
@@ -450,39 +348,43 @@ class TestListedDocuments:
     def test_extremes(self, p, tmp_path, capsys):
         self.check(p, tmp_path, capsys)
 
-    def test_large_lists_span_several_writes(self):
-        # 44,850 condensation pairs, some 1.6 MB: every write but the last
-        # holds at least WRITE_CHARS characters, and none the whole list.
-        p = transitive_tournament(300)
-        c = equipotence_classes(p)
-        writes = []
-        sio.write_document(SimpleNamespace(write=writes.append), {
-            "classes": sio.member_lists(c.classes),
-            "condensation_edges": sio.pair_list(c.cond.rows)})
-        expected = json.dumps(listed_documents(p)[("contract",)], indent=2,
-                              sort_keys=True) + "\n"
-        assert_same_text("".join(writes), expected)
-        assert len(writes) > 10
-        assert all(len(w) >= sio.WRITE_CHARS for w in writes[:-1])
-        assert max(map(len, writes)) < 2 * sio.WRITE_CHARS
 
-    def test_a_long_first_piece_goes_out_as_it_is(self):
-        # A piece of WRITE_CHARS characters or more is written as the very
-        # string given, before any short pieces after it; empty pieces make
-        # no write of their own.
-        first = "[" * sio.WRITE_CHARS
-        second = "]" * (2 * sio.WRITE_CHARS)
-        for pieces, expected in [
-                ([first], [first]),
-                ([first, "a", "b"], [first, "ab"]),
-                ([first, "", second], [first, second]),
-                (["", first, "", "a"], [first, "a"]),
-                ([], [])]:
-            writes = []
-            sio.write_pieces(SimpleNamespace(write=writes.append), pieces)
-            assert writes == expected
-            assert all(w is p for w, p in zip(writes, expected)
-                       if len(p) >= sio.WRITE_CHARS)
+class PieceStream(io.StringIO):
+    """A text stream that keeps each piece its `writelines` takes, as it
+    takes it from the iterator it is given."""
+
+    def __init__(self):
+        super().__init__()
+        self.pieces = []
+
+    def writelines(self, lines):
+        assert iter(lines) is lines  # made as taken, not listed first
+        for piece in lines:
+            self.pieces.append(piece)
+            self.write(piece)
+
+
+class TestStreamedDocuments:
+    def test_no_piece_holds_the_document(self, tmp_path, monkeypatch):
+        # The m-stable family of the edgeless n = 13 document (8,191 sets)
+        # and the contraction of the n = 300 transitive tournament (44,850
+        # condensation pairs) reach stdout a block or row at a time.
+        edgeless = tmp_path / "edgeless.json"
+        edgeless.write_text('{"n": 13, "edges": []}')
+        p = transitive_tournament(300)
+        tournament = tmp_path / "tournament.json"
+        tournament.write_text(serialize_instance(p))
+        for argv, expected in [
+                (["solve", "--concept", "mss", "--input", str(edgeless)],
+                 expected_stdout(edgeless.read_text(), "mss")[0]),
+                (["contract", "--input", str(tournament)],
+                 json.dumps(listed_documents(p)[("contract",)], indent=2,
+                            sort_keys=True) + "\n")]:
+            out = PieceStream()
+            monkeypatch.setattr(sys, "stdout", out)
+            assert run_cli(argv) == 0
+            assert_same_text("".join(out.pieces), expected)
+            assert max(map(len, out.pieces)) < len(expected) / 4
 
 
 def reference_instance_text(p):
