@@ -325,8 +325,13 @@ def _parse_edge_list(text: str) -> DecisionProblem:
     # int() also reads '+1', '1_0' and other scripts' digits: a line whose
     # text before '#' holds '+' or '_' or is not ASCII is refused.
     plain = _plain(text)  # then no line needs a check of its own
+    # A line ends at "\n", "\r\n" or "\r" alone: `str.splitlines` would
+    # also end one, a comment's too, at "\x0b", "\x0c", "\x1c"-"\x1e",
+    # "\x85", U+2028 and U+2029.
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     header = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0]
         fields = line.split()
         if not fields:

@@ -45,10 +45,13 @@ def _strict(r: Relation) -> Relation:
 def _closure(r: Relation) -> Relation:
     rows = list(r.rows)
     for k in range(r.n):
+        via = rows[k]
+        if not via:  # nothing to add to the rows that reach k
+            continue
         bit = 1 << k
         for x in range(r.n):
             if rows[x] & bit:
-                rows[x] |= rows[k]
+                rows[x] |= via
     return Relation(r.n, tuple(rows))
 
 
@@ -90,27 +93,33 @@ def enumerate_solutions(p: DecisionProblem, concept: Concept,
 
     sss closure_of_restriction needs S[v] ∪ v = full and `_cycles_inside`;
     (S∖Cᵀ)[v] ∩ v = ∅, no edge in v off every cycle, filters first.
+
+    Each concept derives only the relations its line reads: vnm S alone,
+    with no closure; gss C, with no columns; sss, mss, wss and ess C and
+    Cᵀ, which ω reads too.  `_closure` skips a pivot whose row is empty.
     """
     check_size(p.n, max_n, "oracle")
     strict = _strict(p.rel)
-    closure = _closure(strict)
-    rows, cols = closure.rows, closure.columns()
-    star = [rows[x] & ~(1 << x) for x in range(p.n)]
-    one_way = [r & ~c for r, c in zip(rows, cols)]
     restricted = (concept is Concept.SOCIALLY
                   and interp is SociallyInterp.CLOSURE_OF_RESTRICTION)
-    if concept is Concept.EXTENDED:
-        inner = outer = [r & ~(1 << x) for x, r in
-                         enumerate(_omega(strict, closure).rows)]
+    if concept is Concept.VNM:
+        inner = outer = strict.rows
     else:
-        inner, outer = {
-            Concept.VNM: (strict.rows, strict.rows),
-            Concept.GENERALIZED: (star, star),
-            Concept.SOCIALLY: ([r & ~c for r, c in zip(strict.rows, cols)]
-                               if restricted else one_way, strict.rows),
-            Concept.M_STABLE: (one_way, cols),
-            Concept.W_STABLE: (star, [c & ~r for r, c in zip(rows, cols)]),
-        }[concept]
+        closure = _closure(strict)
+        rows = closure.rows
+        if concept is Concept.GENERALIZED:
+            inner = outer = _off_diagonal(rows)
+        elif concept is Concept.EXTENDED:
+            inner = outer = _off_diagonal(_omega(strict, closure).rows)
+        else:
+            cols = closure.columns()
+            if concept is Concept.W_STABLE:
+                inner = _off_diagonal(rows)
+                outer = [c & ~r for r, c in zip(rows, cols)]
+            else:
+                inner = [r & ~c for r, c in zip(
+                    strict.rows if restricted else rows, cols)]
+                outer = cols if concept is Concept.M_STABLE else strict.rows
     ins = image_table(inner)
     outs = ins if outer is inner else image_table(outer)
     full = p.all_mask
@@ -123,6 +132,10 @@ def enumerate_solutions(p: DecisionProblem, concept: Concept,
     if restricted:
         out = [v for v in out if _cycles_inside(v, strict)]
     return out
+
+
+def _off_diagonal(rows: Sequence[Mask]) -> list[Mask]:
+    return [r & ~(1 << x) for x, r in enumerate(rows)]
 
 
 def gocha_bruteforce(p: DecisionProblem) -> Mask:
@@ -157,10 +170,11 @@ def random_problem(n: int, density: float, seed: int,
     density iff K < ceil(density * 2**53), and K's top byte is a's top byte:
     byte 8i+3 of the words' little-endian bytes (`_flags`).
 
-    Both shapes draw their rows through `_draw_rows`.  Digraph row x, n - 1
-    draws, moves its bits from x up one place for its diagonal; tournament
-    row x's upper half, n - 1 - x draws, moves up past x, and row y's lower
-    half is the complement, below y, of column y of the upper half.
+    Both shapes draw and place their rows in one pass of `_draw_rows`.
+    Digraph row x, n - 1 draws, moves its bits from x up one place for its
+    diagonal; tournament row x's upper half, n - 1 - x draws, moves up past
+    x, and row y's lower half is the complement, below y, of column y of
+    the upper half.
     """
     if not 0.0 <= density <= 1.0:
         raise ValueError("density must lie in [0, 1]")
@@ -168,13 +182,12 @@ def random_problem(n: int, density: float, seed: int,
              + round(density * 1000) * 97 + int(tournament))
     rng = random.Random(mixed)
     if tournament:
-        upper = [row << x + 1 for x, row in enumerate(
-            _draw_rows(rng, range(n - 1, -1, -1), _DRAW_SPAN // 2))]
+        upper = _draw_rows(rng, range(n - 1, -1, -1), _DRAW_SPAN // 2, True)
         rows = [u | (1 << y) - 1 ^ c
                 for y, (u, c) in enumerate(zip(upper, transpose(upper, n)))]
     else:
-        rows = [row + (row >> x << x) for x, row in enumerate(
-            _draw_rows(rng, [n - 1] * n, math.ceil(density * _DRAW_SPAN)))]
+        rows = _draw_rows(rng, [n - 1] * n, math.ceil(density * _DRAW_SPAN),
+                          False)
     return DecisionProblem(Relation(n, tuple(rows)))
 
 
@@ -202,19 +215,22 @@ def _flags(rng: random.Random, draws: int, limit: int) -> bytes:
     return flags
 
 
-def _draw_rows(rng: random.Random, widths: Sequence[int],
-               limit: int) -> list[Mask]:
-    """The bits of rows of the given widths, drawn in order, a row's draw j
-    at bit j and set iff it falls below limit / 2**53.  A `_flags` call
-    draws `_CHUNK_DRAWS // len(widths) or 1` rows, its digits read
-    backwards as one `int` from which each row takes its next bits."""
+def _draw_rows(rng: random.Random, widths: Sequence[int], limit: int,
+               tournament: bool) -> list[Mask]:
+    """Rows of the given widths, drawn in order, a row's draw j at bit j
+    and set iff it falls below limit / 2**53.  Row x is placed as it is cut:
+    a tournament's moves up past x and a digraph's moves its bits from x up
+    one place for the diagonal.  A `_flags` call draws
+    `_CHUNK_DRAWS // len(widths) or 1` rows, its digits read backwards as
+    one `int` from which each row takes its next bits."""
     rows: list[Mask] = []
     step = _CHUNK_DRAWS // len(widths) or 1
     for start in range(0, len(widths), step):
         chunk = widths[start:start + step]
         bits = int(_flags(rng, sum(chunk), limit)[::-1] or b"0", 2)
-        for width in chunk:
-            rows.append(bits & (1 << width) - 1)
+        for x, width in enumerate(chunk, start):
+            row = bits & (1 << width) - 1
+            rows.append(row << x + 1 if tournament else row + (row >> x << x))
             bits >>= width
     return rows
 

@@ -101,7 +101,7 @@ class DecisionProblem:
         if not self.rel.is_irreflexive():
             raise ValueError("dominance relation must be irreflexive")
         if not self.labels:
-            object.__setattr__(self, "labels", tuple(str(i) for i in range(self.rel.n)))
+            object.__setattr__(self, "labels", tuple(map(str, range(self.rel.n))))
         elif len(self.labels) != self.rel.n:
             raise ValueError("label count must equal n")
 

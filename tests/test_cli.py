@@ -116,6 +116,28 @@ class TestParsing:
             assert sorted(parse_instance(document).rel.pairs()) == \
                 [(0, 1), (0, 2)]
 
+    # `str.splitlines` also ends a line at each of these characters.
+    @pytest.mark.parametrize("char", [
+        "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"],
+        ids=ascii)
+    def test_edge_list_lines_end_only_at_newlines(self, char):
+        text = f"3\n0 1 # note{char} 0 2\n"
+        for document in (text, text.encode()):
+            assert list(parse_instance(document).rel.pairs()) == [(0, 1)]
+        text = f"3\n0 1{char}1 2\n"
+        for document in (text, text.encode()):
+            with pytest.raises(ParseError) as exc:
+                parse_instance(document)
+            assert str(exc.value) == f"line 2: expected 'u v', got {text[2:-1]!r}"
+
+    def test_edge_list_line_breaks(self):
+        text = "3\r\n0 1 # a\r1 2\n\r\n2 2\r"
+        with pytest.raises(LoopEdge) as exc:
+            parse_instance(text)
+        assert str(exc.value) == "line 5: loop edge at alternative 2"
+        assert sorted(parse_instance(text[:-4]).rel.pairs()) == \
+            [(0, 1), (1, 2)]
+
     def test_json(self):
         p = parse_instance('{"n": 2, "edges": [[0, 1]], "labels": ["a", "b"]}')
         assert p.labels == ("a", "b")

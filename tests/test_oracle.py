@@ -24,6 +24,22 @@ def fam(masks):
 # The definitions transcribed member by member, quantifier by quantifier:
 # the reference the oracle's image identities must reproduce exactly.
 
+def reference_closure(r):
+    """Row x holds every y reachable from x in one or more steps of r,
+    found by a search along the pairs."""
+    rows = []
+    for x in range(r.n):
+        reached = set()
+        todo = [y for y in range(r.n) if r.has(x, y)]
+        while todo:
+            y = todo.pop()
+            if y not in reached:
+                reached.add(y)
+                todo += [z for z in range(r.n) if r.has(y, z)]
+        rows.append(sum(1 << y for y in reached))
+    return Relation(r.n, tuple(rows))
+
+
 def reference_omega(p):
     """Literal extended dominance (equipotent pairs kept)."""
     strict = _strict(p.rel)
@@ -141,7 +157,42 @@ class TestAgainstTranscription:
                 random_problem(n, density, seed, tournament=tournament))
 
 
+class TestClosure:
+    """`_closure` against a path search: `reference_solutions` derives its
+    relations with `_closure` itself, so this is the check of the loop."""
+
+    @staticmethod
+    def assert_matches_search(p):
+        for r in (p.rel, _strict(p.rel)):
+            assert _closure(r) == reference_closure(r), p
+
+    def test_corpus(self):
+        for p in corpus_digraphs() + corpus_tournaments():
+            self.assert_matches_search(p)
+
+    @pytest.mark.parametrize("density,tournament",
+                             [(0.2, False), (0.5, False), (1.0, True)])
+    @pytest.mark.parametrize("n", [11, 12])
+    def test_seeded_at_the_ceiling(self, n, density, tournament):
+        for seed in range(2):
+            self.assert_matches_search(
+                random_problem(n, density, seed, tournament=tournament))
+
+
 class TestEnumeration:
+    def test_vnm_builds_no_closure(self, monkeypatch):
+        corpus = corpus_digraphs() + corpus_tournaments()
+        expected = [reference_solutions(p, Concept.VNM,
+                                        SociallyInterp.RESTRICT_CLOSURE)
+                    for p in corpus]
+
+        def no_closure(r):
+            raise AssertionError("vnm reads no closure")
+
+        monkeypatch.setattr(oracle, "_closure", no_closure)
+        assert [enumerate_solutions(p, Concept.VNM) for p in corpus] == \
+            expected
+
     def test_vnm_examples(self):
         assert enumerate_solutions(THREE_CYCLE, Concept.VNM) == []
         assert fam(enumerate_solutions(FOUR_CYCLE, Concept.VNM)) == \
