@@ -20,8 +20,8 @@ the text (a short row, another edge order, another separator, text the
 table lacks or a bad edge), the route decodes one piece of whole edge
 lists and tries runs again after it.  Any other document given as bytes is
 decoded to text once (`_decoded`).  Every other JSON document, and every
-one that route refuses, is decoded whole by `_json_problem`, which gives
-every error message.
+one that route refuses, is decoded whole (`_json_problem`): the gated
+table loop, else one checked loop, which gives every error message.
 
 Every document the CLI prints goes to its stream's `writelines`, a line,
 row or block at a time, never whole; the stream buffers short pieces.
@@ -44,7 +44,7 @@ from typing import Iterable, Iterator, Sequence, TextIO
 from .bitset import Mask, flags, members
 from .contraction import Contraction
 from .errors import LimitExceeded, LoopEdge, ParseError, check_size
-from .relations import DecisionProblem, Relation, has_index_ends
+from .relations import DecisionProblem, Relation
 from .solutions import SolutionFamily, FamilyForm, _runs
 
 PARSE_LIMIT = 2000
@@ -261,6 +261,15 @@ def _edge_piece(data: bytes, start: int, stop: int) -> bytes:
 
 
 def _json_problem(text: str) -> DecisionProblem:
+    """The problem a JSON document states, decoded whole.
+
+    With no "-", "true" or "false" in the text, no end is a negative int or
+    a boolean, so a loop over a table of bits, testing nothing, raises on
+    every other bad edge, and `DecisionProblem` on a loop.  Otherwise, or
+    if either raises, one checked loop builds the rows, and raises
+    ParseError on the first edge that is not a list of two ints (booleans
+    excluded), lies out of range or is a loop.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -271,15 +280,25 @@ def _json_problem(text: str) -> DecisionProblem:
     edges = doc.get("edges", [])
     if not isinstance(edges, list):
         raise ParseError("'edges' must be a list of [u, v] pairs")
-    rel = _edge_relation(edges, n, text)
-    if rel is None:
-        # Only reached on a bad document: find and name the first bad edge.
-        for e in edges:
-            if (not isinstance(e, (list, tuple)) or len(e) != 2
-                    or not all(type(v) is int for v in e)):
-                raise ParseError(f"malformed edge {e!r}")
-            _check_edge(e[0], e[1], n)
-    return DecisionProblem(rel, labels)
+    bits = [1 << y for y in range(n)]
+    rows = [0] * n
+    if "-" not in text and "true" not in text and "false" not in text:
+        try:
+            for x, y in edges:
+                rows[x] |= bits[y]
+            return DecisionProblem(Relation(n, tuple(rows)), labels)
+        except (TypeError, ValueError, IndexError):
+            rows = [0] * n
+    for e in edges:
+        if type(e) is list and len(e) == 2:
+            x, y = e
+            if type(x) is int and type(y) is int:
+                if 0 <= x < n and 0 <= y < n and x != y:
+                    rows[x] |= bits[y]
+                    continue
+                _check_edge(x, y, n)  # raises
+        raise ParseError(f"malformed edge {e!r}")
+    return DecisionProblem(Relation(n, tuple(rows)), labels)
 
 
 def _head(doc) -> tuple[int, tuple[str, ...]]:
@@ -296,29 +315,6 @@ def _head(doc) -> tuple[int, tuple[str, ...]]:
     if labels is not None and (not isinstance(labels, list) or len(labels) != n):
         raise ParseError("'labels' must list one name per alternative")
     return n, tuple(map(str, labels)) if labels else ()
-
-
-def _edge_relation(edges: list, n: int, text: str) -> Relation | None:
-    """The relation the edges list, or None unless every edge is a pair of
-    distinct ints in range(n).
-
-    `Relation.from_checked_pairs` builds the rows, rejecting floats,
-    strings, lists, edges that are not pairs and endpoints >= n before any
-    shift.  It lets through only booleans and negative ints, and a decoded
-    document can hold those only if its text contains "-", "true" or
-    "false"; only then are the endpoints rescanned for their type and
-    sign by `relations.has_index_ends`, which adds about a third to a
-    dense n = 1000 document's parse.  Loops show up afterwards as diagonal
-    bits.
-    """
-    try:
-        rel = Relation.from_checked_pairs(n, edges)
-    except (TypeError, ValueError, IndexError):
-        return None
-    if ("-" in text or "true" in text or "false" in text) \
-            and not has_index_ends(edges):
-        return None
-    return rel if rel.is_irreflexive() else None
 
 
 def _parse_edge_list(text: str) -> DecisionProblem:

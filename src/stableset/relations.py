@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 from typing import Iterable, Iterator
 
 from .bitset import Mask, full_mask, iter_bits, reach, transpose
@@ -39,29 +38,15 @@ class Relation:
     @classmethod
     def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Relation":
         """Raises ValueError unless every end is an int in range(n)."""
-        pairs = list(pairs)
-        try:  # has_index_ends raises TypeError on a pair it cannot unpack
-            if has_index_ends(pairs):
-                return cls.from_checked_pairs(n, pairs)
-        except (IndexError, TypeError):
-            pass
-        raise ValueError(f"pair ends must be ints in range({n})")
-
-    @classmethod
-    def from_checked_pairs(cls, n: int,
-                           pairs: Iterable[tuple[int, int]]) -> "Relation":
-        """The relation of pairs whose ends are ints known to be >= 0.
-
-        The rows are built in one loop over a table of bits, with no shift
-        per pair.  The loop raises on a pair that is not two ints or has an
-        end >= n, but a negative end counts from the back of the table and
-        a boolean counts as 0 or 1, so callers rule those out, as
-        `from_pairs` does with `has_index_ends`.
-        """
-        bits = [1 << y for y in range(n)]
         rows = [0] * n
-        for x, y in pairs:
-            rows[x] |= bits[y]
+        try:
+            for x, y in pairs:
+                if not (type(x) is int and type(y) is int
+                        and 0 <= x < n and 0 <= y < n):
+                    raise ValueError
+                rows[x] |= 1 << y
+        except (TypeError, ValueError):  # TypeError: a pair not unpacked
+            raise ValueError(f"pair ends must be ints in range({n})") from None
         return cls(n, tuple(rows))
 
     @classmethod
@@ -134,13 +119,6 @@ class DecisionProblem:
     def closure(self) -> Relation:
         """Transitive closure of the strict part, derived once."""
         return transitive_closure(self.strict)
-
-
-def has_index_ends(pairs: list) -> bool:
-    """Whether every end of the pairs is an int >= 0 and not a boolean: the
-    bad ends that `Relation.from_checked_pairs` cannot refuse by itself."""
-    ends = list(chain.from_iterable(pairs))
-    return not ends or (set(map(type, ends)) == {int} and min(ends) >= 0)
 
 
 def _with_columns(n: int, rows: tuple[Mask, ...],

@@ -272,17 +272,18 @@ def _stable_search(p: DecisionProblem, conflict: Relation, free: Mask,
     on a dominator of the excluded, undominated alternative with the
     fewest dominators left; with none pending, on an undecided alternative
     the chosen ones do not dominate.  A node where the chosen ones dominate
-    every undecided alternative, and no conflict edge joins two of them,
-    ends the search: each union of the chosen ones with a subset of the
-    undecided ones is a member (with `cyclic`, if `_closed_completions`
-    keeps it), and all of them are built at once by doubling.  VNM
-    reaches that node with nothing undecided, since a dominated
-    alternative conflicts with its dominator.
+    every undecided alternative ends the search: each union of the chosen
+    ones with a subset of the undecided ones is a member (with `cyclic`,
+    if `_closed_completions` keeps it), and all of them are built at once
+    by doubling.  No conflict edge joins two undecided ones there but
+    under `cyclic`, where it is a trap edge, on no cycle, so `settle`
+    refuses every completion that holds it.  VNM reaches that node with
+    nothing undecided, since a dominated alternative conflicts with its
+    dominator, and restrict-closure has no conflict edges.
     """
     full, rows, cols = p.all_mask, p.strict.rows, p.strict.columns()
     adjacent = tuple(row | col
                      for row, col in zip(conflict.rows, conflict.columns()))
-    conflicted = sum(1 << x for x, near in enumerate(adjacent) if near)
     if cyclic:
         degrees_ok, settle = _cycle_tests(rows, cols)
         closed_completions = _closed_completions(rows, settle)
@@ -307,23 +308,18 @@ def _stable_search(p: DecisionProblem, conflict: Relation, free: Mask,
         if cyclic and not degrees_ok(chosen, covered, chosen | undecided):
             continue
         if not pick:
-            pick = undecided & ~covered
-            if not pick and undecided & conflicted and any(
-                    adjacent[y] & undecided
-                    for y in iter_bits(undecided & conflicted)):
-                pick = undecided
-            if not pick:
-                if cyclic:
-                    found += closed_completions(chosen, undecided)
-                    continue
-                completions = [chosen]
-                while undecided:
-                    bit = undecided & -undecided
-                    undecided ^= bit
-                    completions += [v | bit for v in completions]
-                found += completions
+            pick, fewest = undecided & ~covered, 2
+        if not pick:
+            if cyclic:
+                found += closed_completions(chosen, undecided)
                 continue
-            fewest = 2
+            completions = [chosen]
+            while undecided:
+                bit = undecided & -undecided
+                undecided ^= bit
+                completions += [v | bit for v in completions]
+            found += completions
+            continue
         bit = pick & -pick
         x = bit.bit_length() - 1
         if fewest > 1:  # a sole dominator gets no out-branch

@@ -27,7 +27,8 @@ from stableset.relations import (DecisionProblem, Relation, asymmetric_part,
                                  trap_relation)
 from stableset.oracle import random_problem
 from stableset.contraction import equipotence_classes, extended_dominance
-from stableset.solutions import m_stable_sets, schwartz_set, w_stable_sets
+from stableset.solutions import (Concept, duggan_set, m_stable_sets,
+                                 schwartz_set, solve, w_stable_sets)
 
 TAIL_EDGES = "4\n0 1\n1 2\n2 0\n0 3\n"
 
@@ -255,8 +256,8 @@ def per_edge_parse(text):
 BAD_EDGES = (5, "01", None, {"u": 0}, [], [0], [0, 1, 2], [0, 1.0], [0.5, 1],
              [0, "1"], [True, False], [0, True], [-1, 0], [0, -2], "n", "n+",
              "loop", [0, 10 ** 12])
-# Label words whose presence in the text makes the parser rescan endpoints
-# for booleans and negative ints.
+# Label words whose presence in the text sends a whole document past the
+# table loop to the checked loop, which refuses booleans and negative ints.
 RESCAN_WORDS = ("-", "true", "false")
 
 
@@ -897,6 +898,14 @@ class TestSolveCommand:
         assert "timings" not in json.loads(plain)
         assert "timings" in json.loads(timed)
 
+    def test_duggan(self, capsys, tail_file):
+        code, out = run(capsys, "solve", "--concept", "duggan",
+                        "--input", tail_file)
+        expected = duggan_set(parse_instance(TAIL_EDGES))
+        assert code == 0
+        assert json.loads(out) == {"concept": "duggan",
+                                   "set": list(members(expected))}
+
 
 class TestVerifyCommand:
     def test_pass(self, capsys):
@@ -911,6 +920,37 @@ class TestVerifyCommand:
                         "--trials", "1", "--seed", "11")
         assert code == 0 and json.loads(out)["status"] == "PASS"
         assert run_cli(["verify", "--concept", "gss", "--max-n", "13"]) == 64
+
+    def test_fail_names_each_trial_that_differs(self, capsys, monkeypatch):
+        # A constructive side that drops its last member differs from the
+        # oracle on every trial with a non-empty family.
+        def short_by_one(p, concept, interp):
+            return list(solve(p, concept, interp=interp))[:-1]
+
+        monkeypatch.setattr("stableset.oracle.solve", short_by_one)
+        code, out = run(capsys, "verify", "--concept", "mss", "--trials", "6",
+                        "--max-n", "4", "--seed", "3")
+        expected = []
+        for seed in range(3, 9):
+            n, density = 1 + seed % 4, (0.2, 0.5, 0.8)[seed % 3]
+            family = list(solve(random_problem(n, density, seed),
+                                Concept.M_STABLE))
+            if family:
+                expected.append({"seed": seed, "n": n, "density": density,
+                                 "only_constructive": [],
+                                 "only_oracle": [list(members(family[-1]))]})
+        assert code == 2 and expected
+        assert json.loads(out) == {"concept": "mss", "trials": 6,
+                                   "status": "FAIL", "failures": expected}
+
+    def test_timings_opt_in(self, capsys):
+        code, out = run(capsys, "verify", "--concept", "gss", "--trials", "3",
+                        "--max-n", "4", "--timings")
+        doc = json.loads(out)
+        assert code == 0 and doc["status"] == "PASS"
+        assert list(doc["timings"]) == ["total_s"]
+        assert isinstance(doc["timings"]["total_s"], float)
+        assert doc["timings"]["total_s"] >= 0
 
 
 class TestContractCommand:
@@ -1225,6 +1265,17 @@ class TestExitCodes:
         path.write_text("2\n1 1\n")
         assert run_cli(["solve", "--concept", "core",
                         "--input", str(path)]) == 1
+
+    @pytest.mark.parametrize("edges", ["5", "{}"])
+    def test_edges_that_are_not_a_list(self, edges, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"n": 2, "edges": %s}' % edges)
+        assert run_cli(["solve", "--concept", "core",
+                        "--input", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            "error: 'edges' must be a list of [u, v] pairs\n"
 
     def test_oracle_ceiling(self, capsys, tmp_path):
         """The brute-force Schwartz route answers a 12-cycle and refuses a

@@ -44,13 +44,30 @@ class TestFromPairs:
         for seed in range(100):
             r = random_problem(1 + seed % 12, 0.5, seed).rel
             pairs = list(r.pairs()) * 2  # duplicates collapse
-            assert Relation.from_checked_pairs(r.n, pairs) == r
             assert Relation.from_pairs(r.n, pairs) == r
+            assert Relation.from_pairs(r.n, iter(pairs)) == r
 
     def test_checked_pairs_refuse_an_end_past_n(self):
-        for pair in ((0, 2), (2, 0)):
-            with pytest.raises(IndexError):
-                Relation.from_checked_pairs(2, [pair])
+        for pair in ((0, 2), (2, 0), (0, 10 ** 30)):
+            with pytest.raises(ValueError, match=r"ints in range\(2\)"):
+                Relation.from_pairs(2, [pair])
+
+
+class TestConstructorsRefuse:
+    def test_relation_rows(self):
+        for n, rows, message in ((2, (0,), "row count must equal n"),
+                                 (2, (0, 0, 0), "row count must equal n"),
+                                 (2, (0b100, 0), "index >= n"),
+                                 (2, (0, -1), "index >= n")):
+            with pytest.raises(ValueError, match=message):
+                Relation(n, rows)
+
+    def test_decision_problem(self):
+        with pytest.raises(ValueError, match="at least one alternative"):
+            DecisionProblem(Relation(0, ()))
+        for labels in (("a",), ("a", "b", "c")):
+            with pytest.raises(ValueError, match="label count must equal n"):
+                DecisionProblem(Relation.empty(2), labels)
 
 
 class TestImage:

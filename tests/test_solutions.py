@@ -168,6 +168,35 @@ class TestSearchAgainstOracle:
         assert list(socially_stable_sets(p, interp)) == \
             enumerate_solutions(p, Concept.SOCIALLY, interp=interp)
 
+    @pytest.mark.parametrize("n, density, seed",
+                             [(9, 0.2, 333), (11, 0.3, 90), (12, 0.3, 146)])
+    def test_exits_with_a_trap_edge_left_undecided(self, n, density, seed,
+                                                   monkeypatch):
+        # The only seeded problems found whose search reaches a dominating
+        # node with a trap edge between two undecided alternatives.  The
+        # node still ends the search: a trap edge lies on no cycle, so
+        # `settle` refuses every completion that holds one.
+        exits = []
+
+        def recorded(rows, settle):
+            completions = _closed_completions(rows, settle)
+
+            def exit_(chosen, undecided):
+                exits.append(undecided)
+                return completions(chosen, undecided)
+
+            return exit_
+
+        monkeypatch.setattr("stableset.solutions._closed_completions",
+                            recorded)
+        p = random_problem(n, density, seed)
+        interp = SociallyInterp.CLOSURE_OF_RESTRICTION
+        assert list(socially_stable_sets(p, interp)) == \
+            enumerate_solutions(p, Concept.SOCIALLY, interp=interp)
+        trap = trap_relation(p).rows
+        assert any(trap[x] & undecided
+                   for undecided in exits for x in members(undecided))
+
     def test_restrict_closure_members_lie_in_the_schwartz_set(
             self, searched_corpus):
         # The restrict-closure search runs over the Schwartz set only.
@@ -479,6 +508,12 @@ class TestFamilyRepresentation:
         assert peak < 4 * 2 ** 20
 
     def test_contains_without_enumeration(self):
+        listed = SolutionFamily(FamilyForm.EXPLICIT,
+                                explicit=(from_members([0]),
+                                          from_members([1, 2])))
+        assert listed.contains(from_members([1, 2]))
+        assert not listed.contains(from_members([1]))
+        assert not listed.contains(0)
         comps = (from_members([0, 1]), from_members([2]))
         one = SolutionFamily(FamilyForm.ONE_PER_COMPONENT, components=comps)
         assert one.contains(from_members([0, 2]))
