@@ -2,20 +2,27 @@
 
 Every check here is a definition written as a union identity over set
 images (the union of per-element masks over each subset's members), tested
-on all 2^n subsets.  It uses its own strict part and closure and never calls
-the constructive code paths in `solutions`, so that agreement between the
-two is evidence rather than tautology.  Only `cross_verify` calls
+on all 2^n subsets at once.  The subsets are bit-sliced (`bitset.planes`):
+plane x holds bit v iff subset v holds x, so a test over every subset is a
+few big-int operations per alternative, with no step per subset.  The
+oracle uses its own strict part and closure and never calls the
+constructive code paths in `solutions`, so that agreement between the two
+is evidence rather than tautology.  Only `cross_verify` calls
 `solutions.solve`, because comparing the two is its job.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
+from itertools import repeat
+from operator import and_, invert, or_, xor
 from typing import Sequence
 
-from .bitset import Mask, image_table, iter_bits, transpose
+from .bitset import (Mask, diagonal, from_members, image, image_table,
+                     iter_bits, planes, positions, transpose)
 from .errors import check_size
 from .relations import DecisionProblem, Relation
 from .solutions import SUBSET_LIMIT, Concept, SociallyInterp, solve
@@ -38,8 +45,7 @@ class VerificationReport:
 
 
 def _strict(r: Relation) -> Relation:
-    cols = r.columns()
-    return Relation(r.n, tuple(r.rows[x] & ~cols[x] for x in range(r.n)))
+    return Relation(r.n, tuple(map(and_, r.rows, map(invert, r.columns()))))
 
 
 def _closure(r: Relation) -> Relation:
@@ -62,15 +68,60 @@ def _omega(strict: Relation, closure: Relation) -> Relation:
     S[eq[x]]."""
     cols = closure.columns()
     eq = [closure.rows[x] & cols[x] | 1 << x for x in range(strict.n)]
-    strict_img, eq_img = image_table(strict.rows), image_table(eq)
-    return Relation(strict.n, tuple(eq_img[strict_img[e]] for e in eq))
+    return Relation(strict.n, tuple(image(image(e, strict.rows), eq)
+                                    for e in eq))
 
 
-def _cycles_inside(v: Mask, strict: Relation) -> bool:
-    """Every strict edge inside v lies on a cycle inside v."""
-    q = _closure(Relation(strict.n, tuple(
-        strict.rows[x] & v if v >> x & 1 else 0 for x in range(strict.n)))).rows
-    return all(q[y] >> x & 1 for x in iter_bits(v) for y in iter_bits(q[x]))
+def _meet_tables(n: int) -> tuple[int, tuple[list[Mask], ...]]:
+    """`bitset.planes(n)` in groups of `width` alternatives, each tabled by
+    `bitset.image_table`: entry m of group k is the plane of the subsets
+    that meet ``m << k * width``.  A width of ``max(4, 16 - n)`` makes one
+    table up to n = 8 and keeps each at 2^16 bits or 16 planes."""
+    width = max(4, 16 - n)
+    sliced = planes(n)
+    return width, tuple(image_table(sliced[at:at + width])
+                        for at in range(0, n, width))
+
+
+# The tables are kept up to the default ceiling, where one call is a few
+# microseconds and `verify` cycles through every n; above it each call
+# builds its own, in a small share of its time, and keeps no wide plane.
+_kept_meet_tables = functools.lru_cache(maxsize=SUBSET_LIMIT)(_meet_tables)
+
+
+def _meets(masks: Sequence[Mask], n: int) -> list[Mask]:
+    """Plane i marks the subsets that meet masks[i]: X[v] holds y iff v
+    meets column y of X, so over X's columns these are its image planes."""
+    width, tables = (_kept_meet_tables(n) if n <= SUBSET_LIMIT
+                     else _meet_tables(n))
+    if len(tables) == 1:
+        return list(map(tables[0].__getitem__, masks))
+    low = (1 << width) - 1
+    out = map(tables[0].__getitem__, [m & low for m in masks])
+    for k, table in enumerate(tables[1:], 1):
+        out = map(or_, out, map(table.__getitem__,
+                                [m >> k * width & low for m in masks]))
+    return list(out)
+
+
+def _open_edges(rows: Sequence[Mask]) -> Mask:
+    """The plane of the subsets v with an edge of `rows` inside v on no
+    cycle inside v.  Warshall over planes: reach[a][b] marks the subsets
+    that hold every node after a on some path from a to b, so edge (a, b)
+    closes inside v iff v holds a and b and reach[b][a] marks v.
+    Reversing every edge keeps every cycle, so the rows may be the strict
+    part's or its columns."""
+    sliced = planes(len(rows))
+    reach = [[plane if row >> b & 1 else 0 for b, plane in enumerate(sliced)]
+             for row in rows]
+    for k, into in enumerate(reach):
+        for row in reach:
+            via = row[k]
+            if via:
+                row[:] = map(or_, row, map(and_, into, repeat(via)))
+    return functools.reduce(or_, [
+        sliced[a] & sliced[b] & ~reach[b][a]
+        for a, row in enumerate(rows) for b in iter_bits(row)], 0)
 
 
 def enumerate_solutions(p: DecisionProblem, concept: Concept,
@@ -91,69 +142,99 @@ def enumerate_solutions(p: DecisionProblem, concept: Concept,
         wss  C*[v] ∩ v = ∅      and  (Cᵀ∖C)[v] ⊆ v
         ess  ω*[v] ∩ v = ∅      and  ω*[v] ∪ v = full
 
-    sss closure_of_restriction needs S[v] ∪ v = full and `_cycles_inside`;
-    (S∖Cᵀ)[v] ∩ v = ∅, no edge in v off every cycle, filters first.
+    sss closure_of_restriction needs S[v] ∪ v = full and every strict edge
+    inside v on a cycle inside v (`_open_edges`).
 
-    Each concept derives only the relations its line reads: vnm S alone,
-    with no closure; gss C, with no columns; sss, mss, wss and ess C and
-    Cᵀ, which ω reads too.  `_closure` skips a pivot whose row is empty.
+    All 2^n subsets are tested at once on planes (`bitset.planes`).  The
+    plane "X[v] holds y" is the union of the planes of column y of X
+    (`_meets`).  So X[v] meets v on the union over y of that plane and
+    plane y, X[v] ∪ v = full on the intersection over y of their union,
+    and X[v] ⊆ v fails on the union over y of that plane without plane y.
+    The passing subsets are read off the result by `bitset.positions`.
+
+    Every line reads columns, so the oracle starts from the strict part's
+    columns Sᵀ and closes them: the closure of Sᵀ is Cᵀ, and ω of Sᵀ and
+    Cᵀ is ω's transpose, equipotence being symmetric.  Each concept derives
+    only what its line reads: vnm and closure_of_restriction Sᵀ alone, with
+    no closure; gss Cᵀ alone; sss, mss, wss and ess Cᵀ and its columns C,
+    which ω reads too.  `_closure` skips a pivot whose row is empty.
     """
     check_size(p.n, max_n, "oracle")
-    strict = _strict(p.rel)
+    n = p.n
+    above = _strict_columns(p.rel)
     restricted = (concept is Concept.SOCIALLY
                   and interp is SociallyInterp.CLOSURE_OF_RESTRICTION)
     if concept is Concept.VNM:
-        inner = outer = strict.rows
+        inner = outer = above
+    elif restricted:
+        inner, outer = None, above
     else:
-        closure = _closure(strict)
-        rows = closure.rows
+        strict_t = Relation(n, above)
+        closure_t = _closure(strict_t)
+        cols = closure_t.rows
         if concept is Concept.GENERALIZED:
-            inner = outer = _off_diagonal(rows)
+            inner = outer = _off_diagonal(cols)
         elif concept is Concept.EXTENDED:
-            inner = outer = _off_diagonal(_omega(strict, closure).rows)
+            inner = outer = _off_diagonal(_omega(strict_t, closure_t).rows)
         else:
-            cols = closure.columns()
+            rows = closure_t.columns()
             if concept is Concept.W_STABLE:
-                inner = _off_diagonal(rows)
-                outer = [c & ~r for r, c in zip(rows, cols)]
+                inner, outer = _off_diagonal(cols), [
+                    r & ~c for r, c in zip(rows, cols)]
             else:
-                inner = [r & ~c for r, c in zip(
-                    strict.rows if restricted else rows, cols)]
-                outer = cols if concept is Concept.M_STABLE else strict.rows
-    ins = image_table(inner)
-    outs = ins if outer is inner else image_table(outer)
-    full = p.all_mask
-    if concept is Concept.M_STABLE or concept is Concept.W_STABLE:
-        out = [v for v in range(1, full + 1)
-               if not ins[v] & v and not outs[v] & ~v]
+                inner = [c & ~r for r, c in zip(rows, cols)]
+                outer = rows if concept is Concept.M_STABLE else above
+    sliced = planes(n)
+    size = 1 << n
+    every = (1 << size) - 1
+    if outer is inner:  # stable iff X[v] is the complement of v
+        found = functools.reduce(and_, map(xor, sliced, _meets(inner, n)),
+                                 every)
+    elif concept is Concept.M_STABLE or concept is Concept.W_STABLE:
+        # Subset v fails at y on the inner plane if it holds y, else on the
+        # outer one: o ^ (o ^ i) & p picks i where p is set, o elsewhere.
+        met_out = _meets(outer, n)
+        found = every & ~functools.reduce(or_, map(xor, met_out, map(
+            and_, map(xor, met_out, _meets(inner, n)), sliced)), 1)
     else:
-        out = [v for v in range(1, full + 1)
-               if not ins[v] & v and outs[v] | v == full]
-    if restricted:
-        out = [v for v in out if _cycles_inside(v, strict)]
-    return out
+        found = functools.reduce(and_, map(or_, sliced, _meets(outer, n)),
+                                 every)
+        found &= ~(_open_edges(above) if restricted else functools.reduce(
+            or_, map(and_, sliced, _meets(inner, n)), 1))
+    return positions(found, size) if found else []
+
+
+def _strict_columns(r: Relation) -> tuple[Mask, ...]:
+    """The columns of `_strict(r)`: column y of r without row y."""
+    return tuple(map(and_, r.columns(), map(invert, r.rows)))
 
 
 def _off_diagonal(rows: Sequence[Mask]) -> list[Mask]:
-    return [r & ~(1 << x) for x, r in enumerate(rows)]
+    return list(map(and_, rows, map(invert, diagonal(len(rows)))))
 
 
 def gocha_bruteforce(p: DecisionProblem) -> Mask:
     """Union of all inclusion-minimal strictly-undominated non-empty subsets;
-    d is undominated iff Sᵀ[d] ⊆ d, Sᵀ being the strict part's columns."""
+    d is undominated iff Sᵀ[d] ⊆ d, Sᵀ being the strict part's columns.
+
+    On planes (`bitset.planes`): d is dominated iff some y outside d has a
+    row S[y] that meets d.  The up-set of the undominated subsets grows by
+    one alternative x at a time, each subset without x shifted up by
+    ``2 ** x`` to its union with {x}; an undominated subset is minimal iff
+    no subset of it one member smaller lies in that up-set.
+    """
     check_size(p.n, SUBSET_LIMIT, "oracle")
-    above = image_table(_strict(p.rel).columns())
-    undominated = [d for d in range(1, len(above)) if not above[d] & ~d]
-    # Ascending popcount: any non-minimal set has a minimal one strictly
-    # inside it, so checking against minimals found so far suffices.
-    undominated.sort(key=int.bit_count)
-    minimal = []
-    out = 0
-    for d in undominated:
-        if not any(e & ~d == 0 for e in minimal):
-            minimal.append(d)
-            out |= d
-    return out
+    n = p.n
+    sliced = planes(n)
+    dominated = functools.reduce(or_, map(and_, map(invert, sliced), _meets(
+        _strict(p.rel).rows, n)), 1)
+    undominated = up = (1 << (1 << n)) - 1 & ~dominated
+    for x, plane in enumerate(sliced):
+        up |= (up & ~plane) << (1 << x)
+    minimal = undominated & ~functools.reduce(or_, [
+        (up & ~plane) << (1 << x) for x, plane in enumerate(sliced)])
+    return from_members(x for x, plane in enumerate(sliced)
+                        if minimal & plane)
 
 
 def random_problem(n: int, density: float, seed: int,

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import and_, or_
 from typing import Iterable, Iterator
 
-from .bitset import Mask, full_mask, iter_bits, reach, transpose
+from .bitset import Mask, diagonal, full_mask, iter_bits, reach, transpose
 from .errors import EmptyGround
 
 
@@ -70,7 +71,7 @@ class Relation:
         return cols
 
     def is_irreflexive(self) -> bool:
-        return all(not self.rows[x] >> x & 1 for x in range(self.n))
+        return not any(map(and_, self.rows, diagonal(self.n)))
 
 
 @dataclass(frozen=True)
@@ -244,7 +245,6 @@ def strict_poset_order(p: DecisionProblem) -> Relation:
     them and is never transposed again.  `order_topology.Poset` checks the
     axioms when it wraps it."""
     strict = asymmetric_part(p.closure)
-    diagonal = [1 << x for x in range(p.n)]
-    return _with_columns(
-        p.n, tuple(row | bit for row, bit in zip(strict.rows, diagonal)),
-        tuple(col | bit for col, bit in zip(strict.columns(), diagonal)))
+    bits = diagonal(p.n)
+    return _with_columns(p.n, tuple(map(or_, strict.rows, bits)),
+                         tuple(map(or_, strict.columns(), bits)))

@@ -4,7 +4,8 @@ import pytest
 
 from conftest import (CHAIN, CYCLE_WITH_TAIL, FOUR_CYCLE, SYMMETRIC_PAIR,
                       THREE_CYCLE, corpus_digraphs, corpus_tournaments)
-from stableset.bitset import from_members, iter_bits, members, subsets
+from stableset.bitset import (from_members, image_table, iter_bits, members,
+                              subsets)
 from stableset import oracle
 from stableset.errors import LimitExceeded
 from stableset.oracle import (_closure, _omega, _strict, cross_verify,
@@ -139,6 +140,90 @@ def assert_matches_reference(p):
             reference_solutions(p, concept, interp), (p, concept, interp)
 
 
+# The image-table scan the planes replaced, kept as a second reference: each
+# union identity read from 2^n-entry image tables, one step per subset, and
+# closure of restriction settled by one closure per surviving subset.
+
+def table_omega(strict, closure):
+    cols = closure.columns()
+    eq = [closure.rows[x] & cols[x] | 1 << x for x in range(strict.n)]
+    strict_img, eq_img = image_table(strict.rows), image_table(eq)
+    return Relation(strict.n, tuple(eq_img[strict_img[e]] for e in eq))
+
+
+def table_cycles_inside(v, strict):
+    """Every strict edge inside v lies on a cycle inside v."""
+    q = _closure(Relation(strict.n, tuple(
+        row & v if v >> x & 1 else 0
+        for x, row in enumerate(strict.rows)))).rows
+    return all(q[y] >> x & 1 for x in iter_bits(v) for y in iter_bits(q[x]))
+
+
+def off_diagonal(rows):
+    return [r & ~(1 << x) for x, r in enumerate(rows)]
+
+
+def table_solutions(p, concept, interp):
+    strict = _strict(p.rel)
+    restricted = (concept is Concept.SOCIALLY
+                  and interp is SociallyInterp.CLOSURE_OF_RESTRICTION)
+    if concept is Concept.VNM:
+        inner = outer = strict.rows
+    else:
+        closure = _closure(strict)
+        rows = closure.rows
+        if concept is Concept.GENERALIZED:
+            inner = outer = off_diagonal(rows)
+        elif concept is Concept.EXTENDED:
+            inner = outer = off_diagonal(table_omega(strict, closure).rows)
+        else:
+            cols = closure.columns()
+            if concept is Concept.W_STABLE:
+                inner = off_diagonal(rows)
+                outer = [c & ~r for r, c in zip(rows, cols)]
+            else:
+                inner = [r & ~c for r, c in zip(
+                    strict.rows if restricted else rows, cols)]
+                outer = cols if concept is Concept.M_STABLE else strict.rows
+    ins = image_table(inner)
+    outs = ins if outer is inner else image_table(outer)
+    full = p.all_mask
+    if concept is Concept.M_STABLE or concept is Concept.W_STABLE:
+        out = [v for v in range(1, full + 1)
+               if not ins[v] & v and not outs[v] & ~v]
+    else:
+        out = [v for v in range(1, full + 1)
+               if not ins[v] & v and outs[v] | v == full]
+    if restricted:
+        out = [v for v in out if table_cycles_inside(v, strict)]
+    return out
+
+
+def table_gocha(p):
+    above = image_table(_strict(p.rel).columns())
+    undominated = [d for d in range(1, len(above)) if not above[d] & ~d]
+    # Ascending popcount: any non-minimal set has a minimal one strictly
+    # inside it, so checking against minimals found so far suffices.
+    undominated.sort(key=int.bit_count)
+    minimal = []
+    out = 0
+    for d in undominated:
+        if not any(e & ~d == 0 for e in minimal):
+            minimal.append(d)
+            out |= d
+    return out
+
+
+def assert_matches_tables(p):
+    strict = _strict(p.rel)
+    closure = _closure(strict)
+    assert _omega(strict, closure) == table_omega(strict, closure), p
+    assert gocha_bruteforce(p) == table_gocha(p), p
+    for concept, interp in ROUTES:
+        assert enumerate_solutions(p, concept, interp=interp) == \
+            table_solutions(p, concept, interp), (p, concept, interp)
+
+
 class TestAgainstTranscription:
     """The image identities equal the member-by-member definitions.  The
     benchmark's subset-search references come from these same oracle
@@ -154,6 +239,26 @@ class TestAgainstTranscription:
     def test_seeded_at_the_ceiling(self, n, density, tournament):
         for seed in range(2):
             assert_matches_reference(
+                random_problem(n, density, seed, tournament=tournament))
+
+
+class TestAgainstImageTables:
+    """The planes equal the image-table scan they replaced.  With
+    `TestAgainstTranscription` on the same problems, the plane oracle and
+    both references agree.  The benchmark checks its brute-force Schwartz
+    sets against `gocha_bruteforce` itself, so these and the transcription
+    are what check it."""
+
+    def test_corpus(self):
+        for p in corpus_digraphs() + corpus_tournaments():
+            assert_matches_tables(p)
+
+    @pytest.mark.parametrize("density,tournament",
+                             [(0.2, False), (0.5, False), (1.0, True)])
+    @pytest.mark.parametrize("n", [11, 12])
+    def test_seeded_at_the_ceiling(self, n, density, tournament):
+        for seed in range(2):
+            assert_matches_tables(
                 random_problem(n, density, seed, tournament=tournament))
 
 

@@ -6,8 +6,9 @@ import pytest
 
 from conftest import (CHAIN, CYCLE_WITH_TAIL, SYMMETRIC_PAIR, THREE_CYCLE,
                       kernel_corpus, long_acyclic_problems)
-from stableset.bitset import (flags, from_members, full_mask, image,
-                              image_table, members, transpose)
+from stableset.bitset import (diagonal, flags, from_members, full_mask, image,
+                              image_table, iter_bits, members, planes,
+                              positions, transpose)
 from stableset.contraction import equipotence_classes
 from stableset.errors import EmptyGround
 from stableset.oracle import random_problem
@@ -69,6 +70,19 @@ class TestConstructorsRefuse:
             with pytest.raises(ValueError, match="label count must equal n"):
                 DecisionProblem(Relation.empty(2), labels)
 
+    def test_a_loop_on_any_row(self):
+        # Rows past one 64-bit word, and a loop on the first, a middle or
+        # the last row.
+        rng = random.Random(7)
+        for n in (1, 2, 8, 65, 130):
+            for x in {0, n // 2, n - 1}:
+                rows = [rng.getrandbits(n) & ~(1 << y) for y in range(n)]
+                assert Relation(n, tuple(rows)).is_irreflexive()
+                rows[x] |= 1 << x
+                assert not Relation(n, tuple(rows)).is_irreflexive()
+                with pytest.raises(ValueError, match="must be irreflexive"):
+                    DecisionProblem(Relation(n, tuple(rows)))
+
 
 class TestImage:
     def test_image_is_the_union_of_the_members_rows(self):
@@ -99,6 +113,31 @@ class TestFlags:
                  *(rng.getrandbits(n) for _ in range(5))]
         for mask in masks:
             assert flags(mask, n) == bytes(mask >> x & 1 for x in range(n))
+
+
+class TestPlanes:
+    # From n = 7 a plane is wider than one 64-bit word.
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_plane_x_holds_the_subsets_with_x(self, n):
+        sliced = planes(n)
+        assert len(sliced) == n
+        for x, plane in enumerate(sliced):
+            assert plane.bit_length() <= 1 << n
+            assert [plane >> v & 1 for v in range(1 << n)] == \
+                [v >> x & 1 for v in range(1 << n)]
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 6, 7, 8, 12])
+    def test_positions_read_the_set_bits(self, n):
+        size = 1 << n
+        rng = random.Random(n)
+        masks = [0, full_mask(size), *planes(n),
+                 *(rng.getrandbits(size) for _ in range(6))]
+        for mask in masks:
+            assert positions(mask, size) == list(iter_bits(mask))
+
+    def test_diagonal_is_the_identity(self):
+        for n in (0, 1, 5, 70):
+            assert diagonal(n) == tuple(1 << x for x in range(n))
 
 
 def string_transpose(rows, width):
